@@ -73,8 +73,9 @@ class TransferCurve:
 
         The amplitude fraction y/n_max is mapped onto the curve's upper
         operating range so that the coherent optimum is a fixed point; the
-        output is the normalized reflected amplitude.  Used when composing
-        the phase-bound schedule with the radio response.
+        output is the normalized reflected amplitude.  A monotone curve
+        keeps the order of amplitudes, which is why the phase-bound
+        schedule does not depend on the curve.
         """
         if y <= 0:
             return 0.0

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import betainc, erf
+from scipy.special import betainc, erf, erfc, ive
 
 
 class BeamformError(ValueError):
@@ -27,29 +26,20 @@ class BeamformError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Modified Bessel functions of the first kind via their integral definition.
-
-def modified_bessel_scaled(k: int, x: float) -> float:
-    """I_k(x) * exp(-x), computed by adaptive quadrature of the integral
-    definition.  The scaling keeps the integrand bounded for large x."""
-    if x < 0:
-        raise BeamformError("argument must be >= 0")
-    val, _ = quad(lambda phi: math.cos(k * phi) * math.exp(x * (math.cos(phi) - 1.0)),
-                  0.0, math.pi, limit=200)
-    return val / math.pi
-
+# Ratios of modified Bessel functions of the first kind.
 
 def bessel_ratio(k: int, x: float) -> float:
     """I_k(x) / I_0(x), stable for any x >= 0."""
+    if x < 0:
+        raise BeamformError("argument must be >= 0")
     if x == 0.0:
         return 1.0 if k == 0 else 0.0
     if x > 1e5:
-        # Uniform asymptotic expansion; quadrature loses the sharp peak here.
+        # Uniform asymptotic expansion; ive returns NaN from about x = 1e10.
         num = 1.0 - (4 * k * k - 1) / (8.0 * x)
         den = 1.0 + 1.0 / (8.0 * x)
         return num / den
-    i0 = modified_bessel_scaled(0, x)
-    return modified_bessel_scaled(k, x) / i0
+    return float(ive(k, x) / ive(0, x))
 
 
 def solve_concentration(mean_resultant: float, tol: float = 1e-10) -> float:
@@ -136,7 +126,6 @@ def _step_over_grid(y_n: float, n_slaves: int, phi_grid: np.ndarray) -> np.ndarr
     ok = sigma1 > 0
     z = np.zeros_like(sigma1)
     z[ok] = y_n * (1.0 - c1[ok]) / sigma1[ok]
-    from scipy.special import erfc
     p = 0.5 * erfc(z / math.sqrt(2.0))
     gauss = sigma1 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * z * z)
     out[ok] = (y_n * (1.0 - p[ok] * (1.0 - c1[ok])) + gauss[ok])
@@ -146,7 +135,7 @@ def _step_over_grid(y_n: float, n_slaves: int, phi_grid: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 # Adaptive phase-bound schedule.
 
-@dataclass
+@dataclass(frozen=True)
 class BoundSchedule:
     coefficients: np.ndarray      # degree-7 polynomial in the round index
     phi_min_rad: float
@@ -173,16 +162,26 @@ def compute_bound_schedule(
 ) -> BoundSchedule:
     """Per-round optimal phase bound, polynomial-fitted over the horizon.
 
-    Each round picks the bound maximizing the expected amplitude gain by a
-    grid search over (0, 180] degrees; the trajectory is then propagated
-    through the backscatter transfer curve (when given) before the next
-    round.  Monotone curves leave the per-round argmax unchanged but shape
-    the trajectory, hence the schedule.
+    Each round picks the bound maximizing the expected amplitude after the
+    one-round step by a grid search over (0, 180] degrees, then moves the
+    amplitude to that step.  The backscatter transfer curve, when given,
+    must be monotone; a monotone curve preserves the order of the expected
+    amplitudes, so the chosen bounds do not depend on it.
+
+    Schedules are cached per (n_slaves, horizon, grid_step_deg, y0,
+    poly_degree) and shared by every caller, so the returned schedule and
+    its arrays are read-only.
     """
     if n_slaves < 2:
         raise BeamformError("need at least two slaves")
     if transfer_curve is not None and not transfer_curve.is_monotone():
         raise BeamformError("transfer curve must be monotone")
+    return _build_bound_schedule(n_slaves, horizon, grid_step_deg, y0, poly_degree)
+
+
+@lru_cache(maxsize=64)
+def _build_bound_schedule(n_slaves: int, horizon: int, grid_step_deg: float,
+                          y0: float | None, poly_degree: int) -> BoundSchedule:
     grid = np.deg2rad(np.arange(grid_step_deg, 180.0 + grid_step_deg / 2, grid_step_deg))
     y = math.sqrt(n_slaves) if y0 is None else y0
     optima = np.empty(horizon)
@@ -191,21 +190,13 @@ def compute_bound_schedule(
         # argmax near convergence falls to the smallest bound, not to the
         # spurious gain of wild perturbations.
         steps = np.minimum(_step_over_grid(y, n_slaves, grid), float(n_slaves))
-        if transfer_curve is not None:
-            # The measured gain passes through the radio response; a monotone
-            # curve leaves the argmax unchanged, so this only matters for the
-            # reported gain surface, not the chosen bound.
-            gains = np.array(
-                [transfer_curve.normalized_amplitude_map(s, n_slaves) for s in steps]
-            )
-        else:
-            gains = steps
-        best = int(np.argmax(gains))
+        best = int(np.argmax(steps))
         optima[n] = grid[best]
-        # The amplitude state itself evolves in the true beam domain.
         y = float(steps[best])
     rounds = np.arange(horizon)
     coeffs = np.polyfit(rounds, optima, poly_degree)
+    for arr in (coeffs, optima):
+        arr.setflags(write=False)
     return BoundSchedule(
         coefficients=coeffs,
         phi_min_rad=float(grid[0]),

@@ -4,6 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import ive
 
 from wptsim.backscatter import TransferCurve
@@ -17,7 +18,6 @@ from wptsim.beamform import (
     compute_bound_schedule,
     expected_amplitude_step,
     expected_trajectory,
-    modified_bessel_scaled,
     perturbation_std,
     simulate_update_rule,
     solve_concentration,
@@ -28,11 +28,44 @@ from wptsim.beamform import (
 # ---------------------------------------------------------------------------
 # Special functions against the scipy oracle.
 
+def _bessel_scaled_by_quadrature(k, x):
+    """I_k(x) * exp(-x) by adaptive quadrature of the integral definition
+    (1/pi) * integral over [0, pi] of cos(k phi) exp(x (cos phi - 1)) dphi;
+    the scaling keeps the integrand bounded for large x."""
+    val, _ = quad(lambda phi: math.cos(k * phi) * math.exp(x * (math.cos(phi) - 1.0)),
+                  0.0, math.pi, limit=200)
+    return val / math.pi
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("x", [0.0, 0.5, 3.0, 25.0, 400.0])
 def test_bessel_quadrature_matches_scipy(k, x):
-    assert modified_bessel_scaled(k, x) == pytest.approx(ive(k, x), rel=1e-9,
-                                                         abs=1e-12)
+    assert _bessel_scaled_by_quadrature(k, x) == pytest.approx(ive(k, x), rel=1e-9,
+                                                               abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("x", [0.0, 1e-3, 0.5, 3.0, 25.0, 400.0, 5e3, 9e4])
+def test_bessel_ratio_matches_quadrature(k, x):
+    want = (_bessel_scaled_by_quadrature(k, x) / _bessel_scaled_by_quadrature(0, x)
+            if x > 0 else 0.0)
+    assert bessel_ratio(k, x) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bessel_ratio_at_numeric_extremes(k):
+    # ive returns NaN from about x = 1e10; the asymptotic branch above 1e5
+    # must keep the ratio finite and continuous across its seam.
+    for x in (1e5 - 1, 1e5 + 1, 1e9, 1e10, 1e12, 1e13):
+        r = bessel_ratio(k, x)
+        assert math.isfinite(r) and 0.0 <= r <= 1.0
+    assert abs(bessel_ratio(k, 1e5) - bessel_ratio(k, math.nextafter(1e5, 2e5))) < 1e-9
+    assert math.isfinite(solve_concentration(1.0))
+
+
+def test_bessel_ratio_rejects_negative_argument():
+    with pytest.raises(BeamformError):
+        bessel_ratio(1, -0.5)
 
 
 @given(st.floats(min_value=0.0, max_value=300.0))
@@ -139,6 +172,36 @@ def test_schedule_needs_two_slaves():
 def test_schedule_rejects_non_monotone_curve():
     with pytest.raises(BeamformError):
         compute_bound_schedule(10, TransferCurve(monotonic=False, width_db=0.5))
+
+
+def test_schedule_validates_before_cache_lookup():
+    compute_bound_schedule(10, TransferCurve())
+    with pytest.raises(BeamformError):
+        compute_bound_schedule(10, TransferCurve(monotonic=False, width_db=0.5))
+
+
+def test_schedule_is_shared_and_read_only():
+    s = compute_bound_schedule(10, horizon=100)
+    again = compute_bound_schedule(10, TransferCurve(), horizon=100)
+    assert again == s
+    assert np.array_equal(again.optimal_rad, s.optimal_rad)
+    assert np.array_equal(again.coefficients, s.coefficients)
+    with pytest.raises(ValueError):
+        s.optimal_rad[0] = 0.0
+    with pytest.raises(ValueError):
+        s.coefficients[0] = 0.0
+    with pytest.raises(AttributeError):
+        s.horizon = 50
+
+
+def test_schedule_cache_keys_on_horizon_and_start():
+    s = compute_bound_schedule(10, horizon=100)
+    longer = compute_bound_schedule(10, horizon=120)
+    assert longer.horizon == 120 and longer.optimal_rad.shape == (120,)
+    assert not np.array_equal(longer.coefficients, s.coefficients)
+    near_optimum = compute_bound_schedule(10, horizon=100, y0=9.5)
+    assert near_optimum.optimal_rad[0] < s.optimal_rad[0]
+    assert not np.array_equal(near_optimum.optimal_rad, s.optimal_rad)
 
 
 # ---------------------------------------------------------------------------
