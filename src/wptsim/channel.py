@@ -4,14 +4,18 @@ The propagation path between a transmitter outside the body and a node
 embedded in tissue is described as an ordered list of medium segments
 (air, skin boundary, muscle, insertion point).  Losses are composed in dB;
 the complex channel coefficient carries the linear amplitude gain and the
-geometric plus per-link static phase.
+geometric plus per-link static phase.  :func:`channel` is the one model
+every stage uses; it broadcasts over arrays of positions, so a whole table
+of links (rounds x slaves, or grid points x slaves) is one call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 # Table-style link budgets in this domain conventionally use c = 3e8.
 SPEED_OF_LIGHT = 3.0e8
@@ -40,6 +44,10 @@ class Position:
         for v in (self.x, self.y, self.z):
             if not math.isfinite(v):
                 raise ChannelError("position coordinates must be finite")
+
+    def __array__(self, dtype=None, copy=None):
+        """Coordinates as a (3,) array, so lists of positions stack to (N, 3)."""
+        return np.array([self.x, self.y, self.z], dtype=dtype)
 
     def distance_to(self, other: "Position") -> float:
         return math.sqrt(
@@ -86,19 +94,19 @@ class MediumSegment:
         raise ChannelError(f"unknown segment kind {self.kind}")
 
 
-def air_loss(d_m: float, freq_hz: float = DEFAULT_FREQ_HZ) -> float:
-    """Free-space path loss in dB.
+def air_loss(d_m, freq_hz: float = DEFAULT_FREQ_HZ):
+    """Free-space path loss in dB, elementwise over ``d_m``.
 
     Reproduces the 31.67 dB (1 m) and 51.67 dB (10 m) endpoints at 915 MHz.
     """
-    if d_m <= 0 or freq_hz <= 0:
+    if np.any(np.asarray(d_m) <= 0) or freq_hz <= 0:
         raise ChannelError("distance and frequency must be positive")
-    return 20.0 * math.log10(4.0 * math.pi * d_m * freq_hz / SPEED_OF_LIGHT)
+    return 20.0 * np.log10(4.0 * math.pi * d_m * freq_hz / SPEED_OF_LIGHT)
 
 
-def muscle_loss(d_m: float) -> float:
+def muscle_loss(d_m):
     """Muscle path loss in dB, linear in depth (4.6 dB/cm), zero at d = 0."""
-    if d_m < 0:
+    if np.any(np.asarray(d_m) < 0):
         raise ChannelError("muscle depth must be >= 0")
     return MUSCLE_SLOPE_DB_PER_M * d_m
 
@@ -136,12 +144,17 @@ def received_power_dbm(tx_power_dbm: float, budget: LinkBudget) -> float:
 
 @dataclass(frozen=True)
 class ChannelCoeff:
-    gain: float  # linear amplitude ratio, includes tx antenna gain
-    phase_rad: float
+    """Coefficients of one link or of a broadcast table of links."""
+
+    gain: np.ndarray  # linear amplitude ratio, includes tx antenna gain
+    phase_rad: np.ndarray  # in [0, 2*pi)
 
     @property
-    def complex(self) -> complex:
-        return self.gain * complex(math.cos(self.phase_rad), math.sin(self.phase_rad))
+    def complex(self) -> np.ndarray:
+        return self.gain * np.exp(1j * self.phase_rad)
+
+    def __getitem__(self, index) -> "ChannelCoeff":
+        return ChannelCoeff(self.gain[index], self.phase_rad[index])
 
 
 @dataclass(frozen=True)
@@ -154,7 +167,6 @@ class MediumMap:
     """
 
     muscle_depth_m: float = 0.0
-    rayleigh_fading: bool = False
 
     def __post_init__(self):
         if self.muscle_depth_m < 0:
@@ -176,31 +188,49 @@ def one_way_segments(distance_m: float, medium: MediumMap, inbound: bool):
 
 
 def channel(
-    tx: Position,
-    rx: Position,
+    tx,
+    rx,
     medium: MediumMap | None = None,
     freq_hz: float = DEFAULT_FREQ_HZ,
     tx_gain_dbi: float = DEFAULT_TX_GAIN_DBI,
-    static_phase_rad: float = 0.0,
+    static_phase_rad=0.0,
     inbound: bool = True,
-    fading_amplitude: float = 1.0,
 ) -> ChannelCoeff:
-    """Complex channel coefficient between two positions.
+    """Complex channel coefficients between transmit and receive positions.
 
-    ``static_phase_rad`` models the unknown per-link hardware/propagation
-    phase offset; it is drawn once per link by the scenario from its seed, so
-    the result is deterministic for a given scenario.
+    ``tx`` and ``rx`` are positions, lists of them or (..., 3) coordinate
+    arrays; they broadcast against each other, and ``static_phase_rad``
+    against the link shape.  The loss and the geometric phase are the
+    :func:`compose_budget` of :func:`one_way_segments`, term for term, in
+    the same order.  ``static_phase_rad`` models the unknown per-link
+    hardware/propagation phase offset; the scenario draws it once per link
+    from its seed, so the result is deterministic for a given scenario.
+    A single pair of positions gives scalar ``gain`` and ``phase_rad``.
     """
     if medium is None:
         medium = MediumMap()
-    d = tx.distance_to(rx)
-    if d == 0.0:
+    tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
+    # Coordinate by coordinate, so no (..., 3) temporary outlives its term.
+    d = np.sqrt(sum((tx[..., k] - rx[..., k]) ** 2 for k in range(3)))
+    if np.any(d == 0.0):
         raise ChannelError("tx and rx positions must be distinct")
-    budget = compose_budget(one_way_segments(d, medium, inbound), freq_hz)
-    gain = 10.0 ** (-budget.total_loss_db / 20.0) * 10.0 ** (tx_gain_dbi / 20.0)
-    gain *= fading_amplitude
-    phase = (budget.phase_rad + static_phase_rad) % (2.0 * math.pi)
-    return ChannelCoeff(gain=gain, phase_rad=phase)
+    depth = medium.muscle_depth_m
+    if np.any(d <= depth):
+        raise ChannelError("muscle depth must be smaller than link distance")
+    air = air_loss(d - depth, freq_hz)
+    if depth == 0.0:
+        loss = air
+    elif inbound:
+        loss = air + SKIN_LOSS_IN_DB + muscle_loss(depth)
+    else:
+        loss = muscle_loss(depth) + SKIN_LOSS_OUT_DB + air
+    wavelength = SPEED_OF_LIGHT / freq_hz
+    path_len = (d - depth) + depth  # the segment lengths, summed as compose_budget does
+    geometric = (2.0 * math.pi * path_len / wavelength) % (2.0 * math.pi)
+    gain = 10.0 ** (-loss / 20.0) * 10.0 ** (tx_gain_dbi / 20.0)
+    phase = (geometric + static_phase_rad) % (2.0 * math.pi)
+    gain, phase = np.broadcast_arrays(gain, phase)
+    return ChannelCoeff(gain=gain[()], phase_rad=phase[()])
 
 
 def dbm_to_watt(p_dbm: float) -> float:

@@ -8,7 +8,7 @@ and the amplitude-fluctuation-rate estimator used for fine time sync.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,6 +72,13 @@ class ComplexSignal:
         return float(np.sum(np.abs(self.samples) ** 2))
 
 
+def _sweep_phase(params: ChirpParams, n: int) -> np.ndarray:
+    """Phase of the linear sweep from the band's low edge over ``n`` samples."""
+    t = np.arange(n) / params.sample_rate_hz
+    f0 = params.center_offset_hz - params.bandwidth_hz / 2.0
+    return 2.0 * np.pi * (f0 * t + 0.5 * params.slope_hz_per_s * t * t)
+
+
 def generate_chirp(
     params: ChirpParams,
     amplitude: float = 1.0,
@@ -85,10 +92,7 @@ def generate_chirp(
     """
     if amplitude < 0:
         raise DspError("amplitude must be >= 0")
-    n = params.n_samples
-    t = np.arange(n) / params.sample_rate_hz
-    f0 = params.center_offset_hz - params.bandwidth_hz / 2.0
-    phase = 2.0 * np.pi * (f0 * t + 0.5 * params.slope_hz_per_s * t * t)
+    phase = _sweep_phase(params, params.n_samples)
     symbol = amplitude * np.exp(1j * (phase + initial_phase))
     if n_symbols > 1:
         symbol = np.tile(symbol, n_symbols)
@@ -109,10 +113,7 @@ def generate_sweep(
         raise DspError("amplitude must be >= 0")
     if n_symbols < 1:
         raise DspError("need at least one symbol")
-    n = params.n_samples * n_symbols
-    t = np.arange(n) / params.sample_rate_hz
-    f0 = params.center_offset_hz - params.bandwidth_hz / 2.0
-    phase = 2.0 * np.pi * (f0 * t + 0.5 * params.slope_hz_per_s * t * t)
+    phase = _sweep_phase(params, params.n_samples * n_symbols)
     return ComplexSignal(amplitude * np.exp(1j * phase), params.sample_rate_hz)
 
 
@@ -156,11 +157,15 @@ def p_ccs0(rx: ComplexSignal, ref: ComplexSignal) -> float:
     return float(np.abs(np.vdot(ref.samples, rx.samples[:m])))
 
 
+def lag_magnitudes(rx: ComplexSignal, ref: ComplexSignal) -> np.ndarray:
+    """Correlation magnitude at every lag where ``ref`` lies inside ``rx``."""
+    n_lags = len(rx) - len(ref) + 1
+    return np.abs(ccs_correlate(rx, ref).values[:n_lags])
+
+
 def correlation_peak(rx: ComplexSignal, ref: ComplexSignal):
     """(lag, magnitude) of the strongest correlation peak, lag >= 0."""
-    prof = ccs_correlate(rx, ref)
-    n_lags = len(rx) - len(ref) + 1
-    mags = np.abs(prof.values[:n_lags])
+    mags = lag_magnitudes(rx, ref)
     lag = int(np.argmax(mags))
     return lag, float(mags[lag])
 

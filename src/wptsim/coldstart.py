@@ -9,17 +9,17 @@ threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (
     DEFAULT_FREQ_HZ,
     DEFAULT_TX_GAIN_DBI,
+    ChannelCoeff,
     ChannelError,
     MediumMap,
     Position,
-    SPEED_OF_LIGHT,
     channel,
 )
 
@@ -39,9 +39,9 @@ class ColdStartConfig:
             raise ValueError("cube and voxel sizes must be positive")
 
 
-def leader_focused_phases(slave_channels) -> np.ndarray:
+def leader_focused_phases(slave_channels: ChannelCoeff) -> np.ndarray:
     """Conjugate phases that combine coherently at the leader position."""
-    return np.array([(-c.phase_rad) % (2.0 * math.pi) for c in slave_channels])
+    return (-np.asarray(slave_channels.phase_rad)) % (2.0 * math.pi)
 
 
 def perturbation_round(base_phases, sigma_deg: float, rng: np.random.Generator) -> np.ndarray:
@@ -70,21 +70,15 @@ def field_matrix(
 ) -> np.ndarray:
     """Complex per-slave field coefficients at each grid point, shape (V, N).
 
-    Free-space propagation: amplitude 1/d law via the free-space loss and
-    geometric phase 2 pi d / lambda, plus each slave's static phase offset.
+    Air-only :func:`channel` coefficients, each slave's static phase
+    included, times its transmit amplitude.
     """
     if points.ndim != 2 or points.shape[1] != 3:
         raise ChannelError("points must be (V, 3)")
-    pos = np.array([[p.x, p.y, p.z] for p in slave_positions])
-    d = np.linalg.norm(points[:, None, :] - pos[None, :, :], axis=2)
-    if np.any(d <= 0):
-        raise ChannelError("grid point coincides with a slave antenna")
-    wavelength = SPEED_OF_LIGHT / freq_hz
-    gain = (wavelength / (4.0 * math.pi * d)) * 10.0 ** (tx_gain_dbi / 20.0)
-    phase = 2.0 * math.pi * d / wavelength
-    if static_phases is not None:
-        phase = phase + np.asarray(static_phases)[None, :]
-    g = gain * np.exp(1j * phase)
+    if static_phases is None:
+        static_phases = 0.0
+    g = channel(slave_positions, points[:, None, :], MediumMap(),
+                freq_hz, tx_gain_dbi, static_phase_rad=static_phases).complex
     if tx_amplitudes is not None:
         g = g * np.asarray(tx_amplitudes)[None, :]
     return g
@@ -167,11 +161,11 @@ class ColdStartResult:
 class ColdStartRunner:
     """Round-by-round cold start against explicit node-side channels."""
 
-    def __init__(self, node, leader_channels, node_channels, tx_amplitudes,
-                 config: ColdStartConfig, rng: np.random.Generator):
+    def __init__(self, node, leader_channels: ChannelCoeff, node_channels: ChannelCoeff,
+                 tx_amplitudes, config: ColdStartConfig, rng: np.random.Generator):
         self.node = node
         self.base_phases = leader_focused_phases(leader_channels)
-        self.node_coeffs = np.array([c.complex for c in node_channels])
+        self.node_coeffs = np.asarray(node_channels.complex)
         self.tx_amplitudes = np.asarray(tx_amplitudes, dtype=float)
         self.config = config
         self.rng = rng

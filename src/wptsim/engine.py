@@ -20,14 +20,14 @@ from .channel import (
     DEFAULT_FREQ_HZ,
     DEFAULT_TX_GAIN_DBI,
     DEFAULT_TX_POWER_DBM,
-    ChannelError,
+    ChannelCoeff,
     MediumMap,
     Position,
     channel,
     dbm_to_watt,
 )
 from .chirp import ChirpParams, ComplexSignal, awgn, generate_chirp, p_ccs0
-from .sync import run_sync
+from .sync import SyncError, run_sync
 
 
 class EngineError(ValueError):
@@ -128,44 +128,40 @@ def node_position_at(trajectory, t: float) -> Position:
     return trajectory[-1][1]
 
 
-class _Channels:
-    """Per-round channel coefficients; static phases drawn once per run."""
+def node_track(scn: Scenario) -> np.ndarray:
+    """(K, 3) node position per alignment round; a static node has one row.
 
-    def __init__(self, scn: Scenario, static_phases: np.ndarray):
-        self.scn = scn
-        self.static_phases = static_phases
-
-    def to_node(self, node_pos: Position) -> np.ndarray:
-        scn = self.scn
-        out = np.empty(scn.n_slaves, dtype=np.complex128)
-        for i, sp in enumerate(scn.slave_positions):
-            c = channel(sp, node_pos, scn.medium, scn.freq_hz, scn.tx_gain_dbi,
-                        static_phase_rad=self.static_phases[i], inbound=True)
-            out[i] = c.complex
-        return out
-
-    def to_leader(self) -> list:
-        scn = self.scn
-        return [
-            channel(sp, scn.leader_position, MediumMap(), scn.freq_hz, scn.tx_gain_dbi,
-                    static_phase_rad=self.static_phases[i], inbound=True)
-            for i, sp in enumerate(scn.slave_positions)
-        ]
-
-    def node_to_leader(self, node_pos: Position) -> complex:
-        scn = self.scn
-        c = channel(node_pos, scn.leader_position, scn.medium, scn.freq_hz,
-                    tx_gain_dbi=0.0, inbound=False)
-        return c.complex
+    Round n sits at trajectory time n * round_time_s, held at the last
+    waypoint once the trajectory ends.  Cold start sees row 0.
+    """
+    if len(scn.trajectory) < 2:
+        return np.asarray([scn.node_position], dtype=float)
+    end = scn.trajectory[-1][0]
+    return np.asarray([node_position_at(scn.trajectory, min(n * scn.round_time_s, end))
+                       for n in range(max(scn.rounds, 1))], dtype=float)
 
 
-def optimal_amplitude(scn: Scenario, node_coeffs=None) -> float:
-    """Sum of per-slave lone amplitudes at the node (the coherent optimum)."""
+def _run_rng(scn: Scenario):
+    """The run's generator after its first draw, one static phase per slave link."""
+    rng = np.random.default_rng(scn.seed)
+    return rng, rng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
+
+
+def _node_links(scn: Scenario, static: np.ndarray, track: np.ndarray) -> ChannelCoeff:
+    """(K, N) slave -> node links, one row per row of ``track``."""
+    return channel(scn.slave_positions, track[:, None, :], scn.medium,
+                   scn.freq_hz, scn.tx_gain_dbi, static_phase_rad=static)
+
+
+def optimal_amplitude(scn: Scenario, node_coeffs=None):
+    """Sum of per-slave lone amplitudes at the node (the coherent optimum).
+
+    ``node_coeffs`` defaults to the coefficients at the node's first
+    position; a (K, N) table gives one optimum per row.
+    """
     if node_coeffs is None:
-        rng = np.random.default_rng(scn.seed)
-        static = rng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
-        node_coeffs = _Channels(scn, static).to_node(scn.node_position)
-    return float(scn.tx_amplitude * np.abs(np.asarray(node_coeffs)).sum())
+        node_coeffs = _node_links(scn, _run_rng(scn)[1], node_track(scn))[0].complex
+    return scn.tx_amplitude * np.abs(np.asarray(node_coeffs)).sum(axis=-1)
 
 
 def _bound_for(scn: Scenario):
@@ -177,10 +173,8 @@ def _bound_for(scn: Scenario):
 
 
 def run_scenario(scn: Scenario) -> Metrics:
-    rng = np.random.default_rng(scn.seed)
+    rng, static = _run_rng(scn)
     metrics = Metrics()
-    static = rng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
-    chans = _Channels(scn, static)
 
     node = BackscatterNode(
         position=scn.node_position,
@@ -206,19 +200,28 @@ def run_scenario(scn: Scenario) -> Metrics:
             )
             metrics.sync_residuals = [int(r) for r in res.residual_offsets]
             metrics.sync_rounds = [int(r) for r in res.rounds_per_period]
-        except Exception:
+        except SyncError:
             metrics.sync_failed = True
             return metrics
 
+    # One coefficient table serves every stage: row k holds the links of
+    # the node at row k of its track; cold start sees row 0.
+    track = node_track(scn)
+    node_links = _node_links(scn, static, track)
+    to_node = node_links.complex
+    to_leader = channel(track, scn.leader_position, scn.medium, scn.freq_hz,
+                        tx_gain_dbi=0.0, inbound=False).complex
+    optimum = optimal_amplitude(scn, to_node)
+
     # --- stage 2: cold start ----------------------------------------------
-    node_coeffs = chans.to_node(scn.node_position)
     amps = np.full(scn.n_slaves, scn.tx_amplitude)
     if scn.cold_start_enabled:
         metrics.stage_log.append("cold_start")
         runner = cs.ColdStartRunner(
             node,
-            leader_channels=chans.to_leader(),
-            node_channels=[_Coeff(c) for c in node_coeffs],
+            leader_channels=channel(scn.slave_positions, scn.leader_position, MediumMap(),
+                                    scn.freq_hz, scn.tx_gain_dbi, static_phase_rad=static),
+            node_channels=node_links[0],
             tx_amplitudes=amps,
             config=scn.cold_start,
             rng=rng,
@@ -237,8 +240,7 @@ def run_scenario(scn: Scenario) -> Metrics:
 
     # --- stage 3: one-bit alignment ---------------------------------------
     metrics.stage_log.append("alignment")
-    opt_amp = optimal_amplitude(scn, node_coeffs)
-    metrics.optimal_amplitude_v = opt_amp
+    metrics.optimal_amplitude_v = float(optimum[0])
     metrics.total_radiated_power_w = float(np.sum(amps ** 2))
 
     bound = _bound_for(scn)
@@ -252,29 +254,23 @@ def run_scenario(scn: Scenario) -> Metrics:
         ref_sym.samples * np.exp(1j * 2.0 * np.pi * node.shift_freq_hz * t),
         scn.chirp.sample_rate_hz,
     )
-    mobile = len(scn.trajectory) >= 2
-    node_pos = scn.node_position
-    ret_coeff = chans.node_to_leader(node_pos)
+    # Round n reads row n; a static node's single row serves every round.
+    to_node = np.broadcast_to(to_node, (scn.rounds, scn.n_slaves))
+    to_leader = np.broadcast_to(to_leader, (scn.rounds,))
+    optimum = np.broadcast_to(optimum, (scn.rounds,))
 
     y_best_history = []
     converged_at = -1
     for n in range(scn.rounds):
-        if mobile:
-            t_now = min(n * scn.round_time_s, scn.trajectory[-1][0])
-            node_pos = node_position_at(scn.trajectory, t_now)
-            node_coeffs = chans.to_node(node_pos)
-            ret_coeff = chans.node_to_leader(node_pos)
-            opt_amp = float(scn.tx_amplitude * np.abs(node_coeffs).sum())
-
         phases = aligner.propose()
-        h = scn.tx_amplitude * np.sum(node_coeffs * np.exp(1j * phases))
+        h = scn.tx_amplitude * np.sum(to_node[n] * np.exp(1j * phases))
         p_in = float(np.abs(h) ** 2)
         node.harvest_step(p_in, scn.round_time_s)
 
-        y_raw = _measure(scn, node, h, p_in, ret_coeff, ref_sym, shifted_ref, t, rng)
+        y_raw = _measure(scn, node, h, p_in, to_leader[n], ref_sym, shifted_ref, t, rng)
         aligner.record(y_raw)
 
-        achieved = abs(h) / opt_amp if opt_amp > 0 else 0.0
+        achieved = abs(h) / optimum[n] if optimum[n] > 0 else 0.0
         metrics.power_trace.append(achieved)
         rnd, raw, smoothed, phi, _ = aligner.trace[-1]
         metrics.metric_trace.append((rnd, raw, smoothed, math.degrees(phi)))
@@ -294,22 +290,11 @@ def run_scenario(scn: Scenario) -> Metrics:
     # --- optional incoherent baseline -------------------------------------
     if scn.baseline == "random_phase":
         brng = np.random.default_rng(scn.seed + 0x9E3779B9)
-        btrace = []
-        node_pos_b = scn.node_position
-        coeffs_b = chans.to_node(node_pos_b)
-        opt_b = float(scn.tx_amplitude * np.abs(coeffs_b).sum())
-        for n in range(scn.rounds):
-            if mobile:
-                t_now = min(n * scn.round_time_s, scn.trajectory[-1][0])
-                node_pos_b = node_position_at(scn.trajectory, t_now)
-                coeffs_b = chans.to_node(node_pos_b)
-                opt_b = float(scn.tx_amplitude * np.abs(coeffs_b).sum())
-            phases = brng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
-            hb = scn.tx_amplitude * np.sum(coeffs_b * np.exp(1j * phases))
-            btrace.append(abs(hb) / opt_b if opt_b > 0 else 0.0)
-        metrics.baseline_trace = btrace
-        tail_b = np.asarray(btrace[-window:])
-        metrics.baseline_power_percentage = float(np.mean(np.asarray(tail_b) ** 2))
+        phases = brng.uniform(0.0, 2.0 * math.pi, (scn.rounds, scn.n_slaves))
+        hb = np.abs(scn.tx_amplitude * np.sum(to_node * np.exp(1j * phases), axis=1))
+        btrace = np.divide(hb, optimum, out=np.zeros(scn.rounds), where=optimum > 0)
+        metrics.baseline_trace = btrace.tolist()
+        metrics.baseline_power_percentage = float(np.mean(btrace[-window:] ** 2))
 
     return metrics
 
@@ -331,22 +316,13 @@ def _measure(scn, node, h, p_in, ret_coeff, ref_sym, shifted_ref, t, rng):
     return p_ccs0(ComplexSignal(rx, scn.chirp.sample_rate_hz), shifted_ref)
 
 
-class _Coeff:
-    """Minimal channel-coefficient shim for the cold-start runner."""
-
-    def __init__(self, z: complex):
-        self.complex = z
-
-
 def heatmap(scn: Scenario, phases, grid_points: np.ndarray) -> np.ndarray:
     """Coherent field power per grid point for the given transmit phases."""
     if scn.n_slaves == 0 or len(phases) == 0:
         return np.zeros(grid_points.shape[0])
-    rng = np.random.default_rng(scn.seed)
-    static = rng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
     m = cs.field_matrix(
         scn.slave_positions, grid_points, scn.freq_hz, scn.tx_gain_dbi,
-        static_phases=static,
+        static_phases=_run_rng(scn)[1],
         tx_amplitudes=np.full(scn.n_slaves, scn.tx_amplitude),
     )
     return cs.field_power(m, np.asarray(phases))
@@ -354,10 +330,9 @@ def heatmap(scn: Scenario, phases, grid_points: np.ndarray) -> np.ndarray:
 
 def aligned_phases(scn: Scenario) -> np.ndarray:
     """Conjugate phases focusing the array on the node position (oracle)."""
-    rng = np.random.default_rng(scn.seed)
-    static = rng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
-    coeffs = _Channels(scn, static).to_node(scn.node_position)
-    return (-np.angle(coeffs)) % (2.0 * math.pi)
+    links = channel(scn.slave_positions, scn.node_position, scn.medium, scn.freq_hz,
+                    scn.tx_gain_dbi, static_phase_rad=_run_rng(scn)[1])
+    return (-links.phase_rad) % (2.0 * math.pi)
 
 
 def region_axis_ratio(points: np.ndarray, power: np.ndarray, drop_db: float = 3.0) -> float:

@@ -9,7 +9,7 @@ through a two-bit feedback until the beat disappears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -18,11 +18,11 @@ from .chirp import (
     ChirpParams,
     ComplexSignal,
     awgn_power,
-    correlation_peak,
     fluctuation_bin_hz,
     fluctuation_rate,
     generate_chirp,
     generate_sweep,
+    lag_magnitudes,
 )
 
 
@@ -47,13 +47,10 @@ def coarse_sync(slave_rx: ComplexSignal, ref: ComplexSignal) -> int:
     Raises :class:`SyncError` when no correlation peak stands out of the lag
     profile, i.e. the preamble was not detected.
     """
-    lag, peak = correlation_peak(slave_rx, ref)
-    from .chirp import ccs_correlate
-
-    prof = ccs_correlate(slave_rx, ref)
-    n_lags = len(slave_rx) - len(ref) + 1
-    floor = float(np.median(np.abs(prof.values[:n_lags])))
-    if floor > 0 and peak < COARSE_PEAK_RATIO * floor:
+    mags = lag_magnitudes(slave_rx, ref)
+    lag = int(np.argmax(mags))
+    floor = float(np.median(mags))
+    if floor > 0 and mags[lag] < COARSE_PEAK_RATIO * floor:
         raise SyncError("no chirp preamble detected above threshold")
     return lag
 
@@ -80,13 +77,6 @@ class FineSyncSession:
             if self.direction > 0
             else SyncFeedback.SUB_ONE_SAMPLE
         )
-
-
-def fine_sync_round(
-    leader_rx: ComplexSignal, session: FineSyncSession, decimate: int = 64
-) -> SyncFeedback:
-    rate = fluctuation_rate(leader_rx, decimate=decimate)
-    return session.feedback_for(rate)
 
 
 def apply_feedback(offset: int, fb: SyncFeedback) -> int:

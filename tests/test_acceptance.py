@@ -245,12 +245,9 @@ def test_criterion_07_cold_start_behavior():
             rng = np.random.default_rng(seed)
             static = rng.uniform(0, 2 * np.pi, 10)
             node_pos = Position(dist, 0, -0.1)
-            lead_ch = [channel(sp, Position(0, 0, 0), MediumMap(),
-                               static_phase_rad=static[i])
-                       for i, sp in enumerate(cluster)]
-            node_ch = [channel(sp, node_pos, medium,
-                               static_phase_rad=static[i])
-                       for i, sp in enumerate(cluster)]
+            lead_ch = channel(cluster, Position(0, 0, 0), MediumMap(),
+                              static_phase_rad=static)
+            node_ch = channel(cluster, node_pos, medium, static_phase_rad=static)
             node = BackscatterNode(position=node_pos)
             runner = cs.ColdStartRunner(node, lead_ch, node_ch,
                                         np.full(10, amp),

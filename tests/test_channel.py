@@ -107,10 +107,53 @@ def test_channel_static_phase_offset():
     assert (c1.phase_rad - c0.phase_rad) % (2 * math.pi) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("depth", [0.0, 0.05])
+@pytest.mark.parametrize("inbound", [True, False])
+def test_broadcast_channel_matches_per_link_calls_and_budget(depth, inbound):
+    rng = np.random.default_rng(8)
+    slaves = [Position(*p) for p in rng.uniform([-3, -3, 1], [3, 3, 3], (5, 3))]
+    track = [Position(*p) for p in rng.uniform([-0.5, -0.5, -0.2], [0.5, 0.5, 0], (4, 3))]
+    static = rng.uniform(0, 2 * np.pi, 5)
+    medium = MediumMap(muscle_depth_m=depth)
+    table = channel(slaves, np.asarray(track)[:, None, :], medium,
+                    tx_gain_dbi=4.0, static_phase_rad=static, inbound=inbound)
+    assert table.gain.shape == table.phase_rad.shape == (4, 5)
+    for r, node in enumerate(track):
+        for i, sp in enumerate(slaves):
+            one = channel(sp, node, medium, tx_gain_dbi=4.0,
+                          static_phase_rad=static[i], inbound=inbound)
+            assert np.ndim(one.gain) == 0
+            assert table.gain[r, i] == one.gain
+            assert table.phase_rad[r, i] == one.phase_rad
+            budget = compose_budget(one_way_segments(sp.distance_to(node), medium, inbound))
+            want = 10 ** (-budget.total_loss_db / 20) * 10 ** (4.0 / 20)
+            assert table.gain[r, i] == pytest.approx(want, rel=1e-12)
+            assert table.phase_rad[r, i] == pytest.approx(
+                (budget.phase_rad + static[i]) % (2 * math.pi), rel=1e-12)
+    assert table[2].complex == pytest.approx(table.complex[2], rel=1e-15)
+
+
+def test_outbound_channel_pays_the_skin_exit():
+    node, leader = Position(0, 0, -0.1), Position(0, 0, 1.0)
+    m = MediumMap(muscle_depth_m=0.05)
+    out = channel(node, leader, m, tx_gain_dbi=0.0, inbound=False)
+    loss = muscle_loss(0.05) + 5.0 + air_loss(1.05)
+    assert out.gain == pytest.approx(10 ** (-loss / 20), rel=1e-12)
+    inn = channel(leader, node, m, tx_gain_dbi=0.0, inbound=True)
+    assert 20 * math.log10(inn.gain / out.gain) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_channel_rejects_depth_beyond_link():
+    with pytest.raises(ChannelError):
+        channel(Position(0, 0, 0), Position(0, 0, 0.04), MediumMap(muscle_depth_m=0.05))
+
+
 def test_channel_rejects_coincident_positions():
     p = Position(1, 2, 3)
     with pytest.raises(ChannelError):
         channel(p, p)
+    with pytest.raises(ChannelError):
+        channel([Position(0, 0, 1), p], p)
 
 
 def test_position_distance():

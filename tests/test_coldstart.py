@@ -54,11 +54,10 @@ def test_leader_focused_phases_combine_coherently():
     slaves = ring_positions(6, radius_m=3.0, height_m=1.5)
     leader = Position(0, 0, 0)
     static = rng.uniform(0, 2 * np.pi, 6)
-    chans = [channel(sp, leader, MediumMap(), static_phase_rad=static[i])
-             for i, sp in enumerate(slaves)]
+    chans = channel(slaves, leader, MediumMap(), static_phase_rad=static)
     phases = cs.leader_focused_phases(chans)
-    field = sum(c.complex * np.exp(1j * p) for c, p in zip(chans, phases))
-    assert abs(field) == pytest.approx(sum(c.gain for c in chans), rel=1e-9)
+    field = np.sum(chans.complex * np.exp(1j * phases))
+    assert abs(field) == pytest.approx(chans.gain.sum(), rel=1e-9)
 
 
 def test_coherent_optimum_upper_bounds_any_phasing():
@@ -119,10 +118,8 @@ def _runner(node_pos, tx_amp, seed=0, n=6):
     static = rng.uniform(0, 2 * np.pi, n)
     leader = Position(0, 0, 0)
     medium = MediumMap(muscle_depth_m=0.05)
-    lead_ch = [channel(sp, leader, MediumMap(), static_phase_rad=static[i])
-               for i, sp in enumerate(slaves)]
-    node_ch = [channel(sp, node_pos, medium, static_phase_rad=static[i])
-               for i, sp in enumerate(slaves)]
+    lead_ch = channel(slaves, leader, MediumMap(), static_phase_rad=static)
+    node_ch = channel(slaves, node_pos, medium, static_phase_rad=static)
     node = BackscatterNode(position=node_pos)
     return cs.ColdStartRunner(node, lead_ch, node_ch, np.full(n, tx_amp),
                               cs.ColdStartConfig(), rng), node

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from wptsim import coldstart as cs
-from wptsim.channel import MediumMap, Position, SPEED_OF_LIGHT
+from wptsim import coldstart as cs, engine
+from wptsim.channel import MediumMap, Position, SPEED_OF_LIGHT, channel
 from wptsim.chirp import ChirpParams
 from wptsim.engine import (
     EngineError,
@@ -79,6 +79,36 @@ def test_stage_ordering_full_pipeline():
     assert m.cold_start_success
 
 
+def test_offset_beyond_coarse_window_sets_sync_failed():
+    # Offsets up to 100 symbols: the first slave's preamble misses the
+    # three-symbol coarse capture and run_sync raises SyncError.
+    scn = bench_scenario(sync=SyncSettings(enabled=True,
+                                           offset_range=100 * FAST_CHIRP.n_samples))
+    m = run_scenario(scn)
+    assert m.sync_failed
+    assert m.stage_log == ["sync"]
+    assert m.power_trace == []
+
+
+def test_run_computes_each_link_table_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return channel(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "channel", counted)
+    total = 40 * bench_scenario().round_time_s
+    scn = bench_scenario(rounds=40, baseline="random_phase", cold_start_enabled=True,
+                         wake_threshold_dbm=-35.0,
+                         trajectory=[(0.0, Position(0, 0, -0.1)),
+                                     (total, Position(0.05, 0, -0.1))])
+    m = run_scenario(scn)
+    assert m.cold_start_success and len(m.baseline_trace) == 40
+    # slave -> node over every round, node -> leader, slave -> leader.
+    assert len(calls) == 3
+
+
 def test_cold_start_failure_skips_alignment():
     scn = bench_scenario(rounds=20, cold_start_enabled=True,
                          tx_power_dbm=-30.0)  # far too weak to wake the node
@@ -109,7 +139,6 @@ def test_optimal_amplitude_is_sum_of_path_amplitudes():
     rng.uniform(0, 2 * math.pi, scn.n_slaves)
     got = optimal_amplitude(scn)
     # The coherent optimum only depends on per-link gains, not phases.
-    from wptsim.channel import channel
     amps = [channel(sp, scn.node_position, scn.medium).gain
             for sp in scn.slave_positions]
     assert got == pytest.approx(scn.tx_amplitude * sum(amps), rel=1e-12)
