@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,6 +64,8 @@ class TransferCurve:
             return 0.0
         return math.sqrt(self.reflected_power_w(p_in_w) / p_in_w)
 
+    # The curve is frozen, so the check is cached per curve value.
+    @lru_cache(maxsize=32)
     def is_monotone(self, lo_dbm: float = -60.0, hi_dbm: float = 10.0, n: int = 400) -> bool:
         p = np.linspace(lo_dbm, hi_dbm, n)
         out = np.array([self.reflected_power_w(dbm_to_watt(v)) for v in p])
@@ -129,6 +132,10 @@ class BackscatterNode:
             )
         p_in = incident.power()
         a = self.transfer_curve.amplitude_ratio(p_in)
-        t = np.arange(len(incident)) / incident.sample_rate_hz
-        mixer = np.cos(2.0 * np.pi * self.shift_freq_hz * t)
+        mixer = self.mixer(len(incident), incident.sample_rate_hz)
         return ComplexSignal(a * incident.samples * mixer, incident.sample_rate_hz)
+
+    def mixer(self, n: int, sample_rate_hz: float) -> np.ndarray:
+        """The cos(2 pi f_s t) waveform that :meth:`reflect` multiplies in."""
+        t = np.arange(n) / sample_rate_hz
+        return np.cos(2.0 * np.pi * self.shift_freq_hz * t)

@@ -221,10 +221,19 @@ def awgn(
     The total sample-domain power is the floor scaled by the oversampling
     ratio, i.e. a flat spectral density across the sampled band.
     """
+    sigma = noise_sigma(noise_floor_dbm, bandwidth_hz, sample_rate_hz)
+    return sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def noise_sigma(
+    noise_floor_dbm: float = -70.0,
+    bandwidth_hz: float = 40e3,
+    sample_rate_hz: float = 2.048e6,
+) -> float:
+    """Std deviation of each of the real and imaginary parts of :func:`awgn`."""
     floor_w = 10.0 ** (noise_floor_dbm / 10.0) * 1e-3
     total_power = floor_w * sample_rate_hz / bandwidth_hz
-    sigma = math.sqrt(total_power / 2.0)
-    return sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return math.sqrt(total_power / 2.0)
 
 
 def awgn_power(n: int, power: float, rng: np.random.Generator) -> np.ndarray:

@@ -26,7 +26,10 @@ from .channel import (
     channel,
     dbm_to_watt,
 )
-from .chirp import ChirpParams, ComplexSignal, awgn, generate_chirp, p_ccs0
+from .chirp import ChirpParams, generate_chirp, noise_sigma
+# The run path no longer calls awgn or p_ccs0; perfbench/tracer.py patches
+# both names in this namespace, so they stay importable from here.
+from .chirp import awgn, p_ccs0  # noqa: F401
 from .sync import SyncError, run_sync
 
 
@@ -70,6 +73,8 @@ class Scenario:
     def __post_init__(self):
         if len(self.slave_positions) < 1:
             raise EngineError("need at least one slave")
+        if self.rounds < 1:
+            raise EngineError("need at least one alignment round")
         times = [t for t, _ in self.trajectory]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise EngineError("trajectory times must be strictly increasing")
@@ -138,7 +143,7 @@ def node_track(scn: Scenario) -> np.ndarray:
         return np.asarray([scn.node_position], dtype=float)
     end = scn.trajectory[-1][0]
     return np.asarray([node_position_at(scn.trajectory, min(n * scn.round_time_s, end))
-                       for n in range(max(scn.rounds, 1))], dtype=float)
+                       for n in range(scn.rounds)], dtype=float)
 
 
 def _run_rng(scn: Scenario):
@@ -248,12 +253,7 @@ def run_scenario(scn: Scenario) -> Metrics:
     aligner = OneBitAligner(scn.n_slaves, rng, bound, smoother=smoother,
                             deadband_frac=scn.deadband_frac)
 
-    ref_sym = generate_chirp(scn.chirp)
-    t = np.arange(scn.chirp.n_samples) / scn.chirp.sample_rate_hz
-    shifted_ref = ComplexSignal(
-        ref_sym.samples * np.exp(1j * 2.0 * np.pi * node.shift_freq_hz * t),
-        scn.chirp.sample_rate_hz,
-    )
+    correlator = _correlator(scn, node)
     # Round n reads row n; a static node's single row serves every round.
     to_node = np.broadcast_to(to_node, (scn.rounds, scn.n_slaves))
     to_leader = np.broadcast_to(to_leader, (scn.rounds,))
@@ -267,7 +267,7 @@ def run_scenario(scn: Scenario) -> Metrics:
         p_in = float(np.abs(h) ** 2)
         node.harvest_step(p_in, scn.round_time_s)
 
-        y_raw = _measure(scn, node, h, p_in, to_leader[n], ref_sym, shifted_ref, t, rng)
+        y_raw = _measure(scn, node, h, p_in, to_leader[n], correlator, rng)
         aligner.record(y_raw)
 
         achieved = abs(h) / optimum[n] if optimum[n] > 0 else 0.0
@@ -299,21 +299,42 @@ def run_scenario(scn: Scenario) -> Metrics:
     return metrics
 
 
-def _measure(scn, node, h, p_in, ret_coeff, ref_sym, shifted_ref, t, rng):
-    """One backscatter power-metric measurement at the leader."""
+def _correlator(scn: Scenario, node: BackscatterNode) -> tuple[complex, float]:
+    """(gain, sigma) of the leader's zero-lag correlator, once per run.
+
+    Each round the leader receives ``ret * a * h * ref * mixer`` plus white
+    noise and correlates it at lag 0 against the reference shifted to the
+    node's sideband.  The correlation is linear, so its output is
+    ``a * h * ret * gain`` with ``gain = vdot(shifted, ref * mixer)``, plus a
+    circular complex normal whose real and imaginary parts have std
+    ``sigma = noise_sigma * ||shifted||``.
+    """
+    ref = generate_chirp(scn.chirp).samples
+    fs = scn.chirp.sample_rate_hz
+    t = np.arange(scn.chirp.n_samples) / fs
+    shifted = ref * np.exp(1j * 2.0 * np.pi * node.shift_freq_hz * t)
+    gain = complex(np.vdot(shifted, ref * node.mixer(ref.size, fs)))
+    sigma = 0.0
+    if scn.noise_floor_dbm is not None:
+        sigma = noise_sigma(scn.noise_floor_dbm, scn.chirp.bandwidth_hz, fs) * float(
+            np.linalg.norm(shifted))
+    return gain, sigma
+
+
+def _measure(scn, node, h, p_in, ret_coeff, correlator, rng):
+    """One backscatter power-metric measurement at the leader.
+
+    The exact zero-lag correlation of the round's received chirp, drawn in
+    closed form from :func:`_correlator`: one complex normal per round.
+    """
     if scn.measurement == "ideal":
         return node.transfer_curve.reflected_power_w(p_in) if node.awake else 0.0
-    incident = ComplexSignal(h * ref_sym.samples, scn.chirp.sample_rate_hz)
-    reflected = node.reflect(incident)
-    rx = reflected.samples * ret_coeff
+    gain, sigma = correlator
+    y = node.transfer_curve.amplitude_ratio(p_in) * h * ret_coeff * gain if node.awake else 0.0
     if scn.noise_floor_dbm is not None:
-        rx = rx + awgn(
-            rx.size, rng,
-            noise_floor_dbm=scn.noise_floor_dbm,
-            bandwidth_hz=scn.chirp.bandwidth_hz,
-            sample_rate_hz=scn.chirp.sample_rate_hz,
-        )
-    return p_ccs0(ComplexSignal(rx, scn.chirp.sample_rate_hz), shifted_ref)
+        z = rng.standard_normal(2)
+        y += sigma * complex(z[0], z[1])
+    return float(abs(y))
 
 
 def heatmap(scn: Scenario, phases, grid_points: np.ndarray) -> np.ndarray:

@@ -19,6 +19,14 @@ def test_curve_is_monotone():
     assert TransferCurve().is_monotone()
 
 
+def test_monotone_check_is_cached_per_curve_value():
+    TransferCurve(center_dbm=-24.5).is_monotone()
+    hits = TransferCurve.is_monotone.cache_info().hits
+    assert TransferCurve(center_dbm=-24.5).is_monotone()
+    assert TransferCurve.is_monotone.cache_info().hits == hits + 1
+    assert not TransferCurve(monotonic=False, width_db=0.5).is_monotone()
+
+
 def test_legacy_curve_ratio_dips():
     # The detuning dip makes the legacy power ratio non-monotonic in input
     # power, unlike the customized radio.

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy.special import ive
 
 from wptsim.backscatter import TransferCurve
 from wptsim.beamform import (
+    _SERIES_MAX_X,
     BeamformError,
     KalmanSmoother,
     OneBitAligner,
@@ -61,6 +64,30 @@ def test_bessel_ratio_at_numeric_extremes(k):
         assert math.isfinite(r) and 0.0 <= r <= 1.0
     assert abs(bessel_ratio(k, 1e5) - bessel_ratio(k, math.nextafter(1e5, 2e5))) < 1e-9
     assert math.isfinite(solve_concentration(1.0))
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 1e-200])
+def test_bessel_ratio_at_subnormal_and_tiny_arguments(x):
+    # Leading terms I1/I0 = x/2 and I2/I0 = x^2/8; the x^3 corrections
+    # underflow here.  One subnormal step of slack for the halving.
+    assert bessel_ratio(1, x) == pytest.approx(x / 2.0, rel=1e-12, abs=5e-324)
+    assert bessel_ratio(2, x) == pytest.approx(x * x / 8.0, rel=1e-12, abs=5e-324)
+    assert bessel_ratio(0, x) == 1.0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bessel_ratio_continuous_across_series_seam(k):
+    below = bessel_ratio(k, math.nextafter(_SERIES_MAX_X, 0.0))
+    assert abs(bessel_ratio(k, _SERIES_MAX_X) - below) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bessel_ratio_matches_scipy_ive(k):
+    # ive itself returns NaN from about x = 1e9.
+    xs = np.concatenate([np.logspace(-100, 8.0, 400), np.linspace(0.05, 100.0, 400)])
+    want = ive(k, xs) / ive(0, xs)
+    got = np.array([bessel_ratio(k, float(x)) for x in xs])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_bessel_ratio_rejects_negative_argument():
@@ -155,6 +182,45 @@ def test_schedule_is_large_then_small():
     assert s.phi(0) > s.phi(100) > s.phi(299)
     assert s.phi(0) >= math.radians(45)
     assert s.phi(299) <= math.radians(15)
+
+
+# sha256 of optimal_rad and of [phi(n) for n in range(300)], horizon 300,
+# captured while bessel_ratio was scipy's ive(k, x) / ive(0, x) and phi
+# evaluated the polynomial on every call.
+PINNED_SCHEDULES = {
+    3: ("00c8bb131be60cd789a95b6280604fbd407dde542f61765d7f094cfe025980c6",
+        "6f56d9caeab4ae28ee4acc134a920989cfde852375aa8f0f9d4c2dd447c2d20c"),
+    24: ("60cda9f20e1306e8efe39d3443e1e6823e0d87d4a524417e4466faff6a5ac284",
+         "da1a203b929ed55d2bb5216a6cf21b018a1150ed7ca17c9454ed5093981ee9fa"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SCHEDULES))
+def test_schedule_is_pinned(n):
+    s = compute_bound_schedule(n, TransferCurve(), horizon=300)
+    phis = np.array([s.phi(k) for k in range(300)])
+    assert (hashlib.sha256(s.optimal_rad.tobytes()).hexdigest(),
+            hashlib.sha256(phis.tobytes()).hexdigest()) == PINNED_SCHEDULES[n]
+
+
+def test_schedule_table_is_the_clipped_polynomial():
+    s = compute_bound_schedule(24, horizon=300)
+    for k in (0, 1, 150, 298, 299):
+        want = np.clip(np.polyval(s.coefficients, k), s.phi_min_rad, s.phi_max_rad)
+        assert s.phi(k) == float(want)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 7, 8])
+def test_short_horizon_schedule_interpolates_its_optima(horizon):
+    # Fewer rounds than polynomial coefficients: the fit drops to degree
+    # horizon - 1 instead of an ill-posed degree-7 least squares.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        s = compute_bound_schedule(5, horizon=horizon)
+    np.testing.assert_allclose([s.phi(k) for k in range(horizon)], s.optimal_rad,
+                               rtol=0.0, atol=1e-9)
+    with pytest.raises(BeamformError):
+        compute_bound_schedule(5, horizon=0)
 
 
 def test_schedule_clamps_outside_horizon():

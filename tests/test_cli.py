@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+import wptsim
 from wptsim.cli import (
     ConfigError,
     apply_axis,
@@ -158,3 +162,15 @@ def test_load_config_reports_unknown_key(tmp_path):
     path = write_cfg(tmp_path, {"scenarioo": {}})
     with pytest.raises(ConfigError, match="scenarioo"):
         load_config(path)
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the density-evolution and heat-map region analyses,
+    # which import it on first use; the run path must not pay for it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wptsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, wptsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"

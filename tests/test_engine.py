@@ -3,10 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ive
+from scipy.stats import ks_2samp
 
+from test_golden import SCENARIOS, mismatches
 from wptsim import coldstart as cs, engine
+from wptsim.backscatter import BackscatterNode
+from wptsim.beamform import OneBitAligner
 from wptsim.channel import MediumMap, Position, SPEED_OF_LIGHT, channel
-from wptsim.chirp import ChirpParams
+from wptsim.chirp import ChirpParams, ComplexSignal, awgn, generate_chirp, p_ccs0
+from wptsim.cli import build_scenario, parse_config
 from wptsim.engine import (
     EngineError,
     Scenario,
@@ -48,6 +54,15 @@ def test_scenario_validation():
     with pytest.raises(EngineError):
         bench_scenario(trajectory=[(0.0, Position(0, 0, 0)),
                                    (0.0, Position(1, 0, 0))])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scenario_needs_a_round():
+    # rounds=0 used to average an empty tail into a NaN power percentage.
+    with pytest.raises(EngineError):
+        bench_scenario(rounds=0)
+    m = run_scenario(bench_scenario(rounds=1))
+    assert math.isfinite(m.power_percentage) and len(m.power_trace) == 1
 
 
 def test_run_is_deterministic():
@@ -107,6 +122,92 @@ def test_run_computes_each_link_table_once(monkeypatch):
     assert m.cold_start_success and len(m.baseline_trace) == 40
     # slave -> node over every round, node -> leader, slave -> leader.
     assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# The closed-form measurement against the sample-level chain it replaces.
+
+def _measure_by_samples(scn, node, h, p_in, ret_coeff, correlator, rng):
+    """Sample-level oracle for ``engine._measure``: the node reflects the
+    incident chirp, the leader adds white noise and correlates at lag 0
+    against the reference shifted to the node's sideband.  ``correlator``
+    is ignored; everything is rebuilt from the samples."""
+    fs = scn.chirp.sample_rate_hz
+    ref_sym = generate_chirp(scn.chirp)
+    t = np.arange(scn.chirp.n_samples) / fs
+    shifted_ref = ComplexSignal(
+        ref_sym.samples * np.exp(1j * 2.0 * np.pi * node.shift_freq_hz * t), fs)
+    reflected = node.reflect(ComplexSignal(h * ref_sym.samples, fs))
+    rx = reflected.samples * ret_coeff
+    if scn.noise_floor_dbm is not None:
+        rx = rx + awgn(rx.size, rng, noise_floor_dbm=scn.noise_floor_dbm,
+                       bandwidth_hz=scn.chirp.bandwidth_hz, sample_rate_hz=fs)
+    return p_ccs0(ComplexSignal(rx, fs), shifted_ref)
+
+
+def _rician_mean(nu, sigma):
+    """E|nu + sigma (z1 + i z2)| for standard normals z1, z2."""
+    v = nu * nu / (2.0 * sigma * sigma)
+    laguerre = (1.0 + v) * ive(0, v / 2.0) + v * ive(1, v / 2.0)
+    return sigma * math.sqrt(math.pi / 2.0) * laguerre
+
+
+@pytest.mark.parametrize("snr", [1.0, 4.0, None])   # None: the node sleeps
+def test_closed_form_measurement_matches_samples_in_distribution(snr):
+    draws = 2000
+    scn = bench_scenario()
+    node = BackscatterNode(position=scn.node_position, awake=snr is not None)
+    h = 0.02 * np.exp(0.4j)
+    p_in = abs(h) ** 2
+    correlator = engine._correlator(scn, node)
+    gain, sigma = correlator
+    nu = 0.0
+    ret = 1e-3 * np.exp(-1.1j)
+    if snr is not None:
+        # Scale the return link so the correlator output has |signal| = snr * sigma.
+        nu = snr * sigma
+        ret = nu / (node.transfer_curve.amplitude_ratio(p_in) * abs(h) * abs(gain)) \
+            * np.exp(-1.1j)
+    rng_closed, rng_samples = np.random.default_rng(1), np.random.default_rng(2)
+    closed = np.array([engine._measure(scn, node, h, p_in, ret, correlator, rng_closed)
+                       for _ in range(draws)])
+    samples = np.array([_measure_by_samples(scn, node, h, p_in, ret, None, rng_samples)
+                        for _ in range(draws)])
+    # Two-sample KS critical value at alpha = 0.001: 1.95 * sqrt(2 / draws).
+    assert ks_2samp(closed, samples).statistic < 1.95 * math.sqrt(2.0 / draws)
+    want = _rician_mean(nu, sigma)
+    for y in (closed, samples):
+        assert abs(y.mean() - want) < 4.0 * y.std() / math.sqrt(draws)
+
+
+def _run_with(measure, scn, monkeypatch):
+    """The metrics document of ``scn`` and every accept decision of its
+    aligner, with ``measure`` in place of ``engine._measure``."""
+    decisions = []
+
+    class Recording(OneBitAligner):
+        def record(self, y_raw):
+            decisions.append(super().record(y_raw))
+            return decisions[-1]
+
+    monkeypatch.setattr(engine, "OneBitAligner", Recording)
+    monkeypatch.setattr(engine, "_measure", measure)
+    return json.loads(run_scenario(scn).to_json()), decisions
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_closed_form_measurement_matches_samples_without_noise(name, monkeypatch):
+    # Without receiver noise neither path draws from the run's generator, so
+    # the two runs follow the same stream and must agree to rounding.
+    scn_cfg, seed, _ = SCENARIOS[name]
+    scn = build_scenario(parse_config(
+        {"scenario": dict(scn_cfg, noise_floor_dbm=None)})["scenario"], seed)
+    closed, closed_acc = _run_with(engine._measure, scn, monkeypatch)
+    samples, samples_acc = _run_with(_measure_by_samples, scn, monkeypatch)
+    assert closed_acc == samples_acc
+    assert any(samples_acc) and not all(samples_acc)
+    bad = mismatches(closed, samples)
+    assert not bad, f"{len(bad)} mismatches, first: {bad[:5]}"
 
 
 def test_cold_start_failure_skips_alignment():
