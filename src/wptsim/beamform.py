@@ -113,21 +113,6 @@ def uniform_cos_moment(phi_rad: float) -> float:
         return 1.0
     return math.sin(phi_rad) / phi_rad
 
-def _q_function(x: float) -> float:
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-def perturbation_std(y_n: float, n_slaves: int, phi_rad: float,
-                     i2i0: float | None = None) -> float:
-    """Std deviation sigma_1 of the perturbed amplitude about its mean."""
-    c1 = uniform_cos_moment(phi_rad)
-    c2 = uniform_cos_moment(2.0 * phi_rad)
-    if i2i0 is None:
-        eta = solve_concentration(y_n / n_slaves)
-        i2i0 = bessel_ratio(2, eta)
-    var = (n_slaves / 2.0) * ((1.0 - c1 * c1) - i2i0 * (c1 * c1 - c2))
-    return math.sqrt(max(var, 0.0))
-
 
 def expected_amplitude_step(y_n: float, n_slaves: int, phi_rad: float) -> float:
     """Expected beamforming amplitude after one keep-if-improved round.
@@ -140,20 +125,16 @@ def expected_amplitude_step(y_n: float, n_slaves: int, phi_rad: float) -> float:
     if not 0.0 < phi_rad <= math.pi:
         raise BeamformError("phase bound must lie in (0, pi]")
     y_n = min(y_n, float(n_slaves))
-    c1 = uniform_cos_moment(phi_rad)
-    sigma1 = perturbation_std(y_n, n_slaves, phi_rad)
-    if sigma1 <= 0.0:
-        return y_n
-    z = y_n * (1.0 - c1) / sigma1
-    p = _q_function(z)
-    step = y_n * (1.0 - p * (1.0 - c1)) + sigma1 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * z * z)
-    # The 1-D Gaussian puts mass above the coherent optimum; the physical
-    # amplitude cannot exceed N.
-    return min(step, float(n_slaves))
+    return float(_step_over_grid(y_n, n_slaves, np.array([phi_rad]))[0])
 
 
 def _step_over_grid(y_n: float, n_slaves: int, phi_grid: np.ndarray) -> np.ndarray:
-    """Vectorized expected step across a grid of phase bounds."""
+    """Expected one-round step from amplitude ``y_n``, per phase bound.
+
+    The perturbed amplitude is taken as Gaussian about c1 * y_n, with the
+    in-phase variance sigma_1^2 of the perturbed phasor sum; keeping the
+    better of the two gives the folded mean below.
+    """
     eta = solve_concentration(y_n / n_slaves)
     i2i0 = bessel_ratio(2, eta)
     c1 = np.sinc(phi_grid / np.pi)          # sin(phi)/phi
@@ -167,15 +148,26 @@ def _step_over_grid(y_n: float, n_slaves: int, phi_grid: np.ndarray) -> np.ndarr
     p = 0.5 * np.array([math.erfc(v) for v in (z / math.sqrt(2.0)).tolist()])
     gauss = sigma1 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * z * z)
     out[ok] = (y_n * (1.0 - p[ok] * (1.0 - c1[ok])) + gauss[ok])
-    return out
+    # The 1-D Gaussian puts mass above the coherent optimum; the physical
+    # amplitude cannot exceed N.  Near convergence the clamp also makes the
+    # schedule's argmax fall to the smallest bound, not to the spurious gain
+    # of wild perturbations.
+    return np.minimum(out, float(n_slaves))
 
 
 # ---------------------------------------------------------------------------
 # Adaptive phase-bound schedule.
 
+# The bounds searched each round: 1, 2, ..., 180 degrees.
+_BOUND_GRID_RAD = np.deg2rad(np.arange(1.0, 180.5, 1.0))
+_BOUND_GRID_RAD.setflags(write=False)
+# Degree of the polynomial fitted to the per-round optima.
+_SCHEDULE_POLY_DEGREE = 7
+
+
 @dataclass(frozen=True)
 class BoundSchedule:
-    coefficients: np.ndarray      # polynomial in the round index, degree <= poly_degree
+    coefficients: np.ndarray      # polynomial in the round index, degree <= 7
     phi_min_rad: float
     phi_max_rad: float
     horizon: int
@@ -189,52 +181,38 @@ class BoundSchedule:
         return self.phi(n)
 
 
-def compute_bound_schedule(
-    n_slaves: int,
-    transfer_curve=None,
-    horizon: int = 300,
-    grid_step_deg: float = 1.0,
-    y0: float | None = None,
-    poly_degree: int = 7,
-) -> BoundSchedule:
+def compute_bound_schedule(n_slaves: int, horizon: int = 300,
+                           y0: float | None = None) -> BoundSchedule:
     """Per-round optimal phase bound, polynomial-fitted over the horizon.
 
     Each round picks the bound maximizing the expected amplitude after the
-    one-round step by a grid search over (0, 180] degrees, then moves the
-    amplitude to that step.  The backscatter transfer curve, when given,
-    must be monotone; a monotone curve preserves the order of the expected
-    amplitudes, so the chosen bounds do not depend on it.
+    one-round step by a grid search over (0, 180] degrees in 1-degree steps,
+    then moves the amplitude to that step.  The amplitude starts at
+    ``y0``, or at sqrt(N), the mean resultant of N random phasors.
 
-    Schedules are cached per (n_slaves, horizon, grid_step_deg, y0,
-    poly_degree) and shared by every caller, so the returned schedule and
-    its arrays are read-only.
+    Schedules are cached per (n_slaves, horizon, y0) and shared by every
+    caller, so the returned schedule and its arrays are read-only.
     """
     if n_slaves < 2:
         raise BeamformError("need at least two slaves")
     if horizon < 1:
         raise BeamformError("horizon must be >= 1")
-    if transfer_curve is not None and not transfer_curve.is_monotone():
-        raise BeamformError("transfer curve must be monotone")
-    return _build_bound_schedule(n_slaves, horizon, grid_step_deg, y0, poly_degree)
+    return _build_bound_schedule(n_slaves, horizon, y0)
 
 
 @lru_cache(maxsize=64)
-def _build_bound_schedule(n_slaves: int, horizon: int, grid_step_deg: float,
-                          y0: float | None, poly_degree: int) -> BoundSchedule:
-    grid = np.deg2rad(np.arange(grid_step_deg, 180.0 + grid_step_deg / 2, grid_step_deg))
+def _build_bound_schedule(n_slaves: int, horizon: int, y0: float | None) -> BoundSchedule:
+    grid = _BOUND_GRID_RAD
     y = math.sqrt(n_slaves) if y0 is None else y0
     optima = np.empty(horizon)
     for n in range(horizon):
-        # The closed form can overshoot the coherent optimum; clamp so the
-        # argmax near convergence falls to the smallest bound, not to the
-        # spurious gain of wild perturbations.
-        steps = np.minimum(_step_over_grid(y, n_slaves, grid), float(n_slaves))
+        steps = _step_over_grid(y, n_slaves, grid)
         best = int(np.argmax(steps))
         optima[n] = grid[best]
         y = float(steps[best])
     rounds = np.arange(horizon)
     # A horizon shorter than the polynomial is fitted exactly by a lower degree.
-    coeffs = np.polyfit(rounds, optima, min(poly_degree, horizon - 1))
+    coeffs = np.polyfit(rounds, optima, min(_SCHEDULE_POLY_DEGREE, horizon - 1))
     table = np.clip(np.polyval(coeffs, rounds), grid[0], grid[-1])
     for arr in (coeffs, optima, table):
         arr.setflags(write=False)
@@ -251,15 +229,20 @@ def _build_bound_schedule(n_slaves: int, horizon: int, grid_step_deg: float,
 # ---------------------------------------------------------------------------
 # Scalar Kalman smoother with adaptive measurement noise.
 
+# Process noise as a multiple of the measurement noise, and the number of
+# recent innovations whose variance estimates the measurement noise.
+_Q_RATIO = 2.0
+_INNOVATION_WINDOW = 30
+
+
 class KalmanSmoother:
     """Random-walk Kalman filter whose measurement noise is re-estimated
     from the innovation variance over a sliding window."""
 
-    def __init__(self, q_ratio: float = 2.0, window: int = 30):
-        self.q_ratio = q_ratio
+    def __init__(self):
         self.x = None
         self.p = 0.0
-        self._innovations = deque(maxlen=window)
+        self._innovations = deque(maxlen=_INNOVATION_WINDOW)
 
     def update(self, z: float) -> float:
         if not math.isfinite(z):
@@ -271,7 +254,7 @@ class KalmanSmoother:
         innov = z - self.x
         self._innovations.append(innov)
         r = self._measurement_noise()
-        q = self.q_ratio * r
+        q = _Q_RATIO * r
         p_pred = self.p + q
         k = p_pred / (p_pred + r)
         self.x = self.x + k * innov
@@ -283,10 +266,6 @@ class KalmanSmoother:
             return max(self._innovations[-1] ** 2, self.p, 1e-300)
         var = float(np.var(np.asarray(self._innovations)))
         return max(var - self.p, 0.1 * var, 1e-300)
-
-    @property
-    def variance(self) -> float:
-        return self.p
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +333,6 @@ class OneBitAligner:
         self.round += 1
         return accepted
 
-    def export_trace(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("round y_raw y_smoothed phi_deg accepted\n")
-            for rnd, raw, smoothed, phi, acc in self.trace:
-                fh.write(f"{rnd} {raw:.6e} {smoothed:.6e} "
-                         f"{math.degrees(phi):.3f} {int(acc)}\n")
-
 
 def simulate_update_rule(
     n_slaves: int,
@@ -427,8 +399,9 @@ def _resultant_moments(grid: np.ndarray, n_slaves: int, phi_rad: float,
     """Mean and variance of the perturbed resultant R' from each amplitude.
 
     The in-phase and quadrature components of the perturbed phasor sum are
-    taken as independent Gaussians with means (c1*y, 0) and the variances of
-    :func:`perturbation_std`, split by I2/I0.  E[R'] follows from Cauchy's
+    taken as independent Gaussians with means (c1*y, 0) and variances
+    (N/2) * ((1 - c1^2) -/+ I2/I0 * (c1^2 - c2)); the in-phase one is the
+    sigma_1^2 of :func:`_step_over_grid`.  E[R'] follows from Cauchy's
     formula, each projection being a folded normal; E[R'^2] is exact.
     """
     from scipy.special import erf

@@ -22,12 +22,11 @@ class ChirpParams:
     bandwidth_hz: float = 40e3
     symbol_time_s: float = 4e-3
     sample_rate_hz: float = 2.048e6
-    center_offset_hz: float = 0.0
 
     def __post_init__(self):
         if self.bandwidth_hz < 0 or self.symbol_time_s <= 0 or self.sample_rate_hz <= 0:
             raise DspError("invalid chirp parameters")
-        if self.sample_rate_hz < 2.0 * (self.bandwidth_hz + abs(self.center_offset_hz)):
+        if self.sample_rate_hz < 2.0 * self.bandwidth_hz:
             raise DspError("sample rate too low for requested band")
         n = self.symbol_time_s * self.sample_rate_hz
         if abs(n - round(n)) > 1e-6 or round(n) < 1:
@@ -75,7 +74,7 @@ class ComplexSignal:
 def _sweep_phase(params: ChirpParams, n: int) -> np.ndarray:
     """Phase of the linear sweep from the band's low edge over ``n`` samples."""
     t = np.arange(n) / params.sample_rate_hz
-    f0 = params.center_offset_hz - params.bandwidth_hz / 2.0
+    f0 = -params.bandwidth_hz / 2.0
     return 2.0 * np.pi * (f0 * t + 0.5 * params.slope_hz_per_s * t * t)
 
 
@@ -85,7 +84,7 @@ def generate_chirp(
     initial_phase: float = 0.0,
     n_symbols: int = 1,
 ) -> ComplexSignal:
-    """Linear up-chirp sweeping [center - bw/2, center + bw/2] per symbol.
+    """Linear up-chirp sweeping [-bw/2, +bw/2] around baseband per symbol.
 
     With ``n_symbols`` > 1 the symbol is repeated back to back with
     continuous sampling (a continuous chirp train).
@@ -117,34 +116,23 @@ def generate_sweep(
     return ComplexSignal(amplitude * np.exp(1j * phase), params.sample_rate_hz)
 
 
-@dataclass
-class CcsProfile:
-    values: np.ndarray  # complex correlation values indexed by lag
-    zero_lag: float     # magnitude at lag 0
-    lag_resolution_s: float
-
-
 def _fft_len(n: int) -> int:
     return 1 << (int(n - 1).bit_length())
 
 
-def ccs_correlate(rx: ComplexSignal, ref: ComplexSignal) -> CcsProfile:
+def ccs_correlate(rx: ComplexSignal, ref: ComplexSignal) -> np.ndarray:
     """Frequency-domain cross-correlation of rx against the reference chirp.
 
-    Lag k holds sum_m rx[m + k] * conj(ref[m]); the zero-lag magnitude is the
-    power metric that tracks the embedded backscatter component.
+    Returns the complex correlation indexed by lag: lag k holds
+    sum_m rx[m + k] * conj(ref[m]).  The zero-lag magnitude is the power
+    metric that tracks the embedded backscatter component.
     """
     if rx.sample_rate_hz != ref.sample_rate_hz:
         raise DspError("sample rates must match")
     if len(rx) < len(ref):
         raise DspError("rx must be at least as long as the reference")
     n = _fft_len(len(rx) + len(ref) - 1)
-    corr = np.fft.ifft(np.fft.fft(rx.samples, n) * np.conj(np.fft.fft(ref.samples, n)))
-    return CcsProfile(
-        values=corr,
-        zero_lag=float(np.abs(corr[0])),
-        lag_resolution_s=1.0 / rx.sample_rate_hz,
-    )
+    return np.fft.ifft(np.fft.fft(rx.samples, n) * np.conj(np.fft.fft(ref.samples, n)))
 
 
 def p_ccs0(rx: ComplexSignal, ref: ComplexSignal) -> float:
@@ -160,14 +148,7 @@ def p_ccs0(rx: ComplexSignal, ref: ComplexSignal) -> float:
 def lag_magnitudes(rx: ComplexSignal, ref: ComplexSignal) -> np.ndarray:
     """Correlation magnitude at every lag where ``ref`` lies inside ``rx``."""
     n_lags = len(rx) - len(ref) + 1
-    return np.abs(ccs_correlate(rx, ref).values[:n_lags])
-
-
-def correlation_peak(rx: ComplexSignal, ref: ComplexSignal):
-    """(lag, magnitude) of the strongest correlation peak, lag >= 0."""
-    mags = lag_magnitudes(rx, ref)
-    lag = int(np.argmax(mags))
-    return lag, float(mags[lag])
+    return np.abs(ccs_correlate(rx, ref)[:n_lags])
 
 
 def fluctuation_rate(
@@ -240,10 +221,3 @@ def awgn_power(n: int, power: float, rng: np.random.Generator) -> np.ndarray:
     """Complex white noise with the given total sample-domain power."""
     sigma = math.sqrt(power / 2.0)
     return sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
-
-def dump_signal(sig: ComplexSignal, path) -> None:
-    """Columnar text dump (index, re, im) for offline plotting."""
-    idx = np.arange(len(sig))
-    data = np.column_stack([idx, sig.samples.real, sig.samples.imag])
-    np.savetxt(path, data, header="index re im", comments="")

@@ -367,7 +367,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seeds", help="comma-separated override of config seeds")
-        p.add_argument("--jobs", type=int, default=1)
+        if verb == "sweep":
+            p.add_argument("--jobs", type=int, default=1)
     p = sub.add_parser("report")
     p.add_argument("--out", required=True)
 

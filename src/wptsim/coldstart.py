@@ -27,16 +27,11 @@ from .channel import (
 @dataclass(frozen=True)
 class ColdStartConfig:
     sigma_deg: float = 55.0
-    search_cube_m: float = 2.0
-    voxel_m: float = 0.05
     max_perturbations: int = 200
-    wake_power_floor: float = 0.30
 
     def __post_init__(self):
         if not 0.0 <= self.sigma_deg < 180.0:
             raise ValueError("sigma must lie in [0, 180) degrees")
-        if self.search_cube_m <= 0 or self.voxel_m <= 0:
-            raise ValueError("cube and voxel sizes must be positive")
 
 
 def leader_focused_phases(slave_channels: ChannelCoeff) -> np.ndarray:
@@ -92,12 +87,6 @@ def coherent_optimum_power(matrix: np.ndarray) -> np.ndarray:
 def field_power(matrix: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Received power per point for one set of transmit phases."""
     return np.abs(matrix @ np.exp(1j * np.asarray(phases))) ** 2
-
-
-def field_power_rounds(matrix: np.ndarray, phase_rounds: np.ndarray) -> np.ndarray:
-    """Power per point and round; ``phase_rounds`` has shape (R, N)."""
-    e = np.exp(1j * np.asarray(phase_rounds)).T  # (N, R)
-    return np.abs(matrix @ e) ** 2
 
 
 @dataclass

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -66,7 +67,6 @@ class Scenario:
     cold_start: cs.ColdStartConfig = field(default_factory=cs.ColdStartConfig)
     transfer_curve: TransferCurve = field(default_factory=TransferCurve)
     wake_threshold_dbm: float = -20.0
-    measurement: str = "signal"       # "signal" | "ideal"
     deadband_frac: float = 0.001
     cold_start_enabled: bool = True   # off: node starts awake (bench mode)
 
@@ -75,6 +75,14 @@ class Scenario:
             raise EngineError("need at least one slave")
         if self.rounds < 1:
             raise EngineError("need at least one alignment round")
+        if self.baseline not in ("none", "random_phase"):
+            raise EngineError(
+                f"baseline must be 'none' or 'random_phase', not {self.baseline!r}")
+        # NaN fails the range test too.
+        if self.bound != "adaptive" and not (
+                isinstance(self.bound, numbers.Real) and 0.0 < self.bound <= 180.0):
+            raise EngineError(
+                f"bound must be 'adaptive' or in (0, 180] degrees, not {self.bound!r}")
         times = [t for t, _ in self.trajectory]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise EngineError("trajectory times must be strictly increasing")
@@ -173,7 +181,7 @@ def _bound_for(scn: Scenario):
     if scn.bound == "adaptive":
         if scn.n_slaves < 2:
             return lambda n: math.radians(30.0)
-        return compute_bound_schedule(scn.n_slaves, scn.transfer_curve, horizon=scn.rounds)
+        return compute_bound_schedule(scn.n_slaves, horizon=scn.rounds)
     return lambda n, b=math.radians(float(scn.bound)): b
 
 
@@ -249,8 +257,7 @@ def run_scenario(scn: Scenario) -> Metrics:
     metrics.total_radiated_power_w = float(np.sum(amps ** 2))
 
     bound = _bound_for(scn)
-    smoother = KalmanSmoother() if scn.measurement == "signal" else None
-    aligner = OneBitAligner(scn.n_slaves, rng, bound, smoother=smoother,
+    aligner = OneBitAligner(scn.n_slaves, rng, bound, smoother=KalmanSmoother(),
                             deadband_frac=scn.deadband_frac)
 
     correlator = _correlator(scn, node)
@@ -327,8 +334,6 @@ def _measure(scn, node, h, p_in, ret_coeff, correlator, rng):
     The exact zero-lag correlation of the round's received chirp, drawn in
     closed form from :func:`_correlator`: one complex normal per round.
     """
-    if scn.measurement == "ideal":
-        return node.transfer_curve.reflected_power_w(p_in) if node.awake else 0.0
     gain, sigma = correlator
     y = node.transfer_curve.amplitude_ratio(p_in) * h * ret_coeff * gain if node.awake else 0.0
     if scn.noise_floor_dbm is not None:

@@ -39,6 +39,12 @@ class SyncFeedback(Enum):
 # A coarse correlation peak is accepted when it exceeds this multiple of the
 # median correlation magnitude across lags.
 COARSE_PEAK_RATIO = 8.0
+# The coarse capture spans this many symbols, so an offset must leave the
+# whole preamble inside it.
+COARSE_CAPTURE_SYMBOLS = 3
+# Samples averaged per envelope point in fine sync; the beat of interest sits
+# far below the decimated Nyquist rate.
+ENVELOPE_DECIMATE = 64
 
 
 def coarse_sync(slave_rx: ComplexSignal, ref: ComplexSignal) -> int:
@@ -89,7 +95,6 @@ def apply_feedback(offset: int, fb: SyncFeedback) -> int:
 
 @dataclass
 class SyncResult:
-    coarse_estimates: list
     residual_offsets: list          # samples, relative to the first slave
     rounds_per_period: list
     transcript: list                # (period, round, offset, rate_hz, command)
@@ -101,9 +106,7 @@ def run_sync(
     rng: np.random.Generator,
     noise_power: float = 0.0,
     residual_jitter: int = 100,
-    coarse_capture_symbols: int = 3,
     fine_window_symbols: int = 64,
-    envelope_decimate: int = 64,
 ) -> SyncResult:
     """Run both synchronization steps over simulated receptions.
 
@@ -121,22 +124,20 @@ def run_sync(
     n = params.n_samples
 
     # Step one: per-slave preamble correlation.
-    coarse_estimates = []
     residuals = []
     for off in true_offsets:
-        if off >= (coarse_capture_symbols - 1) * n:
+        if off >= (COARSE_CAPTURE_SYMBOLS - 1) * n:
             raise SyncError("offset exceeds the coarse capture window")
-        capture = np.zeros(coarse_capture_symbols * n, dtype=np.complex128)
+        capture = np.zeros(COARSE_CAPTURE_SYMBOLS * n, dtype=np.complex128)
         capture[off : off + n] = ref.samples
         if noise_power > 0:
             capture = capture + awgn_power(capture.size, noise_power, rng)
         est = coarse_sync(ComplexSignal(capture, params.sample_rate_hz), ref)
-        coarse_estimates.append(est)
         resid = off - est + int(rng.integers(-residual_jitter, residual_jitter + 1))
         residuals.append(resid)
 
     if n_slaves == 1:
-        return SyncResult(coarse_estimates, [0], [], [])
+        return SyncResult([0], [], [])
 
     # Step two: align slave i to slave 0, one period per slave.  Slaves
     # transmit one continuous sweep for the whole window; a clock offset then
@@ -161,7 +162,7 @@ def run_sync(
             if noise_power > 0:
                 mixed = mixed + awgn_power(mixed.size, noise_power, rng)
             rx = ComplexSignal(mixed, params.sample_rate_hz)
-            rate = fluctuation_rate(rx, decimate=envelope_decimate)
+            rate = fluctuation_rate(rx, decimate=ENVELOPE_DECIMATE)
             fb = session.feedback_for(rate)
             transcript.append((i, session.rounds, rel[i], rate, fb.value))
             if fb is SyncFeedback.STOP:
@@ -169,12 +170,4 @@ def run_sync(
             rel[i] = apply_feedback(rel[i], fb)
         rounds_per_period.append(session.rounds)
 
-    return SyncResult(coarse_estimates, rel, rounds_per_period, transcript)
-
-
-def export_transcript(result: SyncResult, path) -> None:
-    """Columnar text export of the fine-sync rounds."""
-    with open(path, "w") as fh:
-        fh.write("period round offset_samples rate_hz command\n")
-        for period, rnd, off, rate, cmd in result.transcript:
-            fh.write(f"{period} {rnd} {off} {rate:.3f} {cmd}\n")
+    return SyncResult(rel, rounds_per_period, transcript)

@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from wptsim import coldstart as cs
-from wptsim.backscatter import BackscatterNode, TransferCurve
+from wptsim.backscatter import BackscatterNode
 from wptsim.beamform import (
     compute_bound_schedule,
     expected_trajectory,
@@ -165,7 +165,7 @@ def test_criterion_06_adaptive_bound_dominates_fixed():
     """The scheduled bound beats every fixed bound at equal round budget, and
     the schedule itself decays from wide to narrow."""
     n, rounds, trials = 24, 300, 2000
-    sched = compute_bound_schedule(n, TransferCurve(), horizon=rounds)
+    sched = compute_bound_schedule(n, horizon=rounds)
     assert sched.phi(0) > sched.phi(150) > sched.phi(rounds - 1)
     assert sched.phi(0) >= math.radians(45)
     assert sched.phi(rounds - 1) <= math.radians(15)

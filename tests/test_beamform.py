@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import ive
 
-from wptsim.backscatter import TransferCurve
 from wptsim.beamform import (
     _SERIES_MAX_X,
     BeamformError,
@@ -21,7 +20,6 @@ from wptsim.beamform import (
     compute_bound_schedule,
     expected_amplitude_step,
     expected_trajectory,
-    perturbation_std,
     simulate_update_rule,
     solve_concentration,
     uniform_cos_moment,
@@ -170,15 +168,11 @@ def test_expected_step_single_round_monte_carlo():
         _brute_force_single_round(n, phi, target), rel=0.01)
 
 
-def test_perturbation_std_positive_midrange():
-    assert perturbation_std(2.0, 5, math.radians(30)) > 0
-
-
 # ---------------------------------------------------------------------------
 # Bound schedule.
 
 def test_schedule_is_large_then_small():
-    s = compute_bound_schedule(24, TransferCurve(), horizon=300)
+    s = compute_bound_schedule(24, horizon=300)
     assert s.phi(0) > s.phi(100) > s.phi(299)
     assert s.phi(0) >= math.radians(45)
     assert s.phi(299) <= math.radians(15)
@@ -197,7 +191,7 @@ PINNED_SCHEDULES = {
 
 @pytest.mark.parametrize("n", sorted(PINNED_SCHEDULES))
 def test_schedule_is_pinned(n):
-    s = compute_bound_schedule(n, TransferCurve(), horizon=300)
+    s = compute_bound_schedule(n, horizon=300)
     phis = np.array([s.phi(k) for k in range(300)])
     assert (hashlib.sha256(s.optimal_rad.tobytes()).hexdigest(),
             hashlib.sha256(phis.tobytes()).hexdigest()) == PINNED_SCHEDULES[n]
@@ -236,20 +230,9 @@ def test_schedule_needs_two_slaves():
         compute_bound_schedule(1)
 
 
-def test_schedule_rejects_non_monotone_curve():
-    with pytest.raises(BeamformError):
-        compute_bound_schedule(10, TransferCurve(monotonic=False, width_db=0.5))
-
-
-def test_schedule_validates_before_cache_lookup():
-    compute_bound_schedule(10, TransferCurve())
-    with pytest.raises(BeamformError):
-        compute_bound_schedule(10, TransferCurve(monotonic=False, width_db=0.5))
-
-
 def test_schedule_is_shared_and_read_only():
     s = compute_bound_schedule(10, horizon=100)
-    again = compute_bound_schedule(10, TransferCurve(), horizon=100)
+    again = compute_bound_schedule(10, horizon=100)
     assert again == s
     assert np.array_equal(again.optimal_rad, s.optimal_rad)
     assert np.array_equal(again.coefficients, s.coefficients)
@@ -392,19 +375,6 @@ def test_aligner_deadband_blocks_marginal_gains():
     assert not al.record(100.5)   # within 1% dead band
     al.propose()
     assert al.record(102.0)       # beyond it
-
-
-def test_aligner_trace_schema(tmp_path):
-    rng = np.random.default_rng(4)
-    al = OneBitAligner(3, rng, math.radians(40))
-    for v in (1.0, 2.0, 1.5):
-        al.propose()
-        al.record(v)
-    path = tmp_path / "trace.txt"
-    al.export_trace(path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 4
-    assert lines[0].split()[0] == "round"
 
 
 def test_aligner_deterministic_given_seed():

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -156,6 +157,22 @@ def test_malformed_config_exits_nonzero(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out",
                  str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_nan_bound_exits_nonzero(tmp_path, capsys):
+    # A NaN bound (YAML ".nan") used to escape main as an OverflowError.
+    doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], bound_deg=math.nan))
+    cfg_path = write_cfg(tmp_path, doc)
+    assert ".nan" in open(cfg_path).read()
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert "bound" in capsys.readouterr().err
+
+
+def test_jobs_is_a_sweep_option(tmp_path):
+    cfg_path = write_cfg(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_load_config_reports_unknown_key(tmp_path):

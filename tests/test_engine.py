@@ -56,6 +56,26 @@ def test_scenario_validation():
                                    (0.0, Position(1, 0, 0))])
 
 
+@pytest.mark.parametrize("kw", [
+    {"baseline": "random"},              # used to run no baseline at all
+    {"bound": -5.0},                     # used to fail inside numpy
+    {"bound": 0.0},
+    {"bound": 181.0},
+    {"bound": math.nan},                 # used to raise OverflowError
+    {"bound": math.inf},
+    {"bound": "15"},
+])
+def test_scenario_rejects_bad_baseline_and_bound(kw):
+    with pytest.raises(EngineError):
+        bench_scenario(**kw)
+
+
+@pytest.mark.parametrize("kw", [{"baseline": "none"}, {"baseline": "random_phase"},
+                                {"bound": "adaptive"}, {"bound": 180.0}, {"bound": 15}])
+def test_scenario_accepts_valid_baseline_and_bound(kw):
+    bench_scenario(**kw)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_scenario_needs_a_round():
     # rounds=0 used to average an empty tail into a NaN power percentage.

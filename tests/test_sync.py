@@ -8,7 +8,6 @@ from wptsim.sync import (
     SyncFeedback,
     apply_feedback,
     coarse_sync,
-    export_transcript,
     run_sync,
 )
 
@@ -92,15 +91,3 @@ def test_run_sync_single_slave_is_trivial():
 def test_run_sync_empty_raises():
     with pytest.raises(SyncError):
         run_sync([], FAST, np.random.default_rng(0))
-
-
-def test_transcript_export_schema(tmp_path):
-    rng = np.random.default_rng(5)
-    res = run_sync([50, 400], FAST, rng, residual_jitter=10,
-                   fine_window_symbols=32)
-    path = tmp_path / "sync.txt"
-    export_transcript(res, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split() == ["period", "round", "offset_samples", "rate_hz",
-                                "command"]
-    assert all(len(l.split()) == 5 for l in lines[1:])
