@@ -154,10 +154,24 @@ def node_track(scn: Scenario) -> np.ndarray:
                        for n in range(scn.rounds)], dtype=float)
 
 
-def _run_rng(scn: Scenario):
-    """The run's generator after its first draw, one static phase per slave link."""
-    rng = np.random.default_rng(scn.seed)
-    return rng, rng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
+# What a run draws for.  Each name owns one child of the seed's SeedSequence,
+# so one stage's draws never shift another's.  A name's position here fixes
+# its child, so reordering the names changes every output.
+_STREAM_NAMES = ("static_phases", "sync", "cold_start", "proposals", "noise", "baseline")
+
+
+def _streams(seed: int) -> dict:
+    """One generator per name of ``_STREAM_NAMES``, spawned from ``seed``.
+
+    This is the only place that turns a seed into random draws.
+    """
+    children = np.random.SeedSequence(seed).spawn(len(_STREAM_NAMES))
+    return {name: np.random.default_rng(c) for name, c in zip(_STREAM_NAMES, children)}
+
+
+def _static_phases(scn: Scenario, streams: dict) -> np.ndarray:
+    """The unknown static phase of each slave link, from its own stream."""
+    return streams["static_phases"].uniform(0.0, 2.0 * math.pi, scn.n_slaves)
 
 
 def _node_links(scn: Scenario, static: np.ndarray, track: np.ndarray) -> ChannelCoeff:
@@ -173,7 +187,8 @@ def optimal_amplitude(scn: Scenario, node_coeffs=None):
     position; a (K, N) table gives one optimum per row.
     """
     if node_coeffs is None:
-        node_coeffs = _node_links(scn, _run_rng(scn)[1], node_track(scn))[0].complex
+        static = _static_phases(scn, _streams(scn.seed))
+        node_coeffs = _node_links(scn, static, node_track(scn))[0].complex
     return scn.tx_amplitude * np.abs(np.asarray(node_coeffs)).sum(axis=-1)
 
 
@@ -186,7 +201,8 @@ def _bound_for(scn: Scenario):
 
 
 def run_scenario(scn: Scenario) -> Metrics:
-    rng, static = _run_rng(scn)
+    streams = _streams(scn.seed)
+    static = _static_phases(scn, streams)
     metrics = Metrics()
 
     node = BackscatterNode(
@@ -198,7 +214,7 @@ def run_scenario(scn: Scenario) -> Metrics:
     # --- stage 1: chirp synchronization -----------------------------------
     if scn.sync.enabled and scn.n_slaves >= 2:
         metrics.stage_log.append("sync")
-        offsets = rng.integers(0, scn.sync.offset_range + 1, scn.n_slaves)
+        offsets = streams["sync"].integers(0, scn.sync.offset_range + 1, scn.n_slaves)
         noise_power = 0.0
         if scn.noise_floor_dbm is not None:
             noise_power = dbm_to_watt(scn.noise_floor_dbm) * (
@@ -206,7 +222,7 @@ def run_scenario(scn: Scenario) -> Metrics:
             )
         try:
             res = run_sync(
-                offsets, scn.chirp, rng,
+                offsets, scn.chirp, streams["sync"],
                 noise_power=noise_power,
                 residual_jitter=scn.sync.residual_jitter,
                 fine_window_symbols=scn.sync.fine_window_symbols,
@@ -237,7 +253,7 @@ def run_scenario(scn: Scenario) -> Metrics:
             node_channels=node_links[0],
             tx_amplitudes=amps,
             config=scn.cold_start,
-            rng=rng,
+            rng=streams["cold_start"],
         )
         cs_res = runner.run()
         metrics.cold_start_success = cs_res.success
@@ -257,8 +273,8 @@ def run_scenario(scn: Scenario) -> Metrics:
     metrics.total_radiated_power_w = float(np.sum(amps ** 2))
 
     bound = _bound_for(scn)
-    aligner = OneBitAligner(scn.n_slaves, rng, bound, smoother=KalmanSmoother(),
-                            deadband_frac=scn.deadband_frac)
+    aligner = OneBitAligner(scn.n_slaves, streams["proposals"], bound,
+                            smoother=KalmanSmoother(), deadband_frac=scn.deadband_frac)
 
     correlator = _correlator(scn, node)
     # Round n reads row n; a static node's single row serves every round.
@@ -274,7 +290,7 @@ def run_scenario(scn: Scenario) -> Metrics:
         p_in = float(np.abs(h) ** 2)
         node.harvest_step(p_in, scn.round_time_s)
 
-        y_raw = _measure(scn, node, h, p_in, to_leader[n], correlator, rng)
+        y_raw = _measure(scn, node, h, p_in, to_leader[n], correlator, streams["noise"])
         aligner.record(y_raw)
 
         achieved = abs(h) / optimum[n] if optimum[n] > 0 else 0.0
@@ -296,8 +312,7 @@ def run_scenario(scn: Scenario) -> Metrics:
 
     # --- optional incoherent baseline -------------------------------------
     if scn.baseline == "random_phase":
-        brng = np.random.default_rng(scn.seed + 0x9E3779B9)
-        phases = brng.uniform(0.0, 2.0 * math.pi, (scn.rounds, scn.n_slaves))
+        phases = streams["baseline"].uniform(0.0, 2.0 * math.pi, (scn.rounds, scn.n_slaves))
         hb = np.abs(scn.tx_amplitude * np.sum(to_node * np.exp(1j * phases), axis=1))
         btrace = np.divide(hb, optimum, out=np.zeros(scn.rounds), where=optimum > 0)
         metrics.baseline_trace = btrace.tolist()
@@ -348,7 +363,7 @@ def heatmap(scn: Scenario, phases, grid_points: np.ndarray) -> np.ndarray:
         return np.zeros(grid_points.shape[0])
     m = cs.field_matrix(
         scn.slave_positions, grid_points, scn.freq_hz, scn.tx_gain_dbi,
-        static_phases=_run_rng(scn)[1],
+        static_phases=_static_phases(scn, _streams(scn.seed)),
         tx_amplitudes=np.full(scn.n_slaves, scn.tx_amplitude),
     )
     return cs.field_power(m, np.asarray(phases))
@@ -356,8 +371,9 @@ def heatmap(scn: Scenario, phases, grid_points: np.ndarray) -> np.ndarray:
 
 def aligned_phases(scn: Scenario) -> np.ndarray:
     """Conjugate phases focusing the array on the node position (oracle)."""
+    static = _static_phases(scn, _streams(scn.seed))
     links = channel(scn.slave_positions, scn.node_position, scn.medium, scn.freq_hz,
-                    scn.tx_gain_dbi, static_phase_rad=_run_rng(scn)[1])
+                    scn.tx_gain_dbi, static_phase_rad=static)
     return (-links.phase_rad) % (2.0 * math.pi)
 
 

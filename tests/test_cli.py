@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -163,7 +164,7 @@ def test_nan_bound_exits_nonzero(tmp_path, capsys):
     # A NaN bound (YAML ".nan") used to escape main as an OverflowError.
     doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], bound_deg=math.nan))
     cfg_path = write_cfg(tmp_path, doc)
-    assert ".nan" in open(cfg_path).read()
+    assert ".nan" in pathlib.Path(cfg_path).read_text()
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert "bound" in capsys.readouterr().err
 

@@ -217,8 +217,8 @@ def _run_with(measure, scn, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_closed_form_measurement_matches_samples_without_noise(name, monkeypatch):
-    # Without receiver noise neither path draws from the run's generator, so
-    # the two runs follow the same stream and must agree to rounding.
+    # Without receiver noise neither path draws from the noise stream, and no
+    # other stream depends on it, so the two runs must agree to rounding.
     scn_cfg, seed, _ = SCENARIOS[name]
     scn = build_scenario(parse_config(
         {"scenario": dict(scn_cfg, noise_floor_dbm=None)})["scenario"], seed)
@@ -228,6 +228,23 @@ def test_closed_form_measurement_matches_samples_without_noise(name, monkeypatch
     assert any(samples_acc) and not all(samples_acc)
     bad = mismatches(closed, samples)
     assert not bad, f"{len(bad)} mismatches, first: {bad[:5]}"
+
+
+def test_sync_draws_leave_later_stages_unchanged():
+    # Every stage draws from its own stream of the seed, so running sync,
+    # which draws fresh noise for every fine round, moves no draw of cold
+    # start, alignment or the baseline.
+    scn_cfg, seed, _ = SCENARIOS["readme_fast"]
+    runs = []
+    for sync_on in (True, False):
+        cfg = dict(scn_cfg, baseline="random_phase", sync_enabled=sync_on)
+        runs.append(run_scenario(build_scenario(parse_config({"scenario": cfg})["scenario"],
+                                                seed)))
+    on, off = runs
+    assert on.stage_log == ["sync", "cold_start", "alignment"]
+    assert off.stage_log == ["cold_start", "alignment"]
+    for name in ("power_trace", "metric_trace", "final_phases", "baseline_trace"):
+        assert getattr(on, name) == getattr(off, name), name
 
 
 def test_cold_start_failure_skips_alignment():
@@ -256,8 +273,6 @@ def test_metrics_json_is_valid():
 
 def test_optimal_amplitude_is_sum_of_path_amplitudes():
     scn = bench_scenario()
-    rng = np.random.default_rng(scn.seed)
-    rng.uniform(0, 2 * math.pi, scn.n_slaves)
     got = optimal_amplitude(scn)
     # The coherent optimum only depends on per-link gains, not phases.
     amps = [channel(sp, scn.node_position, scn.medium).gain
