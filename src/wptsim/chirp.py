@@ -151,23 +151,30 @@ def lag_magnitudes(rx: ComplexSignal, ref: ComplexSignal) -> np.ndarray:
     return np.abs(ccs_correlate(rx, ref)[:n_lags])
 
 
-def fluctuation_rate(
-    envelope: ComplexSignal, decimate: int = 1, min_prominence: float = 8.0
-) -> float:
-    """Dominant nonzero-frequency peak of the magnitude envelope, in Hz.
+def block_mean(x: np.ndarray, n: int) -> np.ndarray:
+    """Mean of each block of ``n`` consecutive values of ``x``; a trailing
+    partial block is dropped."""
+    m = (x.size // n) * n
+    return x[:m].reshape(-1, n).mean(axis=1)
 
-    The magnitude is mean-removed and Hann-windowed before the FFT.  A flat
-    envelope returns 0 Hz (the synchronized case), as does a spectrum whose
-    strongest bin does not stand ``min_prominence`` times above the median
-    (a noisy but beat-free envelope).  ``decimate`` trades lag resolution
-    for speed; the beat of interest sits far below Nyquist.
+
+def fluctuation_rate(
+    env: np.ndarray, sample_rate_hz: float, min_prominence: float = 8.0
+) -> float:
+    """Dominant nonzero-frequency peak of a real envelope, in Hz.
+
+    ``env`` holds magnitude samples taken at ``sample_rate_hz``, or their
+    :func:`block_mean` at the decimated rate.  The envelope is mean-removed
+    and Hann-windowed before the FFT.  A flat envelope returns 0 Hz (the
+    synchronized case), as does a spectrum whose strongest bin does not
+    stand ``min_prominence`` times above the median (a noisy but beat-free
+    envelope).
     """
-    env = np.abs(envelope.samples)
-    fs = envelope.sample_rate_hz
-    if decimate > 1:
-        n = (env.size // decimate) * decimate
-        env = env[:n].reshape(-1, decimate).mean(axis=1)
-        fs = fs / decimate
+    env = np.asarray(env, dtype=float)
+    if env.size == 0:
+        raise DspError("envelope must be non-empty")
+    if not np.all(np.isfinite(env)):
+        raise DspError("envelope contains non-finite samples")
     mean = env.mean()
     x = env - mean
     # Flat envelope: no fluctuation to measure.
@@ -182,7 +189,7 @@ def fluctuation_rate(
     floor = float(np.median(spec))
     if floor > 0 and spec[peak] < min_prominence * floor:
         return 0.0
-    return peak * fs / x.size
+    return peak * sample_rate_hz / x.size
 
 
 def fluctuation_bin_hz(n_samples: int, sample_rate_hz: float) -> float:

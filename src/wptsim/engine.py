@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,12 +38,23 @@ class EngineError(ValueError):
     pass
 
 
+def _is_finite(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 @dataclass
 class SyncSettings:
     enabled: bool = True
     offset_range: int = 8000          # initial clock offsets, samples
     residual_jitter: int = 60         # post-coarse processing-delay spread
     fine_window_symbols: int = 64
+
+    def __post_init__(self):
+        for name, low in (("offset_range", 0), ("residual_jitter", 0),
+                          ("fine_window_symbols", 1)):
+            if not getattr(self, name) >= low:
+                raise EngineError(
+                    f"sync {name} must be >= {low}, not {getattr(self, name)!r}")
 
 
 @dataclass
@@ -83,6 +94,12 @@ class Scenario:
                 isinstance(self.bound, numbers.Real) and 0.0 < self.bound <= 180.0):
             raise EngineError(
                 f"bound must be 'adaptive' or in (0, 180] degrees, not {self.bound!r}")
+        if not (_is_finite(self.deadband_frac) and self.deadband_frac >= 0.0):
+            raise EngineError(
+                f"deadband_frac must be finite and >= 0, not {self.deadband_frac!r}")
+        if self.noise_floor_dbm is not None and not _is_finite(self.noise_floor_dbm):
+            raise EngineError(
+                f"noise_floor_dbm must be None or finite, not {self.noise_floor_dbm!r}")
         times = [t for t, _ in self.trajectory]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise EngineError("trajectory times must be strictly increasing")
@@ -119,7 +136,9 @@ class Metrics:
     total_radiated_power_w: float = 0.0
 
     def to_json(self) -> str:
-        doc = asdict(self)
+        # Every field is a number, a string, a list or None, so json encodes
+        # them as they are; dataclasses.asdict would deep-copy every trace.
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(doc, sort_keys=True, indent=1)
 
 

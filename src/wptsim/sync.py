@@ -5,10 +5,16 @@ a broadcast chirp preamble.  Step two aligns slaves one at a time against
 the first slave: the leader measures the amplitude fluctuation rate of the
 superposed chirp trains and steers the target slave by one-sample steps
 through a two-bit feedback until the beat disappears.
+
+Coarse sync builds its noisy captures sample by sample.  Fine sync never
+does: the leader reads the envelope averaged over blocks of
+``ENVELOPE_DECIMATE`` samples, so :class:`FineSyncEnvelope` draws each
+block from the exact mean and variance of the noisy sample magnitudes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,6 +24,7 @@ from .chirp import (
     ChirpParams,
     ComplexSignal,
     awgn_power,
+    block_mean,
     fluctuation_bin_hz,
     fluctuation_rate,
     generate_chirp,
@@ -93,11 +100,204 @@ def apply_feedback(offset: int, fb: SyncFeedback) -> int:
     return offset
 
 
+# Rician envelope moments, in the variable z = sigma^2 / nu^2.  Below a
+# seam in the Bessel argument t = nu^2 / (4 sigma^2) = 1 / (4 z), I0e and
+# I1e are summed as power series; above it the moments are summed from
+# their Hankel asymptotic series, whose terms fall below the tolerance long
+# before the series starts to diverge (near term 2t).
+_RICIAN_SEAM_Z = 1.0 / (4.0 * 30.0)
+# Beyond a = nu / sigma = 2000 three terms reach the tolerance.  Most samples
+# of a strong envelope lie there, so every sample first takes that short sum.
+_RICIAN_FAR_Z = 1.0 / 2000.0 ** 2
+_RICIAN_TOL = 1e-17
+
+
+def _hankel_moment_series(n_terms: int) -> tuple:
+    """Coefficients of U(z) and V(z); see :func:`rician_moments`.
+
+    With c_j(nu) = prod_{i <= j} ((2i - 1)^2 - 4 nu^2) / (8 i), the Hankel
+    series are I0e(t) sqrt(2 pi t) = sum_j c_j(0) t^-j and likewise I1e with
+    c_j(1).  Substituting them into the mean, the leading a cancels exactly
+    and leaves U(z) = sum_k 4^k (c_k(0) + 2 c_{k+1}(0) + 2 c_{k+1}(1)) z^k
+    = 1/2 + z/8 + 3 z^2/16 + ...; then V = 2 - 2U - z U^2 = 1 - z/2 - ...
+    """
+    c0, c1 = [1.0], [1.0]
+    for i in range(1, n_terms + 1):
+        odd2 = (2 * i - 1) ** 2
+        c0.append(c0[-1] * odd2 / (8.0 * i))
+        c1.append(c1[-1] * (odd2 - 4) / (8.0 * i))
+    u = np.array([4.0 ** k * (c0[k] + 2.0 * (c0[k + 1] + c1[k + 1]))
+                  for k in range(n_terms)])
+    v = -2.0 * u
+    v[0] += 2.0
+    v[1:] -= np.convolve(u, u)[: n_terms - 1]
+    return u, v
+
+
+def _terms_needed(u: np.ndarray, v: np.ndarray, z_max: float) -> int:
+    return next(k for k in range(1, u.size)
+                if max(abs(u[k]), abs(v[k])) * z_max ** k <= _RICIAN_TOL * u[0])
+
+
+_HANKEL_U, _HANKEL_V = _hankel_moment_series(40)
+_SEAM_TERMS = _terms_needed(_HANKEL_U, _HANKEL_V, _RICIAN_SEAM_Z)
+_FAR_TERMS = _terms_needed(_HANKEL_U, _HANKEL_V, _RICIAN_FAR_Z)
+
+
+def _horner(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
+    acc = coef[-1] * z
+    acc += coef[-2]
+    for c in coef[-3::-1]:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _moments_by_hankel_series(nu, z, sigma: float, n_terms: int) -> tuple:
+    """Mean nu + (sigma^2 / nu) U(z) and variance sigma^2 V(z), each from
+    its first ``n_terms`` terms."""
+    mean = _horner(_HANKEL_U[:n_terms] * sigma * sigma, z)
+    mean /= nu
+    mean += nu
+    return mean, _horner(_HANKEL_V[:n_terms] * sigma * sigma, z)
+
+
+def _i01e_by_power_series(t: np.ndarray) -> tuple:
+    """exp(-t) I0(t) and exp(-t) I1(t); all terms are positive."""
+    q = 0.25 * t * t
+    t0, t1 = np.ones_like(t), np.ones_like(t)
+    s0, s1 = t0.copy(), t1.copy()
+    m = 0
+    # The I1 terms fall off faster than the I0 terms (t1 / t0 = 1 / (m + 1)).
+    while np.any(t0 > _RICIAN_TOL * s0):
+        m += 1
+        t0 *= q / (m * m)
+        t1 *= q / (m * (m + 1))
+        s0 += t0
+        s1 += t1
+    scale = np.exp(-t)
+    return scale * s0, scale * (0.5 * t) * s1
+
+
+def rician_moments(nu: np.ndarray, sigma: float) -> tuple:
+    """Mean and variance of |s + n| for |s| = ``nu`` and white complex noise n
+    whose real and imaginary parts each have std ``sigma`` > 0.
+
+    |s + n| is Rician.  With a = nu / sigma and t = a^2 / 4, its mean is
+    sigma sqrt(pi/2) L_{1/2}(-a^2 / 2) = sigma sqrt(pi/2) ((1 + 2t) I0e(t)
+    + 2t I1e(t)) and its variance nu^2 + 2 sigma^2 - mean^2.  Below the seam
+    both are evaluated as written.  Above it nu >> sigma, and that variance
+    would subtract two nearly equal numbers (at -70 dBm they agree to nine
+    digits).  There the Hankel series give, in z = 1 / a^2, the mean
+    nu + (sigma^2 / nu) U(z) and the variance sigma^2 V(z) directly, with no
+    cancellation.
+    """
+    nu = np.asarray(nu, dtype=float)
+    # nu = 0, or nu / sigma near the smallest double, overflows z; those
+    # entries lie below the seam and are redone there.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = np.square(sigma / nu)
+        mean, var = _moments_by_hankel_series(nu, z, sigma, _FAR_TERMS)
+    near = np.flatnonzero(z > _RICIAN_FAR_Z)
+    if near.size:
+        zn = z[near]
+        mid = near[zn <= _RICIAN_SEAM_Z]
+        if mid.size:
+            mean[mid], var[mid] = _moments_by_hankel_series(
+                nu[mid], z[mid], sigma, _SEAM_TERMS)
+        low = near[zn > _RICIAN_SEAM_Z]
+        if low.size:
+            a = nu[low] / sigma
+            t = 0.25 * a * a
+            i0e, i1e = _i01e_by_power_series(t)
+            f = math.sqrt(0.5 * math.pi) * ((1.0 + 2.0 * t) * i0e + 2.0 * t * i1e)
+            mean[low] = sigma * f
+            var[low] = sigma * sigma * (a * a + 2.0 - f * f)
+    return mean, var
+
+
+class FineSyncEnvelope:
+    """The leader's decimated envelope of two superposed sweeps in fine sync.
+
+    The reference slave's sweep is fixed; the target's is shifted by an
+    integer offset r in [-pad, pad].  The noise-free envelope depends only
+    on r, so each offset is built once per instance, sample by sample: the
+    sum of the two sweeps, its magnitude, then its mean over each block of
+    ``ENVELOPE_DECIMATE`` samples.  With noise, each sample magnitude is
+    Rician; the instance keeps the block mean of the Rician means and the
+    block std sqrt(sum of variances) / ``ENVELOPE_DECIMATE``, and every
+    round draws one normal per block around them.
+    """
+
+    def __init__(self, params: ChirpParams, fine_window_symbols: int, pad: int,
+                 noise_power: float = 0.0):
+        self.window = params.n_samples * fine_window_symbols
+        self.pad = pad
+        self.envelope_rate_hz = params.sample_rate_hz / ENVELOPE_DECIMATE
+        self._sample_rate_hz = params.sample_rate_hz
+        n_ext = fine_window_symbols + -(-2 * pad // params.n_samples) + 1
+        self._ext = generate_sweep(params, n_ext).samples
+        self._base = self._ext[pad : pad + self.window]
+        self._sigma = math.sqrt(noise_power / 2.0)
+        self._blocks = {}            # offset -> (block mean, block std or None)
+
+    def samples(self, offset: int) -> ComplexSignal:
+        """The noise-free superposed sweeps at ``offset``, sample by sample."""
+        shifted = self._ext[self.pad - offset : self.pad - offset + self.window]
+        return ComplexSignal(self._base + shifted, self._sample_rate_hz)
+
+    def blocks(self, offset: int) -> tuple:
+        """(mean, std) of each envelope block at ``offset``; std is None
+        without noise, when the mean is the envelope itself."""
+        if offset not in self._blocks:
+            nu = np.abs(self.samples(offset).samples)
+            if self._sigma == 0.0:
+                self._blocks[offset] = (block_mean(nu, ENVELOPE_DECIMATE), None)
+            else:
+                mean, var = rician_moments(nu, self._sigma)
+                self._blocks[offset] = (
+                    block_mean(mean, ENVELOPE_DECIMATE),
+                    np.sqrt(block_mean(var, ENVELOPE_DECIMATE) / ENVELOPE_DECIMATE))
+        return self._blocks[offset]
+
+    def draw(self, offset: int, rng: np.random.Generator) -> np.ndarray:
+        """One round's decimated envelope at ``offset``."""
+        mean, std = self.blocks(offset)
+        if std is None:
+            return mean
+        return mean + std * rng.standard_normal(mean.size)
+
+
 @dataclass
 class SyncResult:
     residual_offsets: list          # samples, relative to the first slave
     rounds_per_period: list
     transcript: list                # (period, round, offset, rate_hz, command)
+
+
+def _coarse_residuals(true_offsets, params: ChirpParams, rng: np.random.Generator,
+                     noise_power: float, residual_jitter: int) -> list:
+    """Step one: each slave's offset left after preamble correlation.
+
+    Each slave's capture is built sample by sample, noise included.
+    ``residual_jitter`` models heterogeneous processing delays that survive
+    the coarse step: after compensation each slave keeps a uniform random
+    residual in [-jitter, +jitter] samples.
+    """
+    ref = generate_chirp(params)
+    n = params.n_samples
+    residuals = []
+    for off in true_offsets:
+        if off >= (COARSE_CAPTURE_SYMBOLS - 1) * n:
+            raise SyncError("offset exceeds the coarse capture window")
+        capture = np.zeros(COARSE_CAPTURE_SYMBOLS * n, dtype=np.complex128)
+        capture[off : off + n] = ref.samples
+        if noise_power > 0:
+            capture = capture + awgn_power(capture.size, noise_power, rng)
+        est = coarse_sync(ComplexSignal(capture, params.sample_rate_hz), ref)
+        resid = off - est + int(rng.integers(-residual_jitter, residual_jitter + 1))
+        residuals.append(resid)
+    return residuals
 
 
 def run_sync(
@@ -110,43 +310,26 @@ def run_sync(
 ) -> SyncResult:
     """Run both synchronization steps over simulated receptions.
 
-    ``true_offsets`` holds each slave's initial clock offset in samples.
-    ``residual_jitter`` models heterogeneous processing delays that survive
-    the coarse step: after compensation each slave keeps a uniform random
-    residual in [-jitter, +jitter] samples.
+    ``true_offsets`` holds each slave's initial clock offset in samples;
+    ``noise_power`` is the total sample-domain power of the white noise at
+    each receiver.  See :func:`_coarse_residuals` for ``residual_jitter``.
     """
+    if not (math.isfinite(noise_power) and noise_power >= 0.0):
+        raise ValueError(f"noise_power must be finite and >= 0, not {noise_power!r}")
     true_offsets = [int(o) for o in true_offsets]
     n_slaves = len(true_offsets)
     if n_slaves == 0:
         raise SyncError("need at least one slave")
 
-    ref = generate_chirp(params)
-    n = params.n_samples
-
-    # Step one: per-slave preamble correlation.
-    residuals = []
-    for off in true_offsets:
-        if off >= (COARSE_CAPTURE_SYMBOLS - 1) * n:
-            raise SyncError("offset exceeds the coarse capture window")
-        capture = np.zeros(COARSE_CAPTURE_SYMBOLS * n, dtype=np.complex128)
-        capture[off : off + n] = ref.samples
-        if noise_power > 0:
-            capture = capture + awgn_power(capture.size, noise_power, rng)
-        est = coarse_sync(ComplexSignal(capture, params.sample_rate_hz), ref)
-        resid = off - est + int(rng.integers(-residual_jitter, residual_jitter + 1))
-        residuals.append(resid)
-
+    residuals = _coarse_residuals(true_offsets, params, rng, noise_power, residual_jitter)
     if n_slaves == 1:
         return SyncResult([0], [], [])
 
     # Step two: align slave i to slave 0, one period per slave.  Slaves
     # transmit one continuous sweep for the whole window; a clock offset then
     # shows up as a single constant beat tone in the superposed envelope.
-    window = params.n_samples * fine_window_symbols
-    pad = 2 * residual_jitter + 16
-    ext = generate_sweep(params, fine_window_symbols + -(-2 * pad // params.n_samples) + 1)
-    base = ext.samples[pad : pad + window]
-    stop_hz = fluctuation_bin_hz(window, params.sample_rate_hz)
+    rx = FineSyncEnvelope(params, fine_window_symbols, 2 * residual_jitter + 16, noise_power)
+    stop_hz = fluctuation_bin_hz(rx.window, params.sample_rate_hz)
 
     # Offsets below are relative to the first slave.
     rel = [r - residuals[0] for r in residuals]
@@ -156,13 +339,9 @@ def run_sync(
         session = FineSyncSession(stop_threshold_hz=stop_hz)
         budget = abs(rel[i]) + 8
         for _ in range(budget):
-            if abs(rel[i]) > pad:
+            if abs(rel[i]) > rx.pad:
                 raise SyncError("fine sync walked outside the modeled window")
-            mixed = base + ext.samples[pad - rel[i] : pad - rel[i] + window]
-            if noise_power > 0:
-                mixed = mixed + awgn_power(mixed.size, noise_power, rng)
-            rx = ComplexSignal(mixed, params.sample_rate_hz)
-            rate = fluctuation_rate(rx, decimate=ENVELOPE_DECIMATE)
+            rate = fluctuation_rate(rx.draw(rel[i], rng), rx.envelope_rate_hz)
             fb = session.feedback_for(rate)
             transcript.append((i, session.rounds, rel[i], rate, fb.value))
             if fb is SyncFeedback.STOP:

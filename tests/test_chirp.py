@@ -9,6 +9,7 @@ from wptsim.chirp import (
     DspError,
     awgn,
     awgn_power,
+    block_mean,
     ccs_correlate,
     fluctuation_bin_hz,
     fluctuation_rate,
@@ -68,14 +69,26 @@ def test_shifted_sweeps_beat_at_slope_times_offset():
     n = p.n_samples * 64
     a = sw.samples[100 : 100 + n]
     b = sw.samples[100 - k : 100 - k + n]
-    rate = fluctuation_rate(ComplexSignal(a + b, p.sample_rate_hz), decimate=64)
+    rate = fluctuation_rate(block_mean(np.abs(a + b), 64), p.sample_rate_hz / 64)
     expect = p.slope_hz_per_s * k / p.sample_rate_hz
     assert rate == pytest.approx(expect, abs=fluctuation_bin_hz(n, p.sample_rate_hz))
 
 
 def test_fluctuation_rate_flat_envelope_is_zero():
     sig = generate_chirp(ChirpParams())
-    assert fluctuation_rate(sig) == 0.0
+    assert fluctuation_rate(np.abs(sig.samples), sig.sample_rate_hz) == 0.0
+
+
+@pytest.mark.parametrize("env", [np.array([]), np.array([1.0, np.nan, 1.0])])
+def test_fluctuation_rate_rejects_empty_or_non_finite_envelope(env):
+    with pytest.raises(DspError):
+        fluctuation_rate(env, 8e3)
+
+
+def test_block_mean_drops_partial_block():
+    x = np.arange(10.0)
+    np.testing.assert_array_equal(block_mean(x, 4), [1.5, 5.5])
+    np.testing.assert_array_equal(block_mean(x, 1), x)
 
 
 def test_p_ccs0_equals_energy_on_match():

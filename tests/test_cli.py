@@ -169,6 +169,17 @@ def test_nan_bound_exits_nonzero(tmp_path, capsys):
     assert "bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("sync_offset_range", -5),
+                                        ("sync_residual_jitter", -1),
+                                        ("deadband_frac", math.nan),
+                                        ("noise_floor_dbm", math.nan)])
+def test_bad_number_exits_2_naming_the_field(tmp_path, capsys, key, value):
+    doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], sync_enabled=True, **{key: value}))
+    cfg_path = write_cfg(tmp_path, doc)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert key.removeprefix("sync_") in capsys.readouterr().err
+
+
 def test_jobs_is_a_sweep_option(tmp_path):
     cfg_path = write_cfg(tmp_path, MINIMAL)
     with pytest.raises(SystemExit) as exc:

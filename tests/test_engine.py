@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -74,6 +75,40 @@ def test_scenario_rejects_bad_baseline_and_bound(kw):
                                 {"bound": "adaptive"}, {"bound": 180.0}, {"bound": 15}])
 def test_scenario_accepts_valid_baseline_and_bound(kw):
     bench_scenario(**kw)
+
+
+@pytest.mark.parametrize("kw, field_name", [
+    # NaN used to stop every acceptance after round 0 (power 0.146 against
+    # 0.995), and -0.5 to accept worse proposals (0.134), with no error.
+    ({"deadband_frac": math.nan}, "deadband_frac"),
+    ({"deadband_frac": -0.5}, "deadband_frac"),
+    ({"deadband_frac": math.inf}, "deadband_frac"),
+    # NaN used to fail later as "measurement must be finite", or with sync
+    # on to run a noise-free sync.
+    ({"noise_floor_dbm": math.nan}, "noise_floor_dbm"),
+    ({"noise_floor_dbm": math.inf}, "noise_floor_dbm"),
+    ({"noise_floor_dbm": "-70"}, "noise_floor_dbm"),
+])
+def test_scenario_rejects_bad_numbers(kw, field_name):
+    with pytest.raises(EngineError, match=field_name):
+        bench_scenario(**kw)
+
+
+@pytest.mark.parametrize("kw", [{"deadband_frac": 0.0}, {"deadband_frac": 0.01},
+                                {"noise_floor_dbm": None}, {"noise_floor_dbm": -90}])
+def test_scenario_accepts_valid_numbers(kw):
+    bench_scenario(**kw)
+
+
+@pytest.mark.parametrize("kw, field_name", [
+    ({"offset_range": -1}, "offset_range"),            # used to end as "low >= high"
+    ({"residual_jitter": -1}, "residual_jitter"),
+    ({"fine_window_symbols": 0}, "fine_window_symbols"),  # used to divide by zero
+])
+def test_sync_settings_reject_bad_values(kw, field_name):
+    with pytest.raises(EngineError, match=field_name):
+        SyncSettings(**kw)
+    SyncSettings(**{field_name: 0 if field_name != "fine_window_symbols" else 1})
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -269,6 +304,13 @@ def test_metrics_json_is_valid():
     assert set(doc) >= {"power_percentage", "rounds_to_converge", "stage_log",
                         "final_phases"}
     assert len(doc["final_phases"]) == 4
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_metrics_json_matches_asdict(name):
+    scn_cfg, seed, _ = SCENARIOS[name]
+    m = run_scenario(build_scenario(parse_config({"scenario": scn_cfg})["scenario"], seed))
+    assert m.to_json() == json.dumps(dataclasses.asdict(m), sort_keys=True, indent=1)
 
 
 def test_optimal_amplitude_is_sum_of_path_amplitudes():

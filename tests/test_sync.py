@@ -1,18 +1,81 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import i0e, i1e
 
-from wptsim.chirp import ChirpParams, ComplexSignal, generate_chirp
+from wptsim import sync
+from wptsim.channel import dbm_to_watt
+from wptsim.chirp import (
+    ChirpParams,
+    ComplexSignal,
+    awgn_power,
+    block_mean,
+    fluctuation_bin_hz,
+    fluctuation_rate,
+    generate_chirp,
+)
 from wptsim.sync import (
+    ENVELOPE_DECIMATE,
+    FineSyncEnvelope,
     FineSyncSession,
     SyncError,
     SyncFeedback,
+    SyncResult,
+    _coarse_residuals,
     apply_feedback,
     coarse_sync,
+    rician_moments,
     run_sync,
 )
 
 # A small, fast parameter set: 5 kHz band, 12.8 ms symbol, 640 samples.
 FAST = ChirpParams(bandwidth_hz=5e3, symbol_time_s=0.0128, sample_rate_hz=50e3)
+# The README scenario's chirp, and the 1 ms, 512 kHz, 10 kHz chirp of the
+# readme_fast golden scenario.
+README_CHIRP = ChirpParams()
+README_FAST_CHIRP = ChirpParams(bandwidth_hz=10e3, symbol_time_s=1e-3, sample_rate_hz=512e3)
+
+
+def _noise_power_at(floor_dbm: float, params: ChirpParams) -> float:
+    """Sample-domain noise power of a floor given in the chirp band, as the
+    engine computes it."""
+    return dbm_to_watt(floor_dbm) * params.sample_rate_hz / params.bandwidth_hz
+
+
+def _rate_by_samples(rx: FineSyncEnvelope, offset: int, noise_power: float, rng) -> float:
+    """One fine round built sample by sample: the superposed sweeps plus
+    white noise at the sample rate, then the decimated envelope's rate."""
+    clean = rx.samples(offset)
+    mixed = clean.samples
+    if noise_power > 0:
+        mixed = mixed + awgn_power(mixed.size, noise_power, rng)
+    env = np.abs(ComplexSignal(mixed, clean.sample_rate_hz).samples)
+    return fluctuation_rate(block_mean(env, ENVELOPE_DECIMATE), rx.envelope_rate_hz)
+
+
+def _fine_sync_by_samples(true_offsets, params, rng, noise_power=0.0,
+                          residual_jitter=100, fine_window_symbols=64) -> SyncResult:
+    """The oracle: :func:`run_sync` with every fine round built sample by
+    sample, as fine sync ran before it drew whole blocks."""
+    residuals = _coarse_residuals([int(o) for o in true_offsets], params, rng,
+                                  noise_power, residual_jitter)
+    rx = FineSyncEnvelope(params, fine_window_symbols, 2 * residual_jitter + 16)
+    stop_hz = fluctuation_bin_hz(rx.window, params.sample_rate_hz)
+    rel = [r - residuals[0] for r in residuals]
+    rounds_per_period, transcript = [], []
+    for i in range(1, len(rel)):
+        session = FineSyncSession(stop_threshold_hz=stop_hz)
+        for _ in range(abs(rel[i]) + 8):
+            assert abs(rel[i]) <= rx.pad
+            rate = _rate_by_samples(rx, rel[i], noise_power, rng)
+            fb = session.feedback_for(rate)
+            transcript.append((i, session.rounds, rel[i], rate, fb.value))
+            if fb is SyncFeedback.STOP:
+                break
+            rel[i] = apply_feedback(rel[i], fb)
+        rounds_per_period.append(session.rounds)
+    return SyncResult(rel, rounds_per_period, transcript)
 
 
 def test_coarse_sync_recovers_offset():
@@ -91,3 +154,192 @@ def test_run_sync_single_slave_is_trivial():
 def test_run_sync_empty_raises():
     with pytest.raises(SyncError):
         run_sync([], FAST, np.random.default_rng(0))
+
+
+def test_run_sync_rejects_bad_noise_power():
+    # NaN used to run a noise-free sync; SyncError would read as a sync
+    # failure, so a bad argument is a ValueError.
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError) as exc:
+            run_sync([100, 200], FAST, np.random.default_rng(0), noise_power=bad)
+        assert not isinstance(exc.value, SyncError)
+        assert "noise_power" in str(exc.value)
+
+
+def test_noise_free_fine_sync_equals_sample_oracle():
+    # Without noise the per-offset envelope is the oracle's, rates included.
+    offsets = np.random.default_rng(5).integers(0, 501, 6)
+    res = run_sync(offsets, README_FAST_CHIRP, np.random.default_rng(5), residual_jitter=20)
+    ref = _fine_sync_by_samples(offsets, README_FAST_CHIRP, np.random.default_rng(5),
+                                residual_jitter=20)
+    assert res.transcript == ref.transcript
+    assert res.residual_offsets == ref.residual_offsets
+    assert res.rounds_per_period == ref.rounds_per_period
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fine_sync_at_minus_70_dbm_makes_the_oracles_decisions(seed):
+    """README chirp at the default -70 dBm floor: residuals, rounds and every
+    command and offset match the sample-level oracle.  Rates are not
+    compared; a noise draw can move one by a bin without changing a command."""
+    offsets = np.random.default_rng(seed).integers(0, 8001, 4)
+    noise = _noise_power_at(-70.0, README_CHIRP)
+    res = run_sync(offsets, README_CHIRP, np.random.default_rng(seed), noise_power=noise,
+                   residual_jitter=20)
+    ref = _fine_sync_by_samples(offsets, README_CHIRP, np.random.default_rng(seed),
+                                noise_power=noise, residual_jitter=20)
+    assert res.residual_offsets == ref.residual_offsets
+    assert res.rounds_per_period == ref.rounds_per_period
+    assert [(p, n, off, cmd) for p, n, off, _, cmd in res.transcript] == \
+        [(p, n, off, cmd) for p, n, off, _, cmd in ref.transcript]
+
+
+# P(stop) of one fine round at offset r, with noise strong enough to change
+# decisions: the readme_fast chirp, window 64 symbols.
+_STOP_DRAWS = 400
+_STOP_CASES = [(p, r) for p in (4.0, 16.0, 32.0) for r in (1, 3, 8)]
+
+
+def _two_proportion_z(k1: int, k2: int, n: int) -> float:
+    pooled = (k1 + k2) / (2 * n)
+    if pooled in (0.0, 1.0):
+        return 0.0
+    return abs(k1 - k2) / n / math.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
+
+
+def _stops(rates, rx: FineSyncEnvelope) -> int:
+    stop_hz = fluctuation_bin_hz(rx.window, README_FAST_CHIRP.sample_rate_hz)
+    return sum(rate < stop_hz for rate in rates)
+
+
+@pytest.fixture(scope="module")
+def oracle_stops():
+    out = {}
+    for power, r in _STOP_CASES:
+        rx = FineSyncEnvelope(README_FAST_CHIRP, 64, 56, power)
+        rng = np.random.default_rng([1, int(power), r])
+        out[power, r] = _stops((_rate_by_samples(rx, r, power, rng)
+                                for _ in range(_STOP_DRAWS)), rx)
+    return out
+
+
+def _block_model_z(oracle_stops, envelope_draw) -> list:
+    """z of each case's P(stop), block model against oracle."""
+    zs = []
+    for power, r in _STOP_CASES:
+        rx = FineSyncEnvelope(README_FAST_CHIRP, 64, 56, power)
+        rng = np.random.default_rng([2, int(power), r])
+        k = _stops((fluctuation_rate(envelope_draw(rx, r, rng), rx.envelope_rate_hz)
+                    for _ in range(_STOP_DRAWS)), rx)
+        zs.append(_two_proportion_z(k, oracle_stops[power, r], _STOP_DRAWS))
+    return zs
+
+
+def test_block_noise_model_matches_sample_oracle(oracle_stops):
+    # The cases span P(stop) from 0 through intermediate values to 1.
+    assert {0, _STOP_DRAWS} <= set(oracle_stops.values())
+    assert any(0 < k < _STOP_DRAWS for k in oracle_stops.values())
+    zs = _block_model_z(oracle_stops, lambda rx, r, rng: rx.draw(r, rng))
+    assert max(zs) < 3.3, zs
+
+
+def test_first_order_block_model_fails_the_oracle(oracle_stops):
+    """Block noise around the noise-free envelope, without the Rician bias of
+    the mean: the test above must catch it."""
+    def first_order(rx, r, rng):
+        _, std = rx.blocks(r)
+        clean = block_mean(np.abs(rx.samples(r).samples), ENVELOPE_DECIMATE)
+        return clean + std * rng.standard_normal(std.size)
+
+    assert max(_block_model_z(oracle_stops, first_order)) >= 3.3
+
+
+def _scipy_mean(a, sigma):
+    t = 0.25 * a * a
+    return sigma * math.sqrt(0.5 * math.pi) * ((1.0 + 2.0 * t) * i0e(t) + 2.0 * t * i1e(t))
+
+
+_RATIOS = np.concatenate([[0.0, 5e-324, 1e-310, 1e-200, 1e-8],
+                          np.geomspace(1e-3, 1e8, 300),
+                          # both sides of the power-series seam and of the
+                          # three-term far sum
+                          np.linspace(10.5, 11.5, 21), np.linspace(1990.0, 2010.0, 21)])
+
+
+@pytest.mark.parametrize("sigma", [0.7, 5.06e-5])
+def test_rician_mean_matches_scipy_bessel(sigma):
+    mean, _ = rician_moments(_RATIOS * sigma, sigma)
+    np.testing.assert_allclose(mean, _scipy_mean(_RATIOS, sigma), rtol=1e-12, atol=0)
+
+
+def test_rician_variance_matches_high_precision():
+    # nu^2 + 2 sigma^2 - mean^2 cancels in double precision, so the
+    # reference is evaluated with 60 digits.
+    mpmath = pytest.importorskip("mpmath")
+    sigma = 0.7
+    _, var = rician_moments(_RATIOS * sigma, sigma)
+    with mpmath.workdps(60):
+        for a, v in zip(_RATIOS, var):
+            a = mpmath.mpf(float(a))
+            t = a * a / 4
+            f = mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-t) * (
+                (1 + 2 * t) * mpmath.besseli(0, t) + 2 * t * mpmath.besseli(1, t))
+            ref = sigma ** 2 * (a * a + 2 - f * f)
+            assert abs(float(v / ref) - 1.0) < 1e-12, (float(a), v, float(ref))
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 2.0, 10.0, 3000.0])
+def test_rician_moments_match_monte_carlo(ratio):
+    rng = np.random.default_rng(11)
+    sigma, n = 1.3, 400_000
+    nu = ratio * sigma
+    samples = np.abs(nu + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    mean, var = rician_moments(np.array([nu]), sigma)
+    assert abs(samples.mean() - mean[0]) < 5.0 * math.sqrt(var[0] / n)
+    # The sample variance's std is about var * sqrt(2 / n) for these shapes.
+    assert abs(samples.var() - var[0]) < 5.0 * var[0] * math.sqrt(2.0 / n)
+
+
+def test_fine_sync_draws_one_block_vector_per_round(monkeypatch):
+    """Fine sync calls fluctuation_rate once per round, through the sync
+    namespace, and draws at most one normal per envelope block per round."""
+    per_round = [0]                  # normals drawn by fine sync, per round
+    in_coarse = [False]
+    real_rate, real_awgn = sync.fluctuation_rate, sync.awgn_power
+
+    def counting_rate(*args, **kwargs):
+        per_round.append(0)
+        return real_rate(*args, **kwargs)
+
+    def coarse_awgn(*args, **kwargs):
+        in_coarse[0] = True
+        try:
+            return real_awgn(*args, **kwargs)
+        finally:
+            in_coarse[0] = False
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def standard_normal(self, size=None):
+            if not in_coarse[0]:
+                per_round[-1] += int(np.prod(size))
+            return self._rng.standard_normal(size)
+
+        def integers(self, *args, **kwargs):
+            return self._rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(sync, "fluctuation_rate", counting_rate)
+    monkeypatch.setattr(sync, "awgn_power", coarse_awgn)
+    params = README_FAST_CHIRP
+    offsets = np.random.default_rng(8).integers(0, 501, 5)
+    res = run_sync(offsets, params, CountingGenerator(np.random.default_rng(8)),
+                   noise_power=_noise_power_at(-70.0, params), residual_jitter=20)
+
+    rounds = sum(res.rounds_per_period)
+    assert rounds == len(res.transcript) > 0
+    # One entry per fluctuation_rate call, then what followed the last one.
+    assert len(per_round) == rounds + 1 and per_round[-1] == 0
+    blocks = -(-params.n_samples * 64 // ENVELOPE_DECIMATE)
+    assert all(0 < n <= blocks for n in per_round[:-1])
