@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -165,43 +164,30 @@ _BOUND_GRID_RAD.setflags(write=False)
 _SCHEDULE_POLY_DEGREE = 7
 
 
-@dataclass(frozen=True)
-class BoundSchedule:
-    coefficients: np.ndarray      # polynomial in the round index, degree <= 7
-    phi_min_rad: float
-    phi_max_rad: float
-    horizon: int
-    optimal_rad: np.ndarray       # the per-round grid optima that were fitted
-    table: np.ndarray             # the clipped polynomial at rounds 0..horizon-1
-
-    def phi(self, n: int) -> float:
-        return float(self.table[min(max(n, 0), self.horizon - 1)])
-
-    def __call__(self, n: int) -> float:
-        return self.phi(n)
-
-
 def compute_bound_schedule(n_slaves: int, horizon: int = 300,
-                           y0: float | None = None) -> BoundSchedule:
-    """Per-round optimal phase bound, polynomial-fitted over the horizon.
+                           y0: float | None = None) -> np.ndarray:
+    """Per-round phase bound for rounds 0..horizon-1, in radians.
 
     Each round picks the bound maximizing the expected amplitude after the
     one-round step by a grid search over (0, 180] degrees in 1-degree steps,
     then moves the amplitude to that step.  The amplitude starts at
-    ``y0``, or at sqrt(N), the mean resultant of N random phasors.
+    ``y0``, or at sqrt(N), the mean resultant of N random phasors.  The
+    per-round optima are fitted by a polynomial in the round index, and the
+    schedule is that polynomial clipped to the grid.
 
     Schedules are cached per (n_slaves, horizon, y0) and shared by every
-    caller, so the returned schedule and its arrays are read-only.
+    caller, so the returned array is read-only.
     """
     if n_slaves < 2:
         raise BeamformError("need at least two slaves")
     if horizon < 1:
         raise BeamformError("horizon must be >= 1")
-    return _build_bound_schedule(n_slaves, horizon, y0)
+    return _build_bound_schedule(n_slaves, horizon, y0)[0]
 
 
 @lru_cache(maxsize=64)
-def _build_bound_schedule(n_slaves: int, horizon: int, y0: float | None) -> BoundSchedule:
+def _build_bound_schedule(n_slaves: int, horizon: int, y0: float | None):
+    """(schedule, per-round grid optima, polynomial coefficients), read-only."""
     grid = _BOUND_GRID_RAD
     y = math.sqrt(n_slaves) if y0 is None else y0
     optima = np.empty(horizon)
@@ -216,14 +202,7 @@ def _build_bound_schedule(n_slaves: int, horizon: int, y0: float | None) -> Boun
     table = np.clip(np.polyval(coeffs, rounds), grid[0], grid[-1])
     for arr in (coeffs, optima, table):
         arr.setflags(write=False)
-    return BoundSchedule(
-        coefficients=coeffs,
-        phi_min_rad=float(grid[0]),
-        phi_max_rad=float(grid[-1]),
-        horizon=horizon,
-        optimal_rad=optima,
-        table=table,
-    )
+    return table, optima, coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +253,17 @@ class KalmanSmoother:
 class OneBitAligner:
     """Keep-if-improved phase alignment over a smoothed power metric.
 
-    Each round :meth:`propose` draws fresh per-slave perturbations around the
-    reference phases; :meth:`record` feeds back the measured metric, accepts
-    the proposal when the smoothed value beats the reference metric by more than the
-    dead band, and reverts to the reference otherwise.
+    Each round :meth:`propose` draws fresh per-slave perturbations within the
+    round's phase bound around the reference phases; :meth:`record` feeds
+    back the measured metric, accepts the proposal when the smoothed value
+    beats the reference metric by more than the dead band, and reverts to
+    the reference otherwise.
     """
 
     def __init__(
         self,
         n_slaves: int,
         rng: np.random.Generator,
-        bound,
         smoother: KalmanSmoother | None = None,
         deadband_frac: float = 0.001,
         init_phases=None,
@@ -293,7 +272,6 @@ class OneBitAligner:
             raise BeamformError("need at least one slave")
         self.n_slaves = n_slaves
         self.rng = rng
-        self.bound = bound if callable(bound) else (lambda n, b=float(bound): b)
         self.smoother = smoother
         self.deadband_frac = deadband_frac
         if init_phases is None:
@@ -302,20 +280,14 @@ class OneBitAligner:
             self.ref_phases = np.asarray(init_phases, dtype=float) % (2.0 * math.pi)
         self.pending = self.ref_phases.copy()
         self.y_ref = None   # smoothed metric of the current reference phases
-        self.y_best = None  # running max, for reporting and convergence checks
-        self.round = 0
-        self.trace = []  # (round, y_raw, y_smoothed, phi_rad, accepted)
 
-    def current_bound(self) -> float:
-        return float(self.bound(self.round))
-
-    def propose(self) -> np.ndarray:
-        phi = self.current_bound()
+    def propose(self, phi: float) -> np.ndarray:
         delta = self.rng.uniform(-phi, phi, self.n_slaves)
         self.pending = (self.ref_phases + delta) % (2.0 * math.pi)
         return self.pending
 
-    def record(self, y_raw: float) -> bool:
+    def record(self, y_raw: float) -> tuple[float, bool]:
+        """(smoothed metric, whether the proposal was accepted)."""
         if not math.isfinite(y_raw):
             raise BeamformError("measurement must be finite")
         y = self.smoother.update(y_raw) if self.smoother else y_raw
@@ -328,10 +300,7 @@ class OneBitAligner:
         if accepted:
             self.ref_phases = self.pending.copy()
             self.y_ref = y
-        self.y_best = y if self.y_best is None else max(y, self.y_best)
-        self.trace.append((self.round, y_raw, y, self.current_bound(), accepted))
-        self.round += 1
-        return accepted
+        return y, accepted
 
 
 def simulate_update_rule(
@@ -345,17 +314,18 @@ def simulate_update_rule(
     """Monte-Carlo mean amplitude trajectory of the bare update rule.
 
     Ideal unit-gain channel, no noise, no smoothing, no dead band; used as
-    the cross-check against :func:`expected_amplitude_step`.  Returns the
-    mean reference amplitude for rounds 0..rounds (inclusive of the start),
-    plus the per-trial final amplitudes when ``return_finals`` is set.
+    the cross-check against :func:`expected_amplitude_step`.  ``bound`` is
+    one phase bound for every round or a ``(rounds,)`` array of them.
+    Returns the mean reference amplitude for rounds 0..rounds (inclusive of
+    the start), plus the per-trial final amplitudes when ``return_finals``
+    is set.
     """
-    phi_fn = bound if callable(bound) else (lambda n, b=float(bound): b)
+    phis = np.broadcast_to(np.asarray(bound, dtype=float), (rounds,))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(trials, n_slaves))
     amp = np.abs(np.exp(1j * phases).sum(axis=1))
     means = np.empty(rounds + 1)
     means[0] = amp.mean()
-    for n in range(rounds):
-        phi = phi_fn(n)
+    for n, phi in enumerate(phis):
         delta = rng.uniform(-phi, phi, size=(trials, n_slaves))
         cand = phases + delta
         cand_amp = np.abs(np.exp(1j * cand).sum(axis=1))
@@ -457,14 +427,16 @@ def amplitude_distributions(n_slaves: int, bound, rounds: int, y0: float):
     """Distribution of the amplitude on [0, N] for rounds 0..rounds.
 
     Starts from a point mass at y0, split between its two neighbouring grid
-    nodes so that its mean is y0.  Returns ``(grid, dists)``, one row of
-    ``dists`` per round; each distinct bound's transition is built once.
+    nodes so that its mean is y0.  ``bound`` is one phase bound for every
+    round or a ``(rounds,)`` array of them.  Returns ``(grid, dists)``, one
+    row of ``dists`` per round; each distinct bound's transition is built
+    once.
     """
     if not 0.0 <= y0 <= n_slaves * (1.0 + 1e-12):
         raise BeamformError("amplitude must lie in [0, n_slaves]")
     if rounds < 0:
         raise BeamformError("rounds must be >= 0")
-    phi_fn = bound if callable(bound) else (lambda n, b=float(bound): b)
+    phis = np.broadcast_to(np.asarray(bound, dtype=float), (rounds,))
     grid = _amplitude_grid(n_slaves)[0]
     pos = min(y0, float(n_slaves)) / (grid[1] - grid[0])
     k = min(int(pos), grid.size - 2)
@@ -472,8 +444,7 @@ def amplitude_distributions(n_slaves: int, bound, rounds: int, y0: float):
     dists[0, k] = 1.0 - (pos - k)
     dists[0, k + 1] = pos - k
     transitions = {}
-    for n in range(rounds):
-        phi = float(phi_fn(n))
+    for n, phi in enumerate(phis.tolist()):
         if phi not in transitions:
             transitions[phi] = amplitude_transition(n_slaves, phi)
         dists[n + 1] = dists[n] @ transitions[phi]

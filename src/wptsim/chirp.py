@@ -9,12 +9,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 
 class DspError(ValueError):
     pass
+
+
+# An envelope spectrum peak counts as a beat when it exceeds this multiple of
+# the median spectrum magnitude.
+ENVELOPE_PEAK_RATIO = 8.0
 
 
 @dataclass(frozen=True)
@@ -78,42 +84,31 @@ def _sweep_phase(params: ChirpParams, n: int) -> np.ndarray:
     return 2.0 * np.pi * (f0 * t + 0.5 * params.slope_hz_per_s * t * t)
 
 
-def generate_chirp(
-    params: ChirpParams,
-    amplitude: float = 1.0,
-    initial_phase: float = 0.0,
-    n_symbols: int = 1,
-) -> ComplexSignal:
-    """Linear up-chirp sweeping [-bw/2, +bw/2] around baseband per symbol.
+def generate_chirp(params: ChirpParams, n_symbols: int = 1) -> ComplexSignal:
+    """Unit-amplitude linear up-chirp sweeping [-bw/2, +bw/2] around
+    baseband per symbol.
 
     With ``n_symbols`` > 1 the symbol is repeated back to back with
     continuous sampling (a continuous chirp train).
     """
-    if amplitude < 0:
-        raise DspError("amplitude must be >= 0")
-    phase = _sweep_phase(params, params.n_samples)
-    symbol = amplitude * np.exp(1j * (phase + initial_phase))
+    symbol = np.exp(1j * _sweep_phase(params, params.n_samples))
     if n_symbols > 1:
         symbol = np.tile(symbol, n_symbols)
     return ComplexSignal(symbol, params.sample_rate_hz)
 
 
-def generate_sweep(
-    params: ChirpParams, n_symbols: int, amplitude: float = 1.0
-) -> ComplexSignal:
-    """Single uninterrupted linear sweep at the symbol chirp slope.
+def generate_sweep(params: ChirpParams, n_symbols: int) -> ComplexSignal:
+    """Single uninterrupted unit-amplitude linear sweep at the symbol chirp slope.
 
     Unlike the tiled symbol train this signal never wraps, so the beat of two
     time-shifted copies is one constant tone at slope * offset instead of a
     line comb at the symbol rate.  The sampled baseband is taken as is, with
     no band limiting.
     """
-    if amplitude < 0:
-        raise DspError("amplitude must be >= 0")
     if n_symbols < 1:
         raise DspError("need at least one symbol")
     phase = _sweep_phase(params, params.n_samples * n_symbols)
-    return ComplexSignal(amplitude * np.exp(1j * phase), params.sample_rate_hz)
+    return ComplexSignal(np.exp(1j * phase), params.sample_rate_hz)
 
 
 def _fft_len(n: int) -> int:
@@ -158,16 +153,22 @@ def block_mean(x: np.ndarray, n: int) -> np.ndarray:
     return x[:m].reshape(-1, n).mean(axis=1)
 
 
-def fluctuation_rate(
-    env: np.ndarray, sample_rate_hz: float, min_prominence: float = 8.0
-) -> float:
+@lru_cache(maxsize=8)
+def _hann(n: int) -> np.ndarray:
+    """Read-only Hann window of ``n`` points, shared by every caller."""
+    w = np.hanning(n)
+    w.setflags(write=False)
+    return w
+
+
+def fluctuation_rate(env: np.ndarray, sample_rate_hz: float) -> float:
     """Dominant nonzero-frequency peak of a real envelope, in Hz.
 
     ``env`` holds magnitude samples taken at ``sample_rate_hz``, or their
     :func:`block_mean` at the decimated rate.  The envelope is mean-removed
     and Hann-windowed before the FFT.  A flat envelope returns 0 Hz (the
     synchronized case), as does a spectrum whose strongest bin does not
-    stand ``min_prominence`` times above the median (a noisy but beat-free
+    stand ``ENVELOPE_PEAK_RATIO`` times above the median (a noisy but beat-free
     envelope).
     """
     env = np.asarray(env, dtype=float)
@@ -180,14 +181,14 @@ def fluctuation_rate(
     # Flat envelope: no fluctuation to measure.
     if np.max(np.abs(x)) <= 1e-9 * max(mean, 1e-300):
         return 0.0
-    x = x * np.hanning(x.size)
+    x = x * _hann(x.size)
     spec = np.abs(np.fft.rfft(x))
     spec[0] = 0.0
     peak = int(np.argmax(spec))
     if spec[peak] <= 0.0:
         return 0.0
     floor = float(np.median(spec))
-    if floor > 0 and spec[peak] < min_prominence * floor:
+    if floor > 0 and spec[peak] < ENVELOPE_PEAK_RATIO * floor:
         return 0.0
     return peak * sample_rate_hz / x.size
 
@@ -197,6 +198,15 @@ def fluctuation_bin_hz(n_samples: int, sample_rate_hz: float) -> float:
     return sample_rate_hz / n_samples
 
 
+def sample_noise_power(noise_floor_dbm: float, bandwidth_hz: float,
+                       sample_rate_hz: float) -> float:
+    """Total sample-domain power, in W, of white noise whose power within
+    ``bandwidth_hz`` equals the floor: a flat spectral density across the
+    sampled band scales the floor by the oversampling ratio."""
+    floor_w = 10.0 ** (noise_floor_dbm / 10.0) * 1e-3
+    return floor_w * (sample_rate_hz / bandwidth_hz)
+
+
 def awgn(
     n: int,
     rng: np.random.Generator,
@@ -204,24 +214,9 @@ def awgn(
     bandwidth_hz: float = 40e3,
     sample_rate_hz: float = 2.048e6,
 ) -> np.ndarray:
-    """Complex white noise whose power within ``bandwidth_hz`` equals the floor.
-
-    The total sample-domain power is the floor scaled by the oversampling
-    ratio, i.e. a flat spectral density across the sampled band.
-    """
-    sigma = noise_sigma(noise_floor_dbm, bandwidth_hz, sample_rate_hz)
-    return sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
-
-def noise_sigma(
-    noise_floor_dbm: float = -70.0,
-    bandwidth_hz: float = 40e3,
-    sample_rate_hz: float = 2.048e6,
-) -> float:
-    """Std deviation of each of the real and imaginary parts of :func:`awgn`."""
-    floor_w = 10.0 ** (noise_floor_dbm / 10.0) * 1e-3
-    total_power = floor_w * sample_rate_hz / bandwidth_hz
-    return math.sqrt(total_power / 2.0)
+    """Complex white noise whose power within ``bandwidth_hz`` equals the floor."""
+    return awgn_power(n, sample_noise_power(noise_floor_dbm, bandwidth_hz, sample_rate_hz),
+                      rng)
 
 
 def awgn_power(n: int, power: float, rng: np.random.Generator) -> np.ndarray:

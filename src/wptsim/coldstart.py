@@ -89,6 +89,11 @@ def field_power(matrix: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return np.abs(matrix @ np.exp(1j * np.asarray(phases))) ** 2
 
 
+# A voxel counts as scanned once its two-round mean power reaches this
+# fraction of its own coherent optimum.
+SCAN_POWER_FLOOR = 0.30
+
+
 @dataclass
 class ScanResult:
     scanning_ratio: float
@@ -103,14 +108,13 @@ def scanning_ratio(
     sigma_deg: float,
     n_perturbations: int,
     rng: np.random.Generator,
-    wake_power_floor: float = 0.30,
 ) -> ScanResult:
     """Fraction of voxels swept above the floor by the perturbed beams.
 
     Successive rounds accumulate the perturbations, so the beam pattern walks
     away from the leader-focused start and its lobes drift through the cube.
     A voxel counts as scanned once its received power, averaged over two
-    consecutive rounds, reaches ``wake_power_floor`` times its own coherent
+    consecutive rounds, reaches ``SCAN_POWER_FLOOR`` times its own coherent
     optimum; a harvesting node must hold that power across a full
     perturb-and-measure cycle before it can come up, so one-round flickers
     do not count.
@@ -119,7 +123,7 @@ def scanning_ratio(
         raise ValueError("empty grid")
     opt = coherent_optimum_power(matrix)
     phases = np.asarray(base_phases, dtype=float).copy()
-    floor = wake_power_floor * opt
+    floor = SCAN_POWER_FLOOR * opt
     scanned = np.zeros(matrix.shape[0], dtype=bool)
     cum = np.zeros(matrix.shape[0])
     prev = None

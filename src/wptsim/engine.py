@@ -16,7 +16,7 @@ import numpy as np
 
 from . import coldstart as cs
 from .backscatter import BackscatterNode, TransferCurve
-from .beamform import BoundSchedule, KalmanSmoother, OneBitAligner, compute_bound_schedule
+from .beamform import KalmanSmoother, OneBitAligner, compute_bound_schedule
 from .channel import (
     DEFAULT_FREQ_HZ,
     DEFAULT_TX_GAIN_DBI,
@@ -27,7 +27,7 @@ from .channel import (
     channel,
     dbm_to_watt,
 )
-from .chirp import ChirpParams, generate_chirp, noise_sigma
+from .chirp import ChirpParams, generate_chirp, sample_noise_power
 # The run path no longer calls awgn or p_ccs0; perfbench/tracer.py patches
 # both names in this namespace, so they stay importable from here.
 from .chirp import awgn, p_ccs0  # noqa: F401
@@ -211,18 +211,33 @@ def optimal_amplitude(scn: Scenario, node_coeffs=None):
     return scn.tx_amplitude * np.abs(np.asarray(node_coeffs)).sum(axis=-1)
 
 
-def _bound_for(scn: Scenario):
-    if scn.bound == "adaptive":
-        if scn.n_slaves < 2:
-            return lambda n: math.radians(30.0)
-        return compute_bound_schedule(scn.n_slaves, horizon=scn.rounds)
-    return lambda n, b=math.radians(float(scn.bound)): b
+def _bounds(scn: Scenario) -> np.ndarray:
+    """(rounds,) phase bound of each alignment round, in radians."""
+    if scn.bound != "adaptive":
+        return np.full(scn.rounds, math.radians(float(scn.bound)))
+    if scn.n_slaves < 2:
+        return np.full(scn.rounds, math.radians(30.0))
+    return compute_bound_schedule(scn.n_slaves, horizon=scn.rounds)
+
+
+def _converged_at(smoothed: np.ndarray) -> int:
+    """First round whose running-max smoothed metric rose by under 0.5%
+    over the previous 20 rounds; ``len(smoothed)`` when none did."""
+    best = np.maximum.accumulate(smoothed)
+    old, new = best[:-20], best[20:]
+    rise = np.divide(new - old, old, out=np.full(old.shape, np.inf), where=old > 0)
+    hits = np.flatnonzero(rise < 0.005)
+    return int(hits[0]) + 20 if hits.size else len(smoothed)
 
 
 def run_scenario(scn: Scenario) -> Metrics:
     streams = _streams(scn.seed)
     static = _static_phases(scn, streams)
     metrics = Metrics()
+    noise_power = 0.0
+    if scn.noise_floor_dbm is not None:
+        noise_power = sample_noise_power(scn.noise_floor_dbm, scn.chirp.bandwidth_hz,
+                                         scn.chirp.sample_rate_hz)
 
     node = BackscatterNode(
         position=scn.node_position,
@@ -234,11 +249,6 @@ def run_scenario(scn: Scenario) -> Metrics:
     if scn.sync.enabled and scn.n_slaves >= 2:
         metrics.stage_log.append("sync")
         offsets = streams["sync"].integers(0, scn.sync.offset_range + 1, scn.n_slaves)
-        noise_power = 0.0
-        if scn.noise_floor_dbm is not None:
-            noise_power = dbm_to_watt(scn.noise_floor_dbm) * (
-                scn.chirp.sample_rate_hz / scn.chirp.bandwidth_hz
-            )
         try:
             res = run_sync(
                 offsets, scn.chirp, streams["sync"],
@@ -291,43 +301,39 @@ def run_scenario(scn: Scenario) -> Metrics:
     metrics.optimal_amplitude_v = float(optimum[0])
     metrics.total_radiated_power_w = float(np.sum(amps ** 2))
 
-    bound = _bound_for(scn)
-    aligner = OneBitAligner(scn.n_slaves, streams["proposals"], bound,
+    bounds = _bounds(scn)
+    aligner = OneBitAligner(scn.n_slaves, streams["proposals"],
                             smoother=KalmanSmoother(), deadband_frac=scn.deadband_frac)
 
-    correlator = _correlator(scn, node)
+    correlator = _correlator(scn, node, noise_power)
     # Round n reads row n; a static node's single row serves every round.
     to_node = np.broadcast_to(to_node, (scn.rounds, scn.n_slaves))
     to_leader = np.broadcast_to(to_leader, (scn.rounds,))
     optimum = np.broadcast_to(optimum, (scn.rounds,))
 
-    y_best_history = []
-    converged_at = -1
+    raw = np.empty(scn.rounds)
+    smoothed = np.empty(scn.rounds)
+    achieved = np.zeros(scn.rounds)     # amplitude fraction of the optimum
     for n in range(scn.rounds):
-        phases = aligner.propose()
+        phases = aligner.propose(bounds[n])
         h = scn.tx_amplitude * np.sum(to_node[n] * np.exp(1j * phases))
         p_in = float(np.abs(h) ** 2)
         node.harvest_step(p_in, scn.round_time_s)
 
         y_raw = _measure(scn, node, h, p_in, to_leader[n], correlator, streams["noise"])
-        aligner.record(y_raw)
+        raw[n] = y_raw
+        smoothed[n], _ = aligner.record(y_raw)
+        if optimum[n] > 0:
+            achieved[n] = abs(h) / optimum[n]
 
-        achieved = abs(h) / optimum[n] if optimum[n] > 0 else 0.0
-        metrics.power_trace.append(achieved)
-        rnd, raw, smoothed, phi, _ = aligner.trace[-1]
-        metrics.metric_trace.append((rnd, raw, smoothed, math.degrees(phi)))
-
-        y_best_history.append(aligner.y_best)
-        if converged_at < 0 and len(y_best_history) > 20:
-            old = y_best_history[-21]
-            if old > 0 and (y_best_history[-1] - old) / old < 0.005:
-                converged_at = n
-    metrics.rounds_to_converge = converged_at if converged_at >= 0 else scn.rounds
+    metrics.power_trace = achieved.tolist()
+    metrics.metric_trace = list(zip(range(scn.rounds), raw.tolist(), smoothed.tolist(),
+                                    np.degrees(bounds).tolist()))
+    metrics.rounds_to_converge = _converged_at(smoothed)
     metrics.final_phases = [float(p) for p in aligner.ref_phases]
 
     window = max(1, scn.rounds // 4)
-    tail = np.asarray(metrics.power_trace[-window:])
-    metrics.power_percentage = float(np.mean(tail) ** 2)
+    metrics.power_percentage = float(np.mean(achieved[-window:]) ** 2)
 
     # --- optional incoherent baseline -------------------------------------
     if scn.baseline == "random_phase":
@@ -340,7 +346,8 @@ def run_scenario(scn: Scenario) -> Metrics:
     return metrics
 
 
-def _correlator(scn: Scenario, node: BackscatterNode) -> tuple[complex, float]:
+def _correlator(scn: Scenario, node: BackscatterNode,
+                noise_power: float) -> tuple[complex, float]:
     """(gain, sigma) of the leader's zero-lag correlator, once per run.
 
     Each round the leader receives ``ret * a * h * ref * mixer`` plus white
@@ -348,17 +355,15 @@ def _correlator(scn: Scenario, node: BackscatterNode) -> tuple[complex, float]:
     node's sideband.  The correlation is linear, so its output is
     ``a * h * ret * gain`` with ``gain = vdot(shifted, ref * mixer)``, plus a
     circular complex normal whose real and imaginary parts have std
-    ``sigma = noise_sigma * ||shifted||``.
+    ``sigma = sqrt(noise_power / 2) * ||shifted||``, with ``noise_power``
+    the receiver noise in the sample domain.
     """
     ref = generate_chirp(scn.chirp).samples
     fs = scn.chirp.sample_rate_hz
     t = np.arange(scn.chirp.n_samples) / fs
     shifted = ref * np.exp(1j * 2.0 * np.pi * node.shift_freq_hz * t)
     gain = complex(np.vdot(shifted, ref * node.mixer(ref.size, fs)))
-    sigma = 0.0
-    if scn.noise_floor_dbm is not None:
-        sigma = noise_sigma(scn.noise_floor_dbm, scn.chirp.bandwidth_hz, fs) * float(
-            np.linalg.norm(shifted))
+    sigma = math.sqrt(noise_power / 2.0) * float(np.linalg.norm(shifted))
     return gain, sigma
 
 

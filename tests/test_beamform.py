@@ -12,6 +12,7 @@ from scipy.special import ive
 from wptsim.beamform import (
     _SERIES_MAX_X,
     BeamformError,
+    _build_bound_schedule,
     KalmanSmoother,
     OneBitAligner,
     amplitude_distributions,
@@ -173,14 +174,14 @@ def test_expected_step_single_round_monte_carlo():
 
 def test_schedule_is_large_then_small():
     s = compute_bound_schedule(24, horizon=300)
-    assert s.phi(0) > s.phi(100) > s.phi(299)
-    assert s.phi(0) >= math.radians(45)
-    assert s.phi(299) <= math.radians(15)
+    assert s[0] > s[100] > s[299]
+    assert s[0] >= math.radians(45)
+    assert s[299] <= math.radians(15)
 
 
-# sha256 of optimal_rad and of [phi(n) for n in range(300)], horizon 300,
-# captured while bessel_ratio was scipy's ive(k, x) / ive(0, x) and phi
-# evaluated the polynomial on every call.
+# sha256 of the per-round grid optima and of the schedule, horizon 300,
+# captured while bessel_ratio was scipy's ive(k, x) / ive(0, x) and the
+# schedule evaluated the polynomial on every call.
 PINNED_SCHEDULES = {
     3: ("00c8bb131be60cd789a95b6280604fbd407dde542f61765d7f094cfe025980c6",
         "6f56d9caeab4ae28ee4acc134a920989cfde852375aa8f0f9d4c2dd447c2d20c"),
@@ -192,16 +193,16 @@ PINNED_SCHEDULES = {
 @pytest.mark.parametrize("n", sorted(PINNED_SCHEDULES))
 def test_schedule_is_pinned(n):
     s = compute_bound_schedule(n, horizon=300)
-    phis = np.array([s.phi(k) for k in range(300)])
-    assert (hashlib.sha256(s.optimal_rad.tobytes()).hexdigest(),
-            hashlib.sha256(phis.tobytes()).hexdigest()) == PINNED_SCHEDULES[n]
+    optima = _build_bound_schedule(n, 300, None)[1]
+    assert (hashlib.sha256(optima.tobytes()).hexdigest(),
+            hashlib.sha256(s.tobytes()).hexdigest()) == PINNED_SCHEDULES[n]
 
 
 def test_schedule_table_is_the_clipped_polynomial():
-    s = compute_bound_schedule(24, horizon=300)
+    s, _, coeffs = _build_bound_schedule(24, 300, None)
     for k in (0, 1, 150, 298, 299):
-        want = np.clip(np.polyval(s.coefficients, k), s.phi_min_rad, s.phi_max_rad)
-        assert s.phi(k) == float(want)
+        want = np.clip(np.polyval(coeffs, k), math.radians(1.0), math.radians(180.0))
+        assert s[k] == float(want)
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 7, 8])
@@ -211,18 +212,16 @@ def test_short_horizon_schedule_interpolates_its_optima(horizon):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         s = compute_bound_schedule(5, horizon=horizon)
-    np.testing.assert_allclose([s.phi(k) for k in range(horizon)], s.optimal_rad,
+    np.testing.assert_allclose(s, _build_bound_schedule(5, horizon, None)[1],
                                rtol=0.0, atol=1e-9)
     with pytest.raises(BeamformError):
         compute_bound_schedule(5, horizon=0)
 
 
-def test_schedule_clamps_outside_horizon():
+def test_schedule_has_one_bound_per_round_in_range():
     s = compute_bound_schedule(10, horizon=100)
-    assert s.phi(-5) == s.phi(0)
-    assert s.phi(1000) == s.phi(99)
-    for n in (0, 50, 99):
-        assert 0 < s.phi(n) <= math.pi
+    assert s.shape == (100,) and s.dtype == float
+    assert np.all((s > 0) & (s <= math.pi))
 
 
 def test_schedule_needs_two_slaves():
@@ -232,26 +231,20 @@ def test_schedule_needs_two_slaves():
 
 def test_schedule_is_shared_and_read_only():
     s = compute_bound_schedule(10, horizon=100)
-    again = compute_bound_schedule(10, horizon=100)
-    assert again == s
-    assert np.array_equal(again.optimal_rad, s.optimal_rad)
-    assert np.array_equal(again.coefficients, s.coefficients)
-    with pytest.raises(ValueError):
-        s.optimal_rad[0] = 0.0
-    with pytest.raises(ValueError):
-        s.coefficients[0] = 0.0
-    with pytest.raises(AttributeError):
-        s.horizon = 50
+    assert compute_bound_schedule(10, horizon=100) is s
+    for arr in _build_bound_schedule(10, 100, None):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_schedule_cache_keys_on_horizon_and_start():
-    s = compute_bound_schedule(10, horizon=100)
-    longer = compute_bound_schedule(10, horizon=120)
-    assert longer.horizon == 120 and longer.optimal_rad.shape == (120,)
-    assert not np.array_equal(longer.coefficients, s.coefficients)
-    near_optimum = compute_bound_schedule(10, horizon=100, y0=9.5)
-    assert near_optimum.optimal_rad[0] < s.optimal_rad[0]
-    assert not np.array_equal(near_optimum.optimal_rad, s.optimal_rad)
+    s, optima, coeffs = _build_bound_schedule(10, 100, None)
+    longer, longer_optima, longer_coeffs = _build_bound_schedule(10, 120, None)
+    assert longer.shape == longer_optima.shape == (120,)
+    assert not np.array_equal(longer_coeffs, coeffs)
+    near_optimum = _build_bound_schedule(10, 100, 9.5)[1]
+    assert near_optimum[0] < optima[0]
+    assert not np.array_equal(near_optimum, optima)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +264,7 @@ def test_transition_single_round_monte_carlo():
     (2, math.radians(60)),
     (5, math.radians(15)),
     (10, math.radians(180)),
-    (24, lambda r: math.radians(90.0 / (1 + r))),
+    pytest.param(24, np.radians(90.0 / (1 + np.arange(20))), id="24-decaying"),
 ])
 def test_amplitude_distributions_are_probabilities(n, bound):
     for y0 in (0.0, math.sqrt(n), float(n)):
@@ -303,7 +296,7 @@ def test_density_evolution_validation():
 
 def test_expected_trajectory_monotone_under_schedule():
     s = compute_bound_schedule(10, horizon=200)
-    traj = expected_trajectory(10, s.phi, 200, math.sqrt(10))
+    traj = expected_trajectory(10, s, 200, math.sqrt(10))
     assert np.all(np.diff(traj) >= -1e-9)
     assert traj[-1] <= 10.0 + 1e-9
     assert traj[-1] > 9.0
@@ -345,45 +338,46 @@ def _ideal_metric(phases):
 
 def test_aligner_improves_ideal_metric():
     rng = np.random.default_rng(1)
-    al = OneBitAligner(8, rng, math.radians(25))
+    al = OneBitAligner(8, rng)
     start = _ideal_metric(al.ref_phases)
     for _ in range(200):
-        ph = al.propose()
+        ph = al.propose(math.radians(25))
         al.record(_ideal_metric(ph))
     assert _ideal_metric(al.ref_phases) > max(start, 0.9 * 8)
 
 
 def test_aligner_rejects_worse_proposals():
     rng = np.random.default_rng(2)
-    al = OneBitAligner(4, rng, math.radians(30), deadband_frac=0.0)
-    ph0 = al.propose()
+    al = OneBitAligner(4, rng, deadband_frac=0.0)
+    ph0 = al.propose(math.radians(30))
     al.record(10.0)
     ref_after = al.ref_phases.copy()
-    al.propose()
-    accepted = al.record(5.0)  # clearly worse
-    assert not accepted
+    al.propose(math.radians(30))
+    y, accepted = al.record(5.0)  # clearly worse
+    assert y == 5.0 and not accepted
     assert np.array_equal(al.ref_phases, ref_after)
     assert np.array_equal(ref_after, ph0)
 
 
 def test_aligner_deadband_blocks_marginal_gains():
     rng = np.random.default_rng(3)
-    al = OneBitAligner(4, rng, math.radians(30), deadband_frac=0.01)
-    al.propose()
+    al = OneBitAligner(4, rng, deadband_frac=0.01)
+    phi = math.radians(30)
+    al.propose(phi)
     al.record(100.0)
-    al.propose()
-    assert not al.record(100.5)   # within 1% dead band
-    al.propose()
-    assert al.record(102.0)       # beyond it
+    al.propose(phi)
+    assert not al.record(100.5)[1]   # within 1% dead band
+    al.propose(phi)
+    assert al.record(102.0)[1]       # beyond it
 
 
 def test_aligner_deterministic_given_seed():
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(9)
-        al = OneBitAligner(6, rng, math.radians(30))
+        al = OneBitAligner(6, rng)
         for _ in range(50):
-            ph = al.propose()
+            ph = al.propose(math.radians(30))
             al.record(_ideal_metric(ph))
         runs.append(al.ref_phases.copy())
     assert np.array_equal(runs[0], runs[1])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,8 @@ import pytest
 import yaml
 
 import wptsim
+from wptsim import coldstart as cs
+from wptsim.chirp import ChirpParams
 from wptsim.cli import (
     ConfigError,
     apply_axis,
@@ -19,6 +22,7 @@ from wptsim.cli import (
     parse_config,
     serialize_config,
 )
+from wptsim.engine import Scenario, SyncSettings
 
 MINIMAL = {
     "scenario": {
@@ -55,6 +59,30 @@ def test_config_round_trip():
     # And the derived scenario objects agree too.
     assert build_scenario(again["scenario"], 1) == build_scenario(
         cfg["scenario"], 1)
+
+
+def test_config_defaults_match_dataclass_defaults():
+    # The config's defaults and the dataclasses' defaults are written out
+    # twice; a scenario built from an empty config must not drift from them.
+    # Fields whose default is itself a dataclass are compared field by field
+    # below, except the medium: a bare MediumMap is air, while the config's
+    # default node sits in muscle.
+    scn = build_scenario(parse_config({})["scenario"], Scenario.seed)
+    checked = 0
+    for obj, cls in ((scn, Scenario), (scn.sync, SyncSettings),
+                     (scn.cold_start, cs.ColdStartConfig), (scn.chirp, ChirpParams)):
+        for f in dataclasses.fields(cls):
+            if f.default is not dataclasses.MISSING:
+                want = f.default
+            elif f.default_factory is not dataclasses.MISSING:
+                want = f.default_factory()
+            else:
+                continue
+            if dataclasses.is_dataclass(want):
+                continue
+            assert getattr(obj, f.name) == want, f"{cls.__name__}.{f.name}"
+            checked += 1
+    assert checked >= 20
 
 
 def test_unknown_field_is_named_in_error():

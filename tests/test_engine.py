@@ -12,7 +12,14 @@ from wptsim import coldstart as cs, engine
 from wptsim.backscatter import BackscatterNode
 from wptsim.beamform import OneBitAligner
 from wptsim.channel import MediumMap, Position, SPEED_OF_LIGHT, channel
-from wptsim.chirp import ChirpParams, ComplexSignal, awgn, generate_chirp, p_ccs0
+from wptsim.chirp import (
+    ChirpParams,
+    ComplexSignal,
+    awgn,
+    generate_chirp,
+    p_ccs0,
+    sample_noise_power,
+)
 from wptsim.cli import build_scenario, parse_config
 from wptsim.engine import (
     EngineError,
@@ -214,7 +221,9 @@ def test_closed_form_measurement_matches_samples_in_distribution(snr):
     node = BackscatterNode(position=scn.node_position, awake=snr is not None)
     h = 0.02 * np.exp(0.4j)
     p_in = abs(h) ** 2
-    correlator = engine._correlator(scn, node)
+    noise_power = sample_noise_power(scn.noise_floor_dbm, scn.chirp.bandwidth_hz,
+                                     scn.chirp.sample_rate_hz)
+    correlator = engine._correlator(scn, node, noise_power)
     gain, sigma = correlator
     nu = 0.0
     ret = 1e-3 * np.exp(-1.1j)
@@ -242,8 +251,9 @@ def _run_with(measure, scn, monkeypatch):
 
     class Recording(OneBitAligner):
         def record(self, y_raw):
-            decisions.append(super().record(y_raw))
-            return decisions[-1]
+            out = super().record(y_raw)
+            decisions.append(out[1])
+            return out
 
     monkeypatch.setattr(engine, "OneBitAligner", Recording)
     monkeypatch.setattr(engine, "_measure", measure)
@@ -296,6 +306,51 @@ def test_total_radiated_power_reported():
     m = run_scenario(scn)
     assert m.total_radiated_power_w == pytest.approx(
         scn.n_slaves * scn.tx_amplitude ** 2)
+
+
+def _converged_at_by_loop(smoothed):
+    """The convergence rule as the alignment loop once applied it, round by
+    round on a running-max history: the first round past the 20th whose
+    best-so-far metric rose by under 0.5% over the last 20 rounds."""
+    history, best = [], None
+    for n, y in enumerate(smoothed):
+        best = y if best is None else max(y, best)
+        history.append(best)
+        if len(history) > 20:
+            old = history[-21]
+            if old > 0 and (history[-1] - old) / old < 0.005:
+                return n
+    return len(smoothed)
+
+
+def _convergence_traces():
+    rng = np.random.default_rng(11)
+    yield "constant", np.full(40, 3.0)            # converges at round 20 exactly
+    yield "short", np.full(20, 3.0)               # never has 20 rounds of history
+    yield "one", np.array([1.0])
+    yield "zeros", np.zeros(60)
+    yield "at_threshold", np.concatenate((np.full(20, 1000.0), np.full(30, 1005.0)))
+    yield "zeros_then_growth", np.concatenate((np.zeros(15), np.linspace(1.0, 2.0, 45)))
+    yield "steady_growth", np.linspace(1.0, 10.0, 80)   # never slows to 0.5%
+    yield "plateau", np.minimum(np.linspace(1.0, 5.0, 100), 4.0)
+    for k in range(20):
+        steps = rng.exponential(rng.uniform(0.0, 0.0005), 120)
+        noise = rng.normal(0.0, rng.uniform(0.0, 0.01), 120)
+        yield f"random_{k}", np.maximum(np.cumsum(steps) + 1.0 + noise, 0.0)
+
+
+@pytest.mark.parametrize("name,trace", list(_convergence_traces()))
+def test_converged_at_matches_the_running_max_loop(name, trace):
+    assert engine._converged_at(trace) == _converged_at_by_loop(trace.tolist())
+
+
+def test_converged_at_cases():
+    assert engine._converged_at(np.full(40, 3.0)) == 20
+    assert engine._converged_at(np.full(20, 3.0)) == 20
+    assert engine._converged_at(np.zeros(60)) == 60
+    # A rise of exactly 0.5% is not convergence.
+    at_threshold = np.concatenate((np.full(20, 1000.0), np.full(30, 1005.0)))
+    assert engine._converged_at(at_threshold) == 40
 
 
 def test_metrics_json_is_valid():
