@@ -13,7 +13,6 @@ transition and its mean is read off each round.
 from __future__ import annotations
 
 import math
-from collections import deque
 from functools import lru_cache
 
 import numpy as np
@@ -221,7 +220,10 @@ class KalmanSmoother:
     def __init__(self):
         self.x = None
         self.p = 0.0
-        self._innovations = deque(maxlen=_INNOVATION_WINDOW)
+        # The last W innovations, oldest first, as a contiguous view of a 2W
+        # buffer: value k of the stream goes to slots k % W and k % W + W.
+        self._buf = np.empty(2 * _INNOVATION_WINDOW)
+        self._count = 0
 
     def update(self, z: float) -> float:
         if not math.isfinite(z):
@@ -231,8 +233,10 @@ class KalmanSmoother:
             self.p = (0.5 * abs(z)) ** 2 + 1e-300
             return self.x
         innov = z - self.x
-        self._innovations.append(innov)
-        r = self._measurement_noise()
+        slot = self._count % _INNOVATION_WINDOW
+        self._buf[slot] = self._buf[slot + _INNOVATION_WINDOW] = innov
+        self._count += 1
+        r = self._measurement_noise(innov)
         q = _Q_RATIO * r
         p_pred = self.p + q
         k = p_pred / (p_pred + r)
@@ -240,10 +244,15 @@ class KalmanSmoother:
         self.p = (1.0 - k) * p_pred
         return self.x
 
-    def _measurement_noise(self) -> float:
-        if len(self._innovations) < 3:
-            return max(self._innovations[-1] ** 2, self.p, 1e-300)
-        var = float(np.var(np.asarray(self._innovations)))
+    def _measurement_noise(self, innov: float) -> float:
+        n = min(self._count, _INNOVATION_WINDOW)
+        if n < 3:
+            return max(innov ** 2, self.p, 1e-300)
+        start = (self._count - n) % _INNOVATION_WINDOW
+        w = self._buf[start:start + n]
+        # np.var's own arithmetic, in its order, without its dispatch.
+        d = w - w.sum() / n
+        var = float((d * d).sum() / n)
         return max(var - self.p, 0.1 * var, 1e-300)
 
 

@@ -135,6 +135,15 @@ def parse_config(doc) -> dict:
             raise ConfigError(f"sweep.{axis} values must be finite")
 
     hm = _merge_section(doc.get("heatmap"), HEATMAP_DEFAULTS, "heatmap")
+    if not isinstance(hm["enabled"], bool):
+        raise ConfigError("heatmap.enabled must be true or false")
+    for key in ("cube_m", "voxel_m"):
+        v = hm[key]
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
+                math.isfinite(v) and v > 0):
+            raise ConfigError(f"heatmap.{key} must be a finite number > 0, not {v!r}")
+    if hm["voxel_m"] > hm["cube_m"]:
+        raise ConfigError("heatmap.voxel_m must not exceed heatmap.cube_m")
     return {"scenario": scenario, "seeds": seeds, "sweep": dict(sweep), "heatmap": hm}
 
 
@@ -229,14 +238,13 @@ def apply_axis(scn_cfg: dict, axis: str, value) -> dict:
 # Artifact writers.
 
 def write_trace(metrics: Metrics, path) -> None:
+    """Per-round CSV with ``csv.writer``'s CRLF line ends, in one write."""
+    lines = ["round,y_raw,y_smoothed,phi_deg,power_percentage"]
+    lines += [f"{rnd},{raw:.9g},{smoothed:.9g},{phi:.6f},{amp * amp:.9g}"
+              for (rnd, raw, smoothed, phi), amp in zip(metrics.metric_trace,
+                                                        metrics.power_trace)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round", "y_raw", "y_smoothed", "phi_deg", "power_percentage"])
-        for (rnd, raw, smoothed, phi), amp in zip(
-            metrics.metric_trace, metrics.power_trace
-        ):
-            w.writerow([rnd, f"{raw:.9g}", f"{smoothed:.9g}", f"{phi:.6f}",
-                        f"{amp * amp:.9g}"])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def write_heatmap(scn: Scenario, metrics: Metrics, hm_cfg: dict, path) -> None:
@@ -251,9 +259,9 @@ def run_one(cfg: dict, scn_cfg: dict, seed: int, out_dir: str, tag: str,
     scn = build_scenario(scn_cfg, seed)
     metrics = run_scenario(scn)
     stem = f"run_{tag}seed{seed}"
-    doc = {"point": point, "seed": seed, "metrics": json.loads(metrics.to_json())}
+    doc = {"point": point, "seed": seed, "metrics": metrics.as_dict()}
     with open(os.path.join(out_dir, stem + ".json"), "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write(json.dumps(doc, sort_keys=True, indent=1))
     if metrics.metric_trace:
         write_trace(metrics, os.path.join(out_dir, stem + "_trace.csv"))
     if cfg["heatmap"]["enabled"] and metrics.final_phases:

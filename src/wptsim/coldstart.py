@@ -185,6 +185,21 @@ class ColdStartRunner:
 
 
 def export_heatmap(points: np.ndarray, power_w: np.ndarray, path) -> None:
-    """CSV export: x_m, y_m, z_m, power_w."""
-    data = np.column_stack([points, power_w])
-    np.savetxt(path, data, delimiter=",", header="x_m,y_m,z_m,power_w", comments="")
+    """CSV export: x_m, y_m, z_m, power_w.
+
+    The bytes are those of ``np.savetxt`` with its default ``%.18e``, in one
+    write.  A grid has few distinct coordinates, so each is formatted once;
+    they are told apart by their bits, which keeps -0.0 apart from 0.0.
+    """
+    points = np.ascontiguousarray(points, dtype=float)
+    power_w = np.asarray(power_w, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3 or power_w.shape != points.shape[:1]:
+        raise ValueError("need (V, 3) points and (V,) powers")
+    bits, index = np.unique(points.view(np.uint64), return_inverse=True)
+    coords = np.array(["%.18e" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    cells = np.empty((len(points), 4), dtype=object)
+    cells[:, :3] = coords[index.reshape(points.shape)]
+    cells[:, 3] = power_w
+    with open(path, "w") as fh:
+        fh.write(("x_m,y_m,z_m,power_w\n" + "%s,%s,%s,%.18e\n" * len(points))
+                 % tuple(cells.ravel()))

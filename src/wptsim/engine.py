@@ -135,11 +135,16 @@ class Metrics:
     optimal_amplitude_v: float = 0.0
     total_radiated_power_w: float = 0.0
 
+    def as_dict(self) -> dict:
+        """Field name -> value, the values shared, not copied.
+
+        Every field is a number, a string, a list or None, so json encodes
+        them as they are; dataclasses.asdict would deep-copy every trace.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def to_json(self) -> str:
-        # Every field is a number, a string, a list or None, so json encodes
-        # them as they are; dataclasses.asdict would deep-copy every trace.
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(doc, sort_keys=True, indent=1)
+        return json.dumps(self.as_dict(), sort_keys=True, indent=1)
 
 
 def node_position_at(trajectory, t: float) -> Position:
@@ -381,16 +386,46 @@ def _measure(scn, node, h, p_in, ret_coeff, correlator, rng):
     return float(abs(y))
 
 
+# OpenBLAS runs a complex matrix-vector product (zgemv) on the calling
+# thread only while the matrix holds fewer than 1024 *
+# GEMM_MULTITHREAD_THRESHOLD (4) = 4,096 entries; above that it wakes its
+# threads, which then busy-wait on the cores other sweep workers need.  A
+# block of B voxels by N slaves stays below the threshold when
+# B <= 4,095 // N: 170 voxels for 24 slaves.
+_SERIAL_BLAS_ENTRIES = 4095
+
+
+def _heatmap_block(n_slaves: int) -> int:
+    """Voxels per heatmap block for ``n_slaves`` slaves; at least two, so
+    that no block is a single row (see :func:`heatmap`)."""
+    return max(2, _SERIAL_BLAS_ENTRIES // n_slaves)
+
+
 def heatmap(scn: Scenario, phases, grid_points: np.ndarray) -> np.ndarray:
-    """Coherent field power per grid point for the given transmit phases."""
-    if scn.n_slaves == 0 or len(phases) == 0:
-        return np.zeros(grid_points.shape[0])
-    m = cs.field_matrix(
-        scn.slave_positions, grid_points, scn.freq_hz, scn.tx_gain_dbi,
-        static_phases=_static_phases(scn, _streams(scn.seed)),
-        tx_amplitudes=np.full(scn.n_slaves, scn.tx_amplitude),
-    )
-    return cs.field_power(m, np.asarray(phases))
+    """Coherent field power per grid point for the given transmit phases.
+
+    The grid is computed in blocks of :func:`_heatmap_block` voxels, so each
+    block's field matrix is small and its product runs on one thread.
+    """
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (scn.n_slaves,):
+        raise EngineError(f"need {scn.n_slaves} phases, not {phases.size}")
+    slaves = np.asarray(scn.slave_positions, dtype=float)
+    static = _static_phases(scn, _streams(scn.seed))
+    amps = np.full(scn.n_slaves, scn.tx_amplitude)
+    n_points = grid_points.shape[0]
+    block = _heatmap_block(scn.n_slaves)
+    power = np.empty(n_points)
+    for start in range(0, n_points, block):
+        # The last block ends at the grid's end and overlaps the one before
+        # it, so a block has one row only on a one-voxel grid: numpy computes
+        # a one-row product as a dot product, whose sum order differs from
+        # zgemv's in the last bit.
+        lo = max(0, min(start, n_points - block))
+        m = cs.field_matrix(slaves, grid_points[lo:lo + block], scn.freq_hz,
+                            scn.tx_gain_dbi, static_phases=static, tx_amplitudes=amps)
+        power[lo:lo + block] = cs.field_power(m, phases)
+    return power
 
 
 def aligned_phases(scn: Scenario) -> np.ndarray:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import warnings
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
@@ -327,6 +328,46 @@ def test_smoother_reduces_noise_variance():
 def test_smoother_rejects_non_finite():
     with pytest.raises(BeamformError):
         KalmanSmoother().update(math.nan)
+
+
+class _DequeSmoother:
+    """The smoother with its window kept as a deque and ``np.var`` over it:
+    the reference the buffered window must equal bit for bit."""
+
+    def __init__(self):
+        self.x = None
+        self.p = 0.0
+        self._innovations = deque(maxlen=30)
+
+    def update(self, z):
+        if self.x is None:
+            self.x = z
+            self.p = (0.5 * abs(z)) ** 2 + 1e-300
+            return self.x
+        innov = z - self.x
+        self._innovations.append(innov)
+        if len(self._innovations) < 3:
+            r = max(self._innovations[-1] ** 2, self.p, 1e-300)
+        else:
+            var = float(np.var(np.asarray(self._innovations)))
+            r = max(var - self.p, 0.1 * var, 1e-300)
+        p_pred = self.p + 2.0 * r
+        k = p_pred / (p_pred + r)
+        self.x = self.x + k * innov
+        self.p = (1.0 - k) * p_pred
+        return self.x
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 29, 30, 31, 32, 59, 60, 61, 97, 300])
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6])
+def test_smoother_window_equals_deque_variance(length, scale):
+    rng = np.random.default_rng(length)
+    zs = scale * (3.0 + rng.standard_normal(length) * rng.uniform(0.01, 2.0))
+    zs[::7] *= -1.0     # sign flips give innovations of mixed sign and size
+    sm, oracle = KalmanSmoother(), _DequeSmoother()
+    for z in zs.tolist():
+        assert sm.update(z) == oracle.update(z)
+        assert sm.p == oracle.p
 
 
 # ---------------------------------------------------------------------------

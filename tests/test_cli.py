@@ -11,18 +11,22 @@ import pytest
 import yaml
 
 import wptsim
+from test_golden import SCENARIOS
 from wptsim import coldstart as cs
 from wptsim.chirp import ChirpParams
 from wptsim.cli import (
     ConfigError,
     apply_axis,
     build_scenario,
+    cmd_sweep,
     load_config,
     main,
     parse_config,
+    run_one,
     serialize_config,
+    write_trace,
 )
-from wptsim.engine import Scenario, SyncSettings
+from wptsim.engine import Scenario, SyncSettings, run_scenario
 
 MINIMAL = {
     "scenario": {
@@ -139,6 +143,89 @@ def test_run_verb_heatmap_csv(tmp_path):
     lines = (out / "run_seed1_heatmap.csv").read_text().strip().splitlines()
     assert lines[0] == "x_m,y_m,z_m,power_w"
     assert all(len(l.split(",")) == 4 for l in lines[1:])
+
+
+@pytest.mark.parametrize("heatmap, field", [
+    ({"voxel_m": 0}, "voxel_m"),
+    ({"voxel_m": -0.1}, "voxel_m"),
+    ({"voxel_m": math.inf}, "voxel_m"),
+    ({"voxel_m": "small"}, "voxel_m"),
+    ({"cube_m": math.nan}, "cube_m"),
+    ({"cube_m": 0.0}, "cube_m"),
+    ({"cube_m": True}, "cube_m"),
+    ({"cube_m": 0.1, "voxel_m": 0.2}, "voxel_m"),
+    ({"enabled": "yes"}, "enabled"),
+    ({"enabled": 1}, "enabled"),
+])
+def test_bad_heatmap_exits_2_naming_the_field(tmp_path, capsys, heatmap, field):
+    doc = dict(MINIMAL, heatmap=dict({"enabled": True}, **heatmap))
+    with pytest.raises(ConfigError, match=f"heatmap.{field}"):
+        parse_config(doc)
+    cfg_path = write_cfg(tmp_path, doc)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert f"heatmap.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("heatmap", [{"cube_m": 0.1, "voxel_m": 0.1},
+                                     {"cube_m": 2, "voxel_m": 1},
+                                     {"enabled": False, "voxel_m": 0.01}])
+def test_good_heatmap_is_accepted(heatmap):
+    assert parse_config(dict(MINIMAL, heatmap=heatmap))["heatmap"] == dict(
+        {"enabled": False, "cube_m": 1.0, "voxel_m": 0.05}, **heatmap)
+
+
+def _csv_writer_trace(metrics, path):
+    """The trace CSV as ``csv.writer`` wrote it: the byte-for-byte reference."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["round", "y_raw", "y_smoothed", "phi_deg", "power_percentage"])
+        for (rnd, raw, smoothed, phi), amp in zip(metrics.metric_trace,
+                                                  metrics.power_trace):
+            w.writerow([rnd, f"{raw:.9g}", f"{smoothed:.9g}", f"{phi:.6f}",
+                        f"{amp * amp:.9g}"])
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_run_one_writes_the_round_tripped_document(tmp_path, name):
+    # The run document and trace as the json and csv modules wrote them.
+    scn_cfg, seed, _ = SCENARIOS[name]
+    cfg = parse_config({"scenario": scn_cfg})
+    point = {"speed_m_per_s": 1.0}
+    run_one(cfg, cfg["scenario"], seed, str(tmp_path), "t_", point)
+    metrics = run_scenario(build_scenario(cfg["scenario"], seed))
+    with open(tmp_path / "want.json", "w") as fh:
+        json.dump({"point": point, "seed": seed,
+                   "metrics": json.loads(metrics.to_json())}, fh, sort_keys=True, indent=1)
+    stem = tmp_path / f"run_t_seed{seed}"
+    assert stem.with_suffix(".json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    _csv_writer_trace(metrics, tmp_path / "want.csv")
+    trace = tmp_path / f"run_t_seed{seed}_trace.csv"
+    assert trace.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_write_trace_matches_csv_writer_on_extreme_values(tmp_path):
+    metrics = run_scenario(build_scenario(parse_config(MINIMAL)["scenario"], 1))
+    metrics.metric_trace = [(0, 0.0, -0.0, 180.0), (1, 1e-300, 5e-324, 1e-7),
+                            (2, 1e300, math.inf, -360.0), (3, math.nan, 123456789.0, 0.5)]
+    metrics.power_trace = [0.0, 1e-160, 1.0, 0.999999999]
+    write_trace(metrics, tmp_path / "got.csv")
+    _csv_writer_trace(metrics, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_sweep_on_a_pool_writes_the_serial_bytes(tmp_path):
+    doc = {"scenario": dict(MINIMAL["scenario"], rounds=20, baseline="random_phase"),
+           "seeds": [3, 4], "sweep": {"speed_m_per_s": [0.0, 1.0]},
+           "heatmap": {"enabled": True, "cube_m": 0.4, "voxel_m": 0.1}}
+    cfg = parse_config(doc)
+    pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+    assert cmd_sweep(cfg, str(pooled), 2) == 0
+    assert cmd_sweep(cfg, str(serial), 1) == 0
+    names = sorted(os.listdir(serial))
+    assert names == sorted(os.listdir(pooled))
+    assert len(names) == 2 + 4 * 3     # config, summary; json, trace, heatmap per run
+    for name in names:
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
 
 
 def test_run_is_reproducible(tmp_path):

@@ -138,3 +138,40 @@ def test_export_heatmap_schema(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x_m,y_m,z_m,power_w"
     assert len(lines) == 1 + pts.shape[0]
+
+
+def _savetxt_bytes(points, power, path):
+    """The export as ``np.savetxt`` wrote it: the byte-for-byte reference."""
+    np.savetxt(path, np.column_stack([points, power]), delimiter=",",
+               header="x_m,y_m,z_m,power_w", comments="")
+    return path.read_bytes()
+
+
+def _export_cases():
+    rng = np.random.default_rng(4)
+    grid = cs.cube_grid(Position(0.3, -0.2, -0.1), 1.0, 0.05)
+    scattered = rng.standard_normal((500, 3)) * 10.0 ** rng.uniform(-300, 300, (500, 3))
+    scattered[:5] = [[-0.0, 0.0, -0.0], [0.0, -0.0, 5e-324], [-5e-324, 1e308, -1e308],
+                     [1e-5, -1e-5, 123456789.0], [np.pi, -np.e, 1.0]]
+    return {
+        "cube": (grid, rng.uniform(0.0, 1e-3, len(grid))),
+        "scattered": (scattered, 10.0 ** rng.uniform(-320, 300, 500)),
+        "one_voxel": (cs.cube_grid(Position(0, 0, 0), 0.1, 0.1), np.array([0.25])),
+        "zero_power": (grid[:64], np.zeros(64)),
+        "empty": (np.empty((0, 3)), np.empty(0)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_export_cases()))
+def test_export_heatmap_matches_savetxt_bytes(tmp_path, name):
+    points, power = _export_cases()[name]
+    cs.export_heatmap(points, power, tmp_path / "fast.csv")
+    want = _savetxt_bytes(points, power, tmp_path / "savetxt.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == want
+
+
+def test_export_heatmap_rejects_mismatched_shapes(tmp_path):
+    with pytest.raises(ValueError):
+        cs.export_heatmap(np.zeros((4, 3)), np.zeros(3), tmp_path / "h.csv")
+    with pytest.raises(ValueError):
+        cs.export_heatmap(np.zeros((4, 2)), np.zeros(4), tmp_path / "h.csv")

@@ -415,6 +415,59 @@ def test_heatmap_peaks_at_focus():
     assert dist <= 0.1
 
 
+def _unblocked_heatmap(scn, phases, grid):
+    """The whole grid as one field matrix: the reference for the blocks."""
+    m = cs.field_matrix(
+        scn.slave_positions, grid, scn.freq_hz, scn.tx_gain_dbi,
+        static_phases=engine._static_phases(scn, engine._streams(scn.seed)),
+        tx_amplitudes=np.full(scn.n_slaves, scn.tx_amplitude))
+    return cs.field_power(m, np.asarray(phases))
+
+
+@pytest.mark.parametrize("n", [1, 3, 24, 2100])
+def test_blocked_heatmap_equals_one_matrix(n):
+    # 2,100 slaves give two-row blocks, the floor that keeps every block off
+    # numpy's one-row dot product.
+    scn = bench_scenario(n=n, seed=n)
+    phases = np.random.default_rng(n).uniform(0.0, 2.0 * math.pi, n)
+    grid = cs.cube_grid(scn.node_position, 1.0, 0.05)     # 8000 voxels
+    block = engine._heatmap_block(n)
+    sizes = (1, block - 1, block, block + 1, 2 * block + 1)
+    for v in sizes + ((8000,) if n <= 24 else ()):
+        points = grid[:v]
+        assert np.array_equal(heatmap(scn, phases, points),
+                              _unblocked_heatmap(scn, phases, points)), v
+
+
+@pytest.mark.parametrize("n, v", [(1, 5000), (3, 3000), (24, 8000), (24, 171),
+                                  (24, 1), (300, 100)])
+def test_heatmap_blocks_stay_below_blas_threading(monkeypatch, n, v):
+    # OpenBLAS threads a zgemv from 4,096 matrix entries on; every block
+    # stays below that, and none but a one-voxel grid's has a single row.
+    shapes = []
+    field_matrix = cs.field_matrix
+
+    def spy(slaves, points, *args, **kwargs):
+        shapes.append(points.shape[0])
+        return field_matrix(slaves, points, *args, **kwargs)
+
+    monkeypatch.setattr(cs, "field_matrix", spy)
+    scn = bench_scenario(n=n)
+    grid = cs.cube_grid(scn.node_position, 1.0, 0.05)[:v]
+    heatmap(scn, np.zeros(n), grid)
+    assert all(rows * n < 4096 for rows in shapes)
+    assert all(rows >= 2 for rows in shapes) or v == 1
+    assert sum(shapes) >= v
+
+
+def test_heatmap_needs_one_phase_per_slave():
+    scn = bench_scenario(n=4)
+    grid = cs.cube_grid(scn.node_position, 0.2, 0.1)
+    for phases in ([], [0.0] * 3, [0.0] * 5):
+        with pytest.raises(EngineError, match="4 phases"):
+            heatmap(scn, phases, grid)
+
+
 def test_region_axis_ratio_on_synthetic_ellipsoid():
     # Gaussian blob with a 3:1 axis ratio on a regular grid.
     ax = np.arange(-1, 1.001, 0.05)
