@@ -75,23 +75,27 @@ _FIXED_LOSS = {
 
 @dataclass(frozen=True)
 class MediumSegment:
+    """One traversed medium.  ``length_m`` is a length in m, or an array of
+    lengths, one per link, that every computation carries elementwise."""
+
     kind: SegmentKind
-    length_m: float = 0.0
+    length_m: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if self.length_m < 0:
-            raise ChannelError("segment length must be >= 0")
-        if self.kind in _FIXED_LOSS and self.length_m != 0.0:
-            raise ChannelError(f"{self.kind.value} segments carry no length")
-
-    def loss_db(self, freq_hz: float = DEFAULT_FREQ_HZ) -> float:
+        # ndarray.any: np.any's dispatch costs more than the test itself.
+        length = np.asarray(self.length_m)
         if self.kind in _FIXED_LOSS:
-            return _FIXED_LOSS[self.kind]
+            if (length != 0.0).any():
+                raise ChannelError(f"{self.kind.value} segments carry no length")
+        elif (length < 0).any():
+            raise ChannelError("segment length must be >= 0")
+
+    def loss_db(self, freq_hz: float = DEFAULT_FREQ_HZ):
         if self.kind is SegmentKind.AIR:
             return air_loss(self.length_m, freq_hz)
         if self.kind is SegmentKind.MUSCLE:
             return muscle_loss(self.length_m)
-        raise ChannelError(f"unknown segment kind {self.kind}")
+        return _FIXED_LOSS[self.kind]
 
 
 def air_loss(d_m, freq_hz: float = DEFAULT_FREQ_HZ):
@@ -99,27 +103,25 @@ def air_loss(d_m, freq_hz: float = DEFAULT_FREQ_HZ):
 
     Reproduces the 31.67 dB (1 m) and 51.67 dB (10 m) endpoints at 915 MHz.
     """
-    if np.any(np.asarray(d_m) <= 0) or freq_hz <= 0:
+    if (np.asarray(d_m) <= 0).any() or freq_hz <= 0:
         raise ChannelError("distance and frequency must be positive")
     return 20.0 * np.log10(4.0 * math.pi * d_m * freq_hz / SPEED_OF_LIGHT)
 
 
 def muscle_loss(d_m):
     """Muscle path loss in dB, linear in depth (4.6 dB/cm), zero at d = 0."""
-    if np.any(np.asarray(d_m) < 0):
+    if (np.asarray(d_m) < 0).any():
         raise ChannelError("muscle depth must be >= 0")
     return MUSCLE_SLOPE_DB_PER_M * d_m
 
 
 @dataclass(frozen=True)
 class LinkBudget:
-    segments: tuple
+    """A link's budget; array segment lengths give arrays of all three."""
+
     total_loss_db: float
     phase_rad: float  # geometric phase, in [0, 2*pi)
-
-    @property
-    def path_length_m(self) -> float:
-        return sum(s.length_m for s in self.segments)
+    path_length_m: float
 
 
 def compose_budget(segments, freq_hz: float = DEFAULT_FREQ_HZ) -> LinkBudget:
@@ -135,7 +137,7 @@ def compose_budget(segments, freq_hz: float = DEFAULT_FREQ_HZ) -> LinkBudget:
     wavelength = SPEED_OF_LIGHT / freq_hz
     path_len = sum(s.length_m for s in segments)
     phase = (2.0 * math.pi * path_len / wavelength) % (2.0 * math.pi)
-    return LinkBudget(segments=segments, total_loss_db=total, phase_rad=phase)
+    return LinkBudget(total_loss_db=total, phase_rad=phase, path_length_m=path_len)
 
 
 def received_power_dbm(tx_power_dbm: float, budget: LinkBudget) -> float:
@@ -169,14 +171,16 @@ class MediumMap:
     muscle_depth_m: float = 0.0
 
     def __post_init__(self):
-        if self.muscle_depth_m < 0:
-            raise ChannelError("muscle depth must be >= 0")
+        if not (math.isfinite(self.muscle_depth_m) and self.muscle_depth_m >= 0):
+            raise ChannelError(
+                f"muscle_depth_m must be finite and >= 0, not {self.muscle_depth_m!r}")
 
 
-def one_way_segments(distance_m: float, medium: MediumMap, inbound: bool):
-    """Segments for a single traversal; ``inbound`` means air -> tissue."""
+def one_way_segments(distance_m, medium: MediumMap, inbound: bool):
+    """Segments for one traversal of ``distance_m``, a link length or an
+    array of them; ``inbound`` means air -> tissue."""
     depth = medium.muscle_depth_m
-    if depth >= distance_m:
+    if (depth >= np.asarray(distance_m)).any():
         raise ChannelError("muscle depth must be smaller than link distance")
     if depth == 0.0:
         return [MediumSegment(SegmentKind.AIR, distance_m)]
@@ -190,7 +194,7 @@ def one_way_segments(distance_m: float, medium: MediumMap, inbound: bool):
 def channel(
     tx,
     rx,
-    medium: MediumMap | None = None,
+    medium: MediumMap = MediumMap(),
     freq_hz: float = DEFAULT_FREQ_HZ,
     tx_gain_dbi: float = DEFAULT_TX_GAIN_DBI,
     static_phase_rad=0.0,
@@ -201,34 +205,20 @@ def channel(
     ``tx`` and ``rx`` are positions, lists of them or (..., 3) coordinate
     arrays; they broadcast against each other, and ``static_phase_rad``
     against the link shape.  The loss and the geometric phase are the
-    :func:`compose_budget` of :func:`one_way_segments`, term for term, in
-    the same order.  ``static_phase_rad`` models the unknown per-link
+    :func:`compose_budget` of :func:`one_way_segments` over the array of
+    link distances.  ``static_phase_rad`` models the unknown per-link
     hardware/propagation phase offset; the scenario draws it once per link
     from its seed, so the result is deterministic for a given scenario.
     A single pair of positions gives scalar ``gain`` and ``phase_rad``.
     """
-    if medium is None:
-        medium = MediumMap()
     tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
     # Coordinate by coordinate, so no (..., 3) temporary outlives its term.
     d = np.sqrt(sum((tx[..., k] - rx[..., k]) ** 2 for k in range(3)))
-    if np.any(d == 0.0):
+    if (d == 0.0).any():
         raise ChannelError("tx and rx positions must be distinct")
-    depth = medium.muscle_depth_m
-    if np.any(d <= depth):
-        raise ChannelError("muscle depth must be smaller than link distance")
-    air = air_loss(d - depth, freq_hz)
-    if depth == 0.0:
-        loss = air
-    elif inbound:
-        loss = air + SKIN_LOSS_IN_DB + muscle_loss(depth)
-    else:
-        loss = muscle_loss(depth) + SKIN_LOSS_OUT_DB + air
-    wavelength = SPEED_OF_LIGHT / freq_hz
-    path_len = (d - depth) + depth  # the segment lengths, summed as compose_budget does
-    geometric = (2.0 * math.pi * path_len / wavelength) % (2.0 * math.pi)
-    gain = 10.0 ** (-loss / 20.0) * 10.0 ** (tx_gain_dbi / 20.0)
-    phase = (geometric + static_phase_rad) % (2.0 * math.pi)
+    budget = compose_budget(one_way_segments(d, medium, inbound), freq_hz)
+    gain = 10.0 ** (-budget.total_loss_db / 20.0) * 10.0 ** (tx_gain_dbi / 20.0)
+    phase = (budget.phase_rad + static_phase_rad) % (2.0 * math.pi)
     gain, phase = np.broadcast_arrays(gain, phase)
     return ChannelCoeff(gain=gain[()], phase_rad=phase[()])
 

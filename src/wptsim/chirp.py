@@ -66,10 +66,6 @@ class ComplexSignal:
     def __len__(self):
         return self.samples.size
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
     def power(self) -> float:
         return float(np.mean(np.abs(self.samples) ** 2))
 
@@ -207,13 +203,8 @@ def sample_noise_power(noise_floor_dbm: float, bandwidth_hz: float,
     return floor_w * (sample_rate_hz / bandwidth_hz)
 
 
-def awgn(
-    n: int,
-    rng: np.random.Generator,
-    noise_floor_dbm: float = -70.0,
-    bandwidth_hz: float = 40e3,
-    sample_rate_hz: float = 2.048e6,
-) -> np.ndarray:
+def awgn(n: int, rng: np.random.Generator, noise_floor_dbm: float, bandwidth_hz: float,
+         sample_rate_hz: float) -> np.ndarray:
     """Complex white noise whose power within ``bandwidth_hz`` equals the floor."""
     return awgn_power(n, sample_noise_power(noise_floor_dbm, bandwidth_hz, sample_rate_hz),
                       rng)

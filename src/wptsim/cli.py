@@ -79,6 +79,20 @@ SWEEP_AXES = (
 HEATMAP_DEFAULTS = {"enabled": False, "cube_m": 1.0, "voxel_m": 0.05}
 
 
+def _is_whole(v) -> bool:
+    """An int or an integral float; YAML's true and false are not numbers here."""
+    return not isinstance(v, bool) and (isinstance(v, int) or
+                                        isinstance(v, float) and v.is_integer())
+
+
+def _to_float(v) -> float:
+    """float(v), which reads PyYAML's string ``1e-3``; NaN for bools and non-numbers."""
+    try:
+        return math.nan if isinstance(v, bool) else float(v)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def _merge_section(raw, defaults, section):
     if raw is None:
         raw = {}
@@ -112,6 +126,14 @@ def parse_config(doc) -> dict:
         scenario[vec_field] = [float(c) for c in v]
     if scenario["bound_deg"] != "adaptive":
         scenario["bound_deg"] = float(scenario["bound_deg"])
+    for key in ("slave_count", "rounds", "sync_offset_range", "sync_residual_jitter"):
+        if not _is_whole(scenario[key]):
+            raise ConfigError(
+                f"scenario.{key} must be a whole number, not {scenario[key]!r}")
+    speed = _to_float(scenario["speed_m_per_s"])
+    if not (math.isfinite(speed) and speed >= 0):
+        raise ConfigError("scenario.speed_m_per_s must be a finite number >= 0, "
+                          f"not {scenario['speed_m_per_s']!r}")
 
     seeds = doc.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
@@ -131,8 +153,13 @@ def parse_config(doc) -> dict:
             )
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{axis} must be a non-empty list")
-        if not all(math.isfinite(float(v)) for v in values):
-            raise ConfigError(f"sweep.{axis} values must be finite")
+        if not all(math.isfinite(_to_float(v)) for v in values):
+            raise ConfigError(f"sweep.{axis} values must be finite numbers, not {values!r}")
+        if axis == "slave_count" and not all(map(_is_whole, values)):
+            raise ConfigError(
+                f"sweep.slave_count values must be whole numbers, not {values!r}")
+        if axis == "speed_m_per_s" and any(_to_float(v) < 0 for v in values):
+            raise ConfigError(f"sweep.speed_m_per_s values must be >= 0, not {values!r}")
 
     hm = _merge_section(doc.get("heatmap"), HEATMAP_DEFAULTS, "heatmap")
     if not isinstance(hm["enabled"], bool):

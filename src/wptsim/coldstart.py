@@ -24,14 +24,19 @@ from .channel import (
 )
 
 
+# Perturbation rounds a cold start tries after the leader-focused round.
+MAX_PERTURBATIONS = 200
+
+
 @dataclass(frozen=True)
 class ColdStartConfig:
     sigma_deg: float = 55.0
-    max_perturbations: int = 200
 
     def __post_init__(self):
+        # NaN fails the range test too.
         if not 0.0 <= self.sigma_deg < 180.0:
-            raise ValueError("sigma must lie in [0, 180) degrees")
+            raise ValueError(
+                f"sigma_deg must lie in [0, 180) degrees, not {self.sigma_deg!r}")
 
 
 def leader_focused_phases(slave_channels: ChannelCoeff) -> np.ndarray:
@@ -60,23 +65,19 @@ def field_matrix(
     points: np.ndarray,
     freq_hz: float = DEFAULT_FREQ_HZ,
     tx_gain_dbi: float = DEFAULT_TX_GAIN_DBI,
-    static_phases=None,
-    tx_amplitudes=None,
+    static_phases=0.0,
+    tx_amplitude: float = 1.0,
 ) -> np.ndarray:
     """Complex per-slave field coefficients at each grid point, shape (V, N).
 
     Air-only :func:`channel` coefficients, each slave's static phase
-    included, times its transmit amplitude.
+    included, times the transmit amplitude every slave shares.
     """
     if points.ndim != 2 or points.shape[1] != 3:
         raise ChannelError("points must be (V, 3)")
-    if static_phases is None:
-        static_phases = 0.0
     g = channel(slave_positions, points[:, None, :], MediumMap(),
                 freq_hz, tx_gain_dbi, static_phase_rad=static_phases).complex
-    if tx_amplitudes is not None:
-        g = g * np.asarray(tx_amplitudes)[None, :]
-    return g
+    return g * tx_amplitude
 
 
 def coherent_optimum_power(matrix: np.ndarray) -> np.ndarray:
@@ -155,16 +156,16 @@ class ColdStartRunner:
     """Round-by-round cold start against explicit node-side channels."""
 
     def __init__(self, node, leader_channels: ChannelCoeff, node_channels: ChannelCoeff,
-                 tx_amplitudes, config: ColdStartConfig, rng: np.random.Generator):
+                 tx_amplitude: float, config: ColdStartConfig, rng: np.random.Generator):
         self.node = node
         self.base_phases = leader_focused_phases(leader_channels)
         self.node_coeffs = np.asarray(node_channels.complex)
-        self.tx_amplitudes = np.asarray(tx_amplitudes, dtype=float)
+        self.tx_amplitude = tx_amplitude
         self.config = config
         self.rng = rng
 
     def incident_power_w(self, phases: np.ndarray) -> float:
-        field = np.sum(self.tx_amplitudes * self.node_coeffs * np.exp(1j * phases))
+        field = np.sum(self.tx_amplitude * self.node_coeffs * np.exp(1j * phases))
         return float(np.abs(field) ** 2)
 
     def run(self) -> ColdStartResult:
@@ -175,13 +176,13 @@ class ColdStartRunner:
         self.node.harvest_step(power)
         if self.node.awake:
             return ColdStartResult(True, 0, power)
-        for rnd in range(1, self.config.max_perturbations + 1):
+        for rnd in range(1, MAX_PERTURBATIONS + 1):
             phases = perturbation_round(phases, self.config.sigma_deg, self.rng)
             power = self.incident_power_w(phases)
             self.node.harvest_step(power)
             if self.node.awake:
                 return ColdStartResult(True, rnd, power)
-        return ColdStartResult(False, self.config.max_perturbations, power)
+        return ColdStartResult(False, MAX_PERTURBATIONS, power)
 
 
 def export_heatmap(points: np.ndarray, power_w: np.ndarray, path) -> None:

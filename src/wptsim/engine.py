@@ -15,12 +15,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import coldstart as cs
-from .backscatter import BackscatterNode, TransferCurve
+from .backscatter import SHIFT_FREQ_HZ, BackscatterNode, amplitude_ratio, mixer
 from .beamform import KalmanSmoother, OneBitAligner, compute_bound_schedule
 from .channel import (
     DEFAULT_FREQ_HZ,
     DEFAULT_TX_GAIN_DBI,
     DEFAULT_TX_POWER_DBM,
+    SPEED_OF_LIGHT,
     ChannelCoeff,
     MediumMap,
     Position,
@@ -76,7 +77,6 @@ class Scenario:
     feedback_latency_s: float = 1e-3
     sync: SyncSettings = field(default_factory=SyncSettings)
     cold_start: cs.ColdStartConfig = field(default_factory=cs.ColdStartConfig)
-    transfer_curve: TransferCurve = field(default_factory=TransferCurve)
     wake_threshold_dbm: float = -20.0
     deadband_frac: float = 0.001
     cold_start_enabled: bool = True   # off: node starts awake (bench mode)
@@ -94,12 +94,18 @@ class Scenario:
                 isinstance(self.bound, numbers.Real) and 0.0 < self.bound <= 180.0):
             raise EngineError(
                 f"bound must be 'adaptive' or in (0, 180] degrees, not {self.bound!r}")
-        if not (_is_finite(self.deadband_frac) and self.deadband_frac >= 0.0):
-            raise EngineError(
-                f"deadband_frac must be finite and >= 0, not {self.deadband_frac!r}")
+        for name in ("deadband_frac", "feedback_latency_s"):
+            v = getattr(self, name)
+            if not (_is_finite(v) and v >= 0.0):
+                raise EngineError(f"{name} must be finite and >= 0, not {v!r}")
         if self.noise_floor_dbm is not None and not _is_finite(self.noise_floor_dbm):
             raise EngineError(
                 f"noise_floor_dbm must be None or finite, not {self.noise_floor_dbm!r}")
+        for name in ("tx_power_dbm", "tx_gain_dbi", "wake_threshold_dbm"):
+            if not _is_finite(getattr(self, name)):
+                raise EngineError(f"{name} must be finite, not {getattr(self, name)!r}")
+        if not (_is_finite(self.freq_hz) and self.freq_hz > 0.0):
+            raise EngineError(f"freq_hz must be finite and > 0, not {self.freq_hz!r}")
         times = [t for t, _ in self.trajectory]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise EngineError("trajectory times must be strictly increasing")
@@ -244,12 +250,6 @@ def run_scenario(scn: Scenario) -> Metrics:
         noise_power = sample_noise_power(scn.noise_floor_dbm, scn.chirp.bandwidth_hz,
                                          scn.chirp.sample_rate_hz)
 
-    node = BackscatterNode(
-        position=scn.node_position,
-        wake_threshold_dbm=scn.wake_threshold_dbm,
-        transfer_curve=scn.transfer_curve,
-    )
-
     # --- stage 1: chirp synchronization -----------------------------------
     if scn.sync.enabled and scn.n_slaves >= 2:
         metrics.stage_log.append("sync")
@@ -277,15 +277,15 @@ def run_scenario(scn: Scenario) -> Metrics:
     optimum = optimal_amplitude(scn, to_node)
 
     # --- stage 2: cold start ----------------------------------------------
-    amps = np.full(scn.n_slaves, scn.tx_amplitude)
     if scn.cold_start_enabled:
         metrics.stage_log.append("cold_start")
+        node = BackscatterNode(wake_threshold_dbm=scn.wake_threshold_dbm)
         runner = cs.ColdStartRunner(
             node,
             leader_channels=channel(scn.slave_positions, scn.leader_position, MediumMap(),
                                     scn.freq_hz, scn.tx_gain_dbi, static_phase_rad=static),
             node_channels=node_links[0],
-            tx_amplitudes=amps,
+            tx_amplitude=scn.tx_amplitude,
             config=scn.cold_start,
             rng=streams["cold_start"],
         )
@@ -296,21 +296,23 @@ def run_scenario(scn: Scenario) -> Metrics:
             return metrics
     else:
         # Bench mode: node is externally primed and never browns out.
-        node.awake = True
-        node.dynamic_power_draw_w = 0.0
+        node = BackscatterNode(wake_threshold_dbm=scn.wake_threshold_dbm,
+                               dynamic_power_draw_w=0.0, awake=True)
         metrics.cold_start_success = True
         metrics.cold_start_rounds = 0
 
     # --- stage 3: one-bit alignment ---------------------------------------
     metrics.stage_log.append("alignment")
     metrics.optimal_amplitude_v = float(optimum[0])
-    metrics.total_radiated_power_w = float(np.sum(amps ** 2))
+    # The sum of the slaves' powers, which n * a**2 can miss in the last bit.
+    metrics.total_radiated_power_w = float(
+        np.sum(np.full(scn.n_slaves, scn.tx_amplitude) ** 2))
 
     bounds = _bounds(scn)
     aligner = OneBitAligner(scn.n_slaves, streams["proposals"],
                             smoother=KalmanSmoother(), deadband_frac=scn.deadband_frac)
 
-    correlator = _correlator(scn, node, noise_power)
+    correlator = _correlator(scn, noise_power)
     # Round n reads row n; a static node's single row serves every round.
     to_node = np.broadcast_to(to_node, (scn.rounds, scn.n_slaves))
     to_leader = np.broadcast_to(to_leader, (scn.rounds,))
@@ -351,8 +353,7 @@ def run_scenario(scn: Scenario) -> Metrics:
     return metrics
 
 
-def _correlator(scn: Scenario, node: BackscatterNode,
-                noise_power: float) -> tuple[complex, float]:
+def _correlator(scn: Scenario, noise_power: float) -> tuple[complex, float]:
     """(gain, sigma) of the leader's zero-lag correlator, once per run.
 
     Each round the leader receives ``ret * a * h * ref * mixer`` plus white
@@ -366,8 +367,8 @@ def _correlator(scn: Scenario, node: BackscatterNode,
     ref = generate_chirp(scn.chirp).samples
     fs = scn.chirp.sample_rate_hz
     t = np.arange(scn.chirp.n_samples) / fs
-    shifted = ref * np.exp(1j * 2.0 * np.pi * node.shift_freq_hz * t)
-    gain = complex(np.vdot(shifted, ref * node.mixer(ref.size, fs)))
+    shifted = ref * np.exp(1j * 2.0 * np.pi * SHIFT_FREQ_HZ * t)
+    gain = complex(np.vdot(shifted, ref * mixer(ref.size, fs)))
     sigma = math.sqrt(noise_power / 2.0) * float(np.linalg.norm(shifted))
     return gain, sigma
 
@@ -379,7 +380,7 @@ def _measure(scn, node, h, p_in, ret_coeff, correlator, rng):
     closed form from :func:`_correlator`: one complex normal per round.
     """
     gain, sigma = correlator
-    y = node.transfer_curve.amplitude_ratio(p_in) * h * ret_coeff * gain if node.awake else 0.0
+    y = amplitude_ratio(p_in) * h * ret_coeff * gain if node.awake else 0.0
     if scn.noise_floor_dbm is not None:
         z = rng.standard_normal(2)
         y += sigma * complex(z[0], z[1])
@@ -412,7 +413,6 @@ def heatmap(scn: Scenario, phases, grid_points: np.ndarray) -> np.ndarray:
         raise EngineError(f"need {scn.n_slaves} phases, not {phases.size}")
     slaves = np.asarray(scn.slave_positions, dtype=float)
     static = _static_phases(scn, _streams(scn.seed))
-    amps = np.full(scn.n_slaves, scn.tx_amplitude)
     n_points = grid_points.shape[0]
     block = _heatmap_block(scn.n_slaves)
     power = np.empty(n_points)
@@ -423,7 +423,8 @@ def heatmap(scn: Scenario, phases, grid_points: np.ndarray) -> np.ndarray:
         # zgemv's in the last bit.
         lo = max(0, min(start, n_points - block))
         m = cs.field_matrix(slaves, grid_points[lo:lo + block], scn.freq_hz,
-                            scn.tx_gain_dbi, static_phases=static, tx_amplitudes=amps)
+                            scn.tx_gain_dbi, static_phases=static,
+                            tx_amplitude=scn.tx_amplitude)
         power[lo:lo + block] = cs.field_power(m, phases)
     return power
 
@@ -433,7 +434,7 @@ def aligned_phases(scn: Scenario) -> np.ndarray:
     static = _static_phases(scn, _streams(scn.seed))
     links = channel(scn.slave_positions, scn.node_position, scn.medium, scn.freq_hz,
                     scn.tx_gain_dbi, static_phase_rad=static)
-    return (-links.phase_rad) % (2.0 * math.pi)
+    return cs.leader_focused_phases(links)
 
 
 def region_axis_ratio(points: np.ndarray, power: np.ndarray, drop_db: float = 3.0) -> float:
@@ -494,8 +495,6 @@ def ring_positions(n: int, radius_m: float = 6.0, height_m: float = 3.0) -> list
 def linear_positions(n: int, spacing_m: float | None = None,
                      freq_hz: float = DEFAULT_FREQ_HZ) -> list:
     """Co-located half-wavelength linear array along x at the origin."""
-    from .channel import SPEED_OF_LIGHT
-
     if spacing_m is None:
         spacing_m = SPEED_OF_LIGHT / freq_hz / 2.0
     x0 = -(n - 1) * spacing_m / 2.0

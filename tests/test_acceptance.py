@@ -251,9 +251,8 @@ def test_criterion_07_cold_start_behavior():
             lead_ch = channel(cluster, Position(0, 0, 0), MediumMap(),
                               static_phase_rad=static)
             node_ch = channel(cluster, node_pos, medium, static_phase_rad=static)
-            node = BackscatterNode(position=node_pos)
-            runner = cs.ColdStartRunner(node, lead_ch, node_ch,
-                                        np.full(10, amp),
+            node = BackscatterNode()
+            runner = cs.ColdStartRunner(node, lead_ch, node_ch, amp,
                                         cs.ColdStartConfig(), rng)
             succ += runner.run().success
         rates.append(succ / 40)

@@ -4,56 +4,50 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wptsim.backscatter import BackscatterError, BackscatterNode, TransferCurve
-from wptsim.channel import Position, dbm_to_watt
+from wptsim import backscatter
+from wptsim.backscatter import BackscatterError, BackscatterNode
+from wptsim.channel import dbm_to_watt
 from wptsim.chirp import ChirpParams, ComplexSignal, generate_chirp
 
 
 def test_curve_ratio_bounds():
-    c = TransferCurve()
-    assert c.power_ratio(-80.0) == pytest.approx(c.ratio_lo, abs=0.01)
-    assert c.power_ratio(20.0) == pytest.approx(c.ratio_hi, abs=0.01)
+    assert backscatter.power_ratio(-80.0) == pytest.approx(backscatter.RATIO_LO, abs=0.01)
+    assert backscatter.power_ratio(20.0) == pytest.approx(backscatter.RATIO_HI, abs=0.01)
 
 
 def test_curve_ratio_is_increasing():
     # Unlike a conventional RFID harvester, whose matching network detunes
     # with input power, the customized radio's power ratio never dips.
     grid = np.linspace(-60, 10, 400)
-    good = np.array([TransferCurve().power_ratio(p) for p in grid])
+    good = np.array([backscatter.power_ratio(p) for p in grid])
     assert np.all(np.diff(good) > 0)
 
 
 @given(st.floats(min_value=-55, max_value=5), st.floats(min_value=0.1, max_value=10))
 def test_reflected_power_strictly_increasing(p_dbm, step_db):
-    c = TransferCurve()
-    lo = c.reflected_power_w(dbm_to_watt(p_dbm))
-    hi = c.reflected_power_w(dbm_to_watt(p_dbm + step_db))
+    lo = backscatter.reflected_power_w(dbm_to_watt(p_dbm))
+    hi = backscatter.reflected_power_w(dbm_to_watt(p_dbm + step_db))
     assert hi > lo
 
 
 @given(st.floats(min_value=1e-9, max_value=1.0))
 def test_curve_is_passive(p_w):
-    c = TransferCurve()
-    assert 0.0 < c.reflected_power_w(p_w) <= p_w
+    assert 0.0 < backscatter.reflected_power_w(p_w) <= p_w
 
 
 def test_curve_validation():
     with pytest.raises(BackscatterError):
-        TransferCurve(ratio_lo=0.6, ratio_hi=0.5)
-    with pytest.raises(BackscatterError):
-        TransferCurve(width_db=0.0)
-    with pytest.raises(BackscatterError):
-        TransferCurve().reflected_power_w(-1.0)
+        backscatter.reflected_power_w(-1.0)
 
 
 def test_amplitude_ratio_consistent_with_power():
-    c = TransferCurve()
     p = 1e-4
-    assert c.amplitude_ratio(p) ** 2 * p == pytest.approx(c.reflected_power_w(p))
+    assert backscatter.amplitude_ratio(p) ** 2 * p == pytest.approx(
+        backscatter.reflected_power_w(p))
 
 
 def test_node_wakes_at_threshold():
-    node = BackscatterNode(position=Position(0, 0, 0))
+    node = BackscatterNode()
     node.harvest_step(dbm_to_watt(-20.1))
     assert not node.awake
     node.harvest_step(dbm_to_watt(-20.0))
@@ -61,7 +55,7 @@ def test_node_wakes_at_threshold():
 
 
 def test_awake_node_survives_on_dynamic_draw():
-    node = BackscatterNode(position=Position(0, 0, 0))
+    node = BackscatterNode()
     node.harvest_step(dbm_to_watt(-15.0))
     assert node.awake
     # Power below the wake threshold but above the 42 uW draw keeps it up.
@@ -72,14 +66,14 @@ def test_awake_node_survives_on_dynamic_draw():
 
 
 def test_asleep_node_reflects_nothing():
-    node = BackscatterNode(position=Position(0, 0, 0))
+    node = BackscatterNode()
     sig = generate_chirp(ChirpParams())
     out = node.reflect(sig)
     assert np.all(out.samples == 0)
 
 
 def test_reflection_power_follows_curve():
-    node = BackscatterNode(position=Position(0, 0, 0))
+    node = BackscatterNode()
     node.awake = True
     p = ChirpParams()
     amp = 0.01
@@ -87,12 +81,12 @@ def test_reflection_power_follows_curve():
     out = node.reflect(sig)
     # Mixing with a real cosine splits the reflected power evenly between the
     # two sidebands: total reflected power is half the curve output.
-    want = 0.5 * node.transfer_curve.reflected_power_w(sig.power())
+    want = 0.5 * backscatter.reflected_power_w(sig.power())
     assert out.power() == pytest.approx(want, rel=0.01)
 
 
 def test_reflection_lands_on_shift_frequency():
-    node = BackscatterNode(position=Position(0, 0, 0))
+    node = BackscatterNode()
     node.awake = True
     p = ChirpParams()
     n = p.n_samples

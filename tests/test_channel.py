@@ -92,6 +92,43 @@ def test_depth_must_not_exceed_distance():
         one_way_segments(0.04, MediumMap(muscle_depth_m=0.05), inbound=True)
 
 
+@pytest.mark.parametrize("depth", [0.0, 0.05])
+@pytest.mark.parametrize("inbound", [True, False])
+def test_array_segments_equal_per_link_budgets(depth, inbound):
+    # One budget over an array of link lengths is the per-link budgets,
+    # bit for bit, in loss, phase and path length.
+    d = np.random.default_rng(3).uniform(0.06, 12.0, 50)
+    medium = MediumMap(muscle_depth_m=depth)
+    table = compose_budget(one_way_segments(d, medium, inbound))
+    for k, dk in enumerate(d):
+        one = compose_budget(one_way_segments(float(dk), medium, inbound))
+        assert table.total_loss_db[k] == one.total_loss_db
+        assert table.phase_rad[k] == one.phase_rad
+        assert table.path_length_m[k] == one.path_length_m
+
+
+def test_array_segments_reject_any_bad_entry():
+    with pytest.raises(ChannelError):
+        MediumSegment(SegmentKind.AIR, np.array([1.0, -0.1, 2.0]))
+    with pytest.raises(ChannelError):
+        MediumSegment(SegmentKind.MUSCLE, np.array([0.01, -1e-9]))
+    with pytest.raises(ChannelError):
+        MediumSegment(SegmentKind.SKIN_IN, np.array([0.0, 0.1]))
+    with pytest.raises(ChannelError):
+        one_way_segments(np.array([1.0, 0.05, 2.0]), MediumMap(muscle_depth_m=0.05), True)
+    with pytest.raises(ChannelError):
+        compose_budget([MediumSegment(SegmentKind.AIR, np.array([1.0, 0.0]))])
+    seg = MediumSegment(SegmentKind.MUSCLE, np.array([0.0, 0.02]))
+    assert np.array_equal(seg.loss_db(), [0.0, muscle_loss(0.02)])
+
+
+@pytest.mark.parametrize("depth", [math.nan, -0.01, math.inf])
+def test_medium_map_rejects_bad_depth(depth):
+    # NaN used to pass the "< 0" check and fail later in the aligner.
+    with pytest.raises(ChannelError, match="muscle_depth_m"):
+        MediumMap(muscle_depth_m=depth)
+
+
 def test_channel_gain_matches_budget():
     tx, rx = Position(0, 0, 0), Position(1.0, 0, 0)
     m = MediumMap(muscle_depth_m=0.02)

@@ -24,6 +24,7 @@ from wptsim.cli import (
     parse_config,
     run_one,
     serialize_config,
+    sweep_jobs,
     write_trace,
 )
 from wptsim.engine import Scenario, SyncSettings, run_scenario
@@ -293,6 +294,86 @@ def test_bad_number_exits_2_naming_the_field(tmp_path, capsys, key, value):
     cfg_path = write_cfg(tmp_path, doc)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert key.removeprefix("sync_") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    # Whole-number fields used to be truncated: 2.7 slaves ran 2, 20.5
+    # rounds ran 20, an offset range of 10.5 drew offsets up to 10.
+    ("slave_count", 2.7),
+    ("slave_count", True),
+    ("rounds", 20.5),
+    ("sync_offset_range", 10.5),
+    ("sync_residual_jitter", 1.5),
+    # A negative or NaN speed used to run a static node.
+    ("speed_m_per_s", -1.0),
+    ("speed_m_per_s", math.nan),
+    ("speed_m_per_s", math.inf),
+    ("speed_m_per_s", None),
+    ("speed_m_per_s", "fast"),
+    # NaN power, gain or depth used to fail in the aligner as "measurement
+    # must be finite"; a NaN wake threshold exited 0 with the node asleep.
+    ("tx_power_dbm", math.nan),
+    ("tx_gain_dbi", math.inf),
+    ("wake_threshold_dbm", math.nan),
+    ("muscle_depth_m", math.nan),
+    ("freq_hz", 0.0),
+    ("freq_hz", -915e6),
+    ("freq_hz", math.nan),
+    ("freq_hz", math.inf),
+    # A negative latency used to report "trajectory times must be strictly
+    # increasing".
+    ("feedback_latency_s", -1e-3),
+    ("feedback_latency_s", math.nan),
+])
+def test_bad_scenario_value_exits_2_naming_the_field(tmp_path, capsys, key, value):
+    doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], **{key: value}))
+    cfg_path = write_cfg(tmp_path, doc)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, values", [("slave_count", [3, 2.5]),
+                                          ("slave_count", [False]),
+                                          ("speed_m_per_s", [0.0, -1.0]),
+                                          ("speed_m_per_s", [math.nan]),
+                                          # None used to escape as a TypeError.
+                                          ("sigma_deg", [None]),
+                                          ("speed_m_per_s", ["fast"])])
+def test_bad_sweep_value_exits_2_naming_the_axis(tmp_path, capsys, axis, values):
+    doc = dict(MINIMAL, sweep={axis: values})
+    with pytest.raises(ConfigError, match=f"sweep.{axis}"):
+        parse_config(doc)
+    cfg_path = write_cfg(tmp_path, doc)
+    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert f"sweep.{axis}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("slave_count", 4), ("slave_count", 4.0),
+                                        ("rounds", 12), ("sync_offset_range", 0),
+                                        ("speed_m_per_s", 0), ("speed_m_per_s", 0.5),
+                                        ("tx_power_dbm", -10), ("feedback_latency_s", 0.0),
+                                        ("muscle_depth_m", 0.0), ("freq_hz", 2.4e9)])
+def test_good_scenario_value_is_accepted(key, value):
+    cfg = parse_config(dict(MINIMAL, scenario=dict(MINIMAL["scenario"], **{key: value})))
+    assert cfg["scenario"][key] == value
+    build_scenario(cfg["scenario"], 1)
+
+
+def test_exponent_without_a_dot_is_a_speed(tmp_path):
+    # PyYAML reads 5e-2 as a string; float() reads it as 0.05, and so does
+    # every speed check.
+    path = tmp_path / "cfg.yaml"
+    path.write_text("scenario: {speed_m_per_s: 5e-2}\nsweep: {speed_m_per_s: [0, 1e-1]}\n")
+    cfg = load_config(str(path))
+    assert cfg["scenario"]["speed_m_per_s"] == "5e-2"
+    assert build_scenario(cfg["scenario"], 0).trajectory[-1][1].x > 0
+
+
+def test_good_sweep_values_are_accepted():
+    sweep = {"slave_count": [2, 3.0], "speed_m_per_s": [0, 0.05, 1]}
+    cfg = parse_config(dict(MINIMAL, sweep=sweep))
+    assert cfg["sweep"] == sweep
+    assert len(sweep_jobs(cfg, "unused")) == 5
 
 
 def test_jobs_is_a_sweep_option(tmp_path):

@@ -109,8 +109,8 @@ def _runner(node_pos, tx_amp, seed=0, n=6):
     medium = MediumMap(muscle_depth_m=0.05)
     lead_ch = channel(slaves, leader, MediumMap(), static_phase_rad=static)
     node_ch = channel(slaves, node_pos, medium, static_phase_rad=static)
-    node = BackscatterNode(position=node_pos)
-    return cs.ColdStartRunner(node, lead_ch, node_ch, np.full(n, tx_amp),
+    node = BackscatterNode()
+    return cs.ColdStartRunner(node, lead_ch, node_ch, tx_amp,
                               cs.ColdStartConfig(), rng), node
 
 
@@ -126,7 +126,7 @@ def test_cold_start_fails_without_power():
     runner, node = _runner(Position(0.5, 0, -0.1), tx_amp=1e-6)
     res = runner.run()
     assert not res.success
-    assert res.rounds_used == runner.config.max_perturbations
+    assert res.rounds_used == cs.MAX_PERTURBATIONS
     assert not node.awake
 
 

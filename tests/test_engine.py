@@ -9,7 +9,7 @@ from scipy.stats import ks_2samp
 
 from test_golden import SCENARIOS, mismatches
 from wptsim import coldstart as cs, engine
-from wptsim.backscatter import BackscatterNode
+from wptsim.backscatter import SHIFT_FREQ_HZ, BackscatterNode, amplitude_ratio
 from wptsim.beamform import OneBitAligner
 from wptsim.channel import MediumMap, Position, SPEED_OF_LIGHT, channel
 from wptsim.chirp import (
@@ -198,7 +198,7 @@ def _measure_by_samples(scn, node, h, p_in, ret_coeff, correlator, rng):
     ref_sym = generate_chirp(scn.chirp)
     t = np.arange(scn.chirp.n_samples) / fs
     shifted_ref = ComplexSignal(
-        ref_sym.samples * np.exp(1j * 2.0 * np.pi * node.shift_freq_hz * t), fs)
+        ref_sym.samples * np.exp(1j * 2.0 * np.pi * SHIFT_FREQ_HZ * t), fs)
     reflected = node.reflect(ComplexSignal(h * ref_sym.samples, fs))
     rx = reflected.samples * ret_coeff
     if scn.noise_floor_dbm is not None:
@@ -218,19 +218,19 @@ def _rician_mean(nu, sigma):
 def test_closed_form_measurement_matches_samples_in_distribution(snr):
     draws = 2000
     scn = bench_scenario()
-    node = BackscatterNode(position=scn.node_position, awake=snr is not None)
+    node = BackscatterNode(awake=snr is not None)
     h = 0.02 * np.exp(0.4j)
     p_in = abs(h) ** 2
     noise_power = sample_noise_power(scn.noise_floor_dbm, scn.chirp.bandwidth_hz,
                                      scn.chirp.sample_rate_hz)
-    correlator = engine._correlator(scn, node, noise_power)
+    correlator = engine._correlator(scn, noise_power)
     gain, sigma = correlator
     nu = 0.0
     ret = 1e-3 * np.exp(-1.1j)
     if snr is not None:
         # Scale the return link so the correlator output has |signal| = snr * sigma.
         nu = snr * sigma
-        ret = nu / (node.transfer_curve.amplitude_ratio(p_in) * abs(h) * abs(gain)) \
+        ret = nu / (amplitude_ratio(p_in) * abs(h) * abs(gain)) \
             * np.exp(-1.1j)
     rng_closed, rng_samples = np.random.default_rng(1), np.random.default_rng(2)
     closed = np.array([engine._measure(scn, node, h, p_in, ret, correlator, rng_closed)
@@ -420,7 +420,7 @@ def _unblocked_heatmap(scn, phases, grid):
     m = cs.field_matrix(
         scn.slave_positions, grid, scn.freq_hz, scn.tx_gain_dbi,
         static_phases=engine._static_phases(scn, engine._streams(scn.seed)),
-        tx_amplitudes=np.full(scn.n_slaves, scn.tx_amplitude))
+        tx_amplitude=scn.tx_amplitude)
     return cs.field_power(m, np.asarray(phases))
 
 
