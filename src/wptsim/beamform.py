@@ -267,6 +267,11 @@ class OneBitAligner:
     back the measured metric, accepts the proposal when the smoothed value
     beats the reference metric by more than the dead band, and reverts to
     the reference otherwise.
+
+    A caller that runs many rounds draws every round's perturbations at once
+    with :meth:`offsets`, turns a run of them into proposals around the
+    current reference with :meth:`candidates`, and passes each proposal it
+    measured to :meth:`record`.
     """
 
     def __init__(
@@ -292,13 +297,35 @@ class OneBitAligner:
 
     def propose(self, phi: float) -> np.ndarray:
         delta = self.rng.uniform(-phi, phi, self.n_slaves)
-        self.pending = (self.ref_phases + delta) % (2.0 * math.pi)
+        self.pending = self.candidates(delta)
         return self.pending
 
-    def record(self, y_raw: float) -> tuple[float, bool]:
-        """(smoothed metric, whether the proposal was accepted)."""
+    def offsets(self, bounds) -> np.ndarray:
+        """(R, N) perturbations of R rounds with phase bounds ``bounds``.
+
+        One draw of R * N uniforms, turned into offsets by
+        ``Generator.uniform``'s own arithmetic ``low + (high - low) * u``, so
+        row n equals what the n-th of R calls of :meth:`propose` would draw.
+        """
+        phi = np.asarray(bounds, dtype=float)[:, None]
+        u = self.rng.random((phi.shape[0], self.n_slaves))
+        return -phi + (phi - -phi) * u
+
+    def candidates(self, delta) -> np.ndarray:
+        """The reference phases moved by ``delta``, wrapped to [0, 2 pi);
+        (k, N) offsets give k proposals.  Changes no state."""
+        return (self.ref_phases + delta) % (2.0 * math.pi)
+
+    def record(self, y_raw: float, proposal=None) -> tuple[float, bool]:
+        """(smoothed metric, whether the proposal was accepted).
+
+        The proposal measured is ``proposal`` when given, and otherwise the
+        last one :meth:`propose` drew.
+        """
         if not math.isfinite(y_raw):
             raise BeamformError("measurement must be finite")
+        if proposal is not None:
+            self.pending = proposal
         y = self.smoother.update(y_raw) if self.smoother else y_raw
         # Compare against the metric recorded when the reference last moved;
         # a global max would let one noise spike freeze the loop for good.

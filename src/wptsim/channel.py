@@ -212,6 +212,10 @@ def channel(
     A single pair of positions gives scalar ``gain`` and ``phase_rad``.
     """
     tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
+    # Raw coordinate arrays skip Position's check; NaN would pass every
+    # range test below and come out as a NaN gain and phase.
+    if not (np.isfinite(tx).all() and np.isfinite(rx).all()):
+        raise ChannelError("position coordinates must be finite")
     # Coordinate by coordinate, so no (..., 3) temporary outlives its term.
     d = np.sqrt(sum((tx[..., k] - rx[..., k]) ** 2 for k in range(3)))
     if (d == 0.0).any():

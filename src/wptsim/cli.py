@@ -93,6 +93,15 @@ def _to_float(v) -> float:
         return math.nan
 
 
+def _coordinates(v, name: str) -> list:
+    """``v`` as three floats; ConfigError naming ``name`` unless it is three
+    finite numbers."""
+    xyz = [_to_float(c) for c in v] if isinstance(v, (list, tuple)) and len(v) == 3 else []
+    if not (xyz and all(map(math.isfinite, xyz))):
+        raise ConfigError(f"{name} must be [x, y, z] of finite numbers, not {v!r}")
+    return xyz
+
+
 def _merge_section(raw, defaults, section):
     if raw is None:
         raw = {}
@@ -120,10 +129,13 @@ def parse_config(doc) -> dict:
     if scenario["slave_layout"] == "explicit" and not scenario["slave_positions_m"]:
         raise ConfigError("explicit layout requires scenario.slave_positions_m")
     for vec_field in ("leader_position_m", "node_position_m"):
-        v = scenario[vec_field]
-        if not (isinstance(v, (list, tuple)) and len(v) == 3):
-            raise ConfigError(f"scenario.{vec_field} must be [x, y, z]")
-        scenario[vec_field] = [float(c) for c in v]
+        scenario[vec_field] = _coordinates(scenario[vec_field], f"scenario.{vec_field}")
+    slaves = scenario["slave_positions_m"]
+    if slaves is not None:
+        if not isinstance(slaves, list):
+            raise ConfigError(f"scenario.slave_positions_m must be a list, not {slaves!r}")
+        for i, p in enumerate(slaves):
+            _coordinates(p, f"scenario.slave_positions_m[{i}]")
     if scenario["bound_deg"] != "adaptive":
         scenario["bound_deg"] = float(scenario["bound_deg"])
     for key in ("slave_count", "rounds", "sync_offset_range", "sync_residual_jitter"):

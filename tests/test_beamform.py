@@ -424,6 +424,34 @@ def test_aligner_deterministic_given_seed():
     assert np.array_equal(runs[0], runs[1])
 
 
+@pytest.mark.parametrize("n", [1, 3, 24])
+def test_bulk_offsets_equal_per_round_uniform_draws(n):
+    # One random((R, N)) draw through uniform's arithmetic gives the values
+    # of R calls of uniform(-phi, phi, N), bound by bound.
+    bounds = np.concatenate(([math.pi, math.radians(1.0)],
+                             np.radians(np.linspace(180.0, 1.0, 97)),
+                             compute_bound_schedule(24, horizon=300)))
+    bulk = OneBitAligner(n, np.random.default_rng(n))
+    per_round = OneBitAligner(n, np.random.default_rng(n))
+    offsets = bulk.offsets(bounds)
+    assert offsets.shape == (bounds.size, n)
+    for phi, row in zip(bounds, offsets):
+        assert row.tobytes() == per_round.rng.uniform(-phi, phi, n).tobytes()
+
+
+def test_candidates_and_record_of_a_proposal_match_propose():
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    block = OneBitAligner(4, rng_a, deadband_frac=0.0)
+    per_round = OneBitAligner(4, rng_b, deadband_frac=0.0)
+    bounds = np.radians([40.0, 30.0, 20.0, 10.0, 5.0])
+    offsets = block.offsets(bounds)
+    for k, y in enumerate([1.0, 0.5, 0.7, 2.0, 1.5]):
+        proposal = block.candidates(offsets[k])
+        assert np.array_equal(proposal, per_round.propose(bounds[k]))
+        assert block.record(y, proposal) == per_round.record(y)
+        assert np.array_equal(block.ref_phases, per_round.ref_phases)
+
+
 def test_simulate_update_rule_mean_never_decreases():
     rng = np.random.default_rng(0)
     means = simulate_update_rule(6, math.radians(30), 60, 2000, rng)

@@ -193,6 +193,18 @@ def test_channel_rejects_coincident_positions():
         channel([Position(0, 0, 1), p], p)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_channel_rejects_non_finite_coordinates(bad):
+    # Raw arrays skip Position's check: a NaN coordinate used to come out as
+    # a NaN gain and phase.
+    for tx, rx in ((np.array([bad, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])),
+                   (np.zeros((2, 3)), np.array([[0.0, bad, 1.0]]))):
+        with pytest.raises(ChannelError, match="finite"):
+            channel(tx, rx)
+        with pytest.raises(ChannelError, match="finite"):
+            channel(rx, tx, MediumMap(muscle_depth_m=0.05))
+
+
 def test_position_distance():
     assert Position(0, 0, 0).distance_to(Position(3, 4, 0)) == pytest.approx(5.0)
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -357,6 +358,42 @@ def test_good_scenario_value_is_accepted(key, value):
     cfg = parse_config(dict(MINIMAL, scenario=dict(MINIMAL["scenario"], **{key: value})))
     assert cfg["scenario"][key] == value
     build_scenario(cfg["scenario"], 1)
+
+
+_EXPLICIT = {"slave_layout": "explicit",
+             "slave_positions_m": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("field, scenario", [
+    # A NaN position used to fail in Position, whose error names no field.
+    ("scenario.leader_position_m", {"leader_position_m": [0.0, math.nan, 0.0]}),
+    ("scenario.leader_position_m", {"leader_position_m": [math.inf, 0.0, 0.0]}),
+    ("scenario.node_position_m", {"node_position_m": [0.0, math.nan, -0.1]}),
+    ("scenario.node_position_m", {"node_position_m": [0.0, 0.0, -math.inf]}),
+    ("scenario.node_position_m", {"node_position_m": [0.0, "deep", -0.1]}),
+    ("scenario.node_position_m", {"node_position_m": [0.0, 0.0]}),
+    ("scenario.slave_positions_m[1]",
+     dict(_EXPLICIT, slave_positions_m=[[1.0, 0.0, 0.0], [0.0, math.nan, 0.0]])),
+    ("scenario.slave_positions_m[0]",
+     dict(_EXPLICIT, slave_positions_m=[[-math.inf, 0.0, 0.0], [0.0, 1.0, 0.0]])),
+    ("scenario.slave_positions_m[2]",
+     dict(_EXPLICIT, slave_positions_m=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 2.0]])),
+    ("scenario.slave_positions_m", dict(_EXPLICIT, slave_positions_m={"a": 1})),
+])
+def test_bad_position_exits_2_naming_the_field(tmp_path, capsys, field, scenario):
+    doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], **scenario))
+    with pytest.raises(ConfigError, match=re.escape(field) + " must be"):
+        parse_config(doc)
+    cfg_path = write_cfg(tmp_path, doc)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert field + " must be" in capsys.readouterr().err
+
+
+def test_explicit_positions_are_accepted():
+    cfg = parse_config(dict(MINIMAL, scenario=dict(MINIMAL["scenario"], **_EXPLICIT,
+                                                   leader_position_m=[0, 0, 1])))
+    assert cfg["scenario"]["leader_position_m"] == [0.0, 0.0, 1.0]
+    assert build_scenario(cfg["scenario"], 1).n_slaves == 3
 
 
 def test_exponent_without_a_dot_is_a_speed(tmp_path):

@@ -47,6 +47,13 @@ def test_field_matrix_rejects_coincident_point():
         cs.field_matrix(slaves, np.array([[0, 0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_field_matrix_rejects_non_finite_point(bad):
+    slaves = [Position(0, 0, 1.0), Position(1.0, 0, 1.0)]
+    with pytest.raises(ChannelError, match="finite"):
+        cs.field_matrix(slaves, np.array([[0, 0, 0.0], [0, 0, bad]]))
+
+
 def test_leader_focused_phases_combine_coherently():
     rng = np.random.default_rng(1)
     slaves = ring_positions(6, radius_m=3.0, height_m=1.5)

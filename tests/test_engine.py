@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from test_golden import SCENARIOS, mismatches
 from wptsim import coldstart as cs, engine
 from wptsim.backscatter import SHIFT_FREQ_HZ, BackscatterNode, amplitude_ratio
 from wptsim.beamform import OneBitAligner
-from wptsim.channel import MediumMap, Position, SPEED_OF_LIGHT, channel
+from wptsim.channel import ChannelError, MediumMap, Position, SPEED_OF_LIGHT, channel
 from wptsim.chirp import (
     ChirpParams,
     ComplexSignal,
@@ -189,11 +190,13 @@ def test_run_computes_each_link_table_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # The closed-form measurement against the sample-level chain it replaces.
 
-def _measure_by_samples(scn, node, h, p_in, ret_coeff, correlator, rng):
-    """Sample-level oracle for ``engine._measure``: the node reflects the
-    incident chirp, the leader adds white noise and correlates at lag 0
-    against the reference shifted to the node's sideband.  ``correlator``
-    is ignored; everything is rebuilt from the samples."""
+def _measure_by_samples(scn, node, h, p_in, ret_coeff, correlator, z, rng=None):
+    """Sample-level oracle for ``engine._measure`` in scenario ``scn``
+    (bound with ``partial`` to take ``_measure``'s place): the node reflects
+    the incident chirp, the leader adds white noise drawn sample by sample
+    from ``rng`` and correlates at lag 0 against the reference shifted to
+    the node's sideband.  ``correlator`` and the closed form's normal pair
+    ``z`` are ignored; everything is rebuilt from the samples."""
     fs = scn.chirp.sample_rate_hz
     ref_sym = generate_chirp(scn.chirp)
     t = np.arange(scn.chirp.n_samples) / fs
@@ -233,9 +236,10 @@ def test_closed_form_measurement_matches_samples_in_distribution(snr):
         ret = nu / (amplitude_ratio(p_in) * abs(h) * abs(gain)) \
             * np.exp(-1.1j)
     rng_closed, rng_samples = np.random.default_rng(1), np.random.default_rng(2)
-    closed = np.array([engine._measure(scn, node, h, p_in, ret, correlator, rng_closed)
+    closed = np.array([engine._measure(node, h, p_in, ret, correlator,
+                                       rng_closed.standard_normal(2))
                        for _ in range(draws)])
-    samples = np.array([_measure_by_samples(scn, node, h, p_in, ret, None, rng_samples)
+    samples = np.array([_measure_by_samples(scn, node, h, p_in, ret, None, None, rng_samples)
                         for _ in range(draws)])
     # Two-sample KS critical value at alpha = 0.001: 1.95 * sqrt(2 / draws).
     assert ks_2samp(closed, samples).statistic < 1.95 * math.sqrt(2.0 / draws)
@@ -250,8 +254,8 @@ def _run_with(measure, scn, monkeypatch):
     decisions = []
 
     class Recording(OneBitAligner):
-        def record(self, y_raw):
-            out = super().record(y_raw)
+        def record(self, y_raw, proposal=None):
+            out = super().record(y_raw, proposal)
             decisions.append(out[1])
             return out
 
@@ -268,11 +272,126 @@ def test_closed_form_measurement_matches_samples_without_noise(name, monkeypatch
     scn = build_scenario(parse_config(
         {"scenario": dict(scn_cfg, noise_floor_dbm=None)})["scenario"], seed)
     closed, closed_acc = _run_with(engine._measure, scn, monkeypatch)
-    samples, samples_acc = _run_with(_measure_by_samples, scn, monkeypatch)
+    samples, samples_acc = _run_with(partial(_measure_by_samples, scn), scn, monkeypatch)
     assert closed_acc == samples_acc
     assert any(samples_acc) and not all(samples_acc)
     bad = mismatches(closed, samples)
     assert not bad, f"{len(bad)} mismatches, first: {bad[:5]}"
+
+
+# ---------------------------------------------------------------------------
+# The block alignment loop against the per-round loop it replaces.
+
+def _align_per_round(scn, node, aligner, bounds, to_node, to_leader, optimum, correlator,
+                     noise_rng):
+    """Oracle for ``engine._align``: the alignment loop one round at a time,
+    with one proposal draw and one noise draw per round."""
+    raw = np.empty(scn.rounds)
+    smoothed = np.empty(scn.rounds)
+    achieved = np.zeros(scn.rounds)     # amplitude fraction of the optimum
+    for n in range(scn.rounds):
+        phases = aligner.propose(bounds[n])
+        h = scn.tx_amplitude * np.sum(to_node[n] * np.exp(1j * phases))
+        p_in = float(np.abs(h) ** 2)
+        node.harvest_step(p_in, scn.round_time_s)
+        z = None if scn.noise_floor_dbm is None else noise_rng.standard_normal(2)
+        y_raw = engine._measure(node, h, p_in, to_leader[n], correlator, z)
+        raw[n] = y_raw
+        smoothed[n], _ = aligner.record(y_raw)
+        if optimum[n] > 0:
+            achieved[n] = abs(h) / optimum[n]
+    return raw, smoothed, achieved
+
+
+_B3, _B24 = SCENARIOS["bench_3"][0], SCENARIOS["bench_24"][0]
+# name -> (scenario config, seed)
+BLOCK_CASES = {
+    "bench_3": (_B3, 5),
+    "bench_3_noiseless": (dict(_B3, noise_floor_dbm=None), 5),
+    "bench_24": (_B24, 6),
+    "bench_24_noiseless": (dict(_B24, noise_floor_dbm=None), 6),
+    "fixed_bound": (dict(_B3, slave_count=6, bound_deg=20.0), 1),
+    "one_slave": (dict(_B3, slave_count=1), 2),
+    "one_round": (dict(_B24, rounds=1), 3),
+    "no_deadband": (dict(_B3, slave_count=8, deadband_frac=0.0), 4),
+    "moving": SCENARIOS["mobile_1mps"][:2],
+    # Cold start on: the node browns out and sleeps through alignment rounds.
+    "readme_cold_start": (dict(SCENARIOS["readme_fast"][0], sync_enabled=False), 0),
+}
+
+
+def _block_case(name):
+    cfg, seed = BLOCK_CASES[name]
+    return build_scenario(parse_config({"scenario": cfg})["scenario"], seed)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_block_loop_writes_the_per_round_documents(name, monkeypatch):
+    scn = _block_case(name)
+    block = run_scenario(scn).to_json()
+    monkeypatch.setattr(engine, "_align", _align_per_round)
+    assert run_scenario(scn).to_json() == block
+
+
+def test_block_cases_accept_at_both_ends_of_a_block_and_sleep(monkeypatch):
+    # The byte-identity cases must cover an accept at a block's first round
+    # (the next block starts one round later) and at its last round, and
+    # rounds in which the node sleeps.
+    decisions, awake = [], []
+    measure = engine._measure
+
+    class Recording(OneBitAligner):
+        def record(self, y_raw, proposal=None):
+            out = super().record(y_raw, proposal)
+            decisions[-1].append(out[1])
+            return out
+
+    def recording_measure(node, *args):
+        awake[-1].append(node.awake)
+        return measure(node, *args)
+
+    monkeypatch.setattr(engine, "OneBitAligner", Recording)
+    monkeypatch.setattr(engine, "_measure", recording_measure)
+    positions = set()
+    for name in BLOCK_CASES:
+        decisions.append([])
+        awake.append([])
+        run_scenario(_block_case(name))
+        at = 0      # rounds since the block started
+        for accepted in decisions[-1]:
+            if accepted:
+                positions.add(at)
+            at = 0 if accepted or at == engine.BLOCK_ROUNDS - 1 else at + 1
+    assert {0, engine.BLOCK_ROUNDS - 1} <= positions
+    asleep = dict(zip(BLOCK_CASES, (not all(a) for a in awake)))
+    assert asleep["readme_cold_start"]
+
+
+def test_bulk_normals_equal_per_round_pairs():
+    rounds = 257
+    bulk = np.random.default_rng(11).standard_normal((rounds, 2))
+    rng = np.random.default_rng(11)
+    per_round = np.array([rng.standard_normal(2) for _ in range(rounds)])
+    assert bulk.tobytes() == per_round.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 24])
+@pytest.mark.parametrize("moving", [False, True])
+def test_block_fields_equal_per_round_sums(n, moving):
+    # A static node's links are one row broadcast over the rounds, a moving
+    # node's a contiguous table; either way each row of the block's reduce
+    # is the pairwise sum np.sum takes of that row alone.
+    rng = np.random.default_rng(n)
+    rounds = engine.BLOCK_ROUNDS
+    links = (rng.standard_normal((rounds, n)) + 1j * rng.standard_normal((rounds, n))) * 1e-3
+    if not moving:
+        links = np.broadcast_to(links[0], (rounds, n))
+    phases = rng.uniform(0.0, 2.0 * math.pi, (rounds, n))
+    amp = 0.7071067811865476
+    block = amp * np.add.reduce(links * np.exp(1j * phases), axis=1)
+    for k in range(rounds):
+        h = amp * np.sum(links[k] * np.exp(1j * phases[k]))
+        assert block[k] == h and np.abs(block)[k] == np.abs(h)
 
 
 def test_sync_draws_leave_later_stages_unchanged():
@@ -466,6 +585,15 @@ def test_heatmap_needs_one_phase_per_slave():
     for phases in ([], [0.0] * 3, [0.0] * 5):
         with pytest.raises(EngineError, match="4 phases"):
             heatmap(scn, phases, grid)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_heatmap_rejects_non_finite_grid_points(bad):
+    scn = bench_scenario(n=4)
+    grid = cs.cube_grid(scn.node_position, 0.2, 0.1)
+    grid[3, 1] = bad
+    with pytest.raises(ChannelError, match="finite"):
+        heatmap(scn, np.zeros(4), grid)
 
 
 def test_region_axis_ratio_on_synthetic_ellipsoid():
