@@ -262,16 +262,12 @@ class KalmanSmoother:
 class OneBitAligner:
     """Keep-if-improved phase alignment over a smoothed power metric.
 
-    Each round :meth:`propose` draws fresh per-slave perturbations within the
-    round's phase bound around the reference phases; :meth:`record` feeds
-    back the measured metric, accepts the proposal when the smoothed value
-    beats the reference metric by more than the dead band, and reverts to
+    :meth:`offsets` draws every round's per-slave perturbations within the
+    round's phase bound at once; :meth:`candidates` turns a run of them into
+    proposals around the current reference phases; :meth:`record` feeds
+    back the metric measured for one proposal, accepts it when the smoothed
+    value beats the reference metric by more than the dead band, and keeps
     the reference otherwise.
-
-    A caller that runs many rounds draws every round's perturbations at once
-    with :meth:`offsets`, turns a run of them into proposals around the
-    current reference with :meth:`candidates`, and passes each proposal it
-    measured to :meth:`record`.
     """
 
     def __init__(
@@ -292,20 +288,14 @@ class OneBitAligner:
             self.ref_phases = rng.uniform(0.0, 2.0 * math.pi, n_slaves)
         else:
             self.ref_phases = np.asarray(init_phases, dtype=float) % (2.0 * math.pi)
-        self.pending = self.ref_phases.copy()
         self.y_ref = None   # smoothed metric of the current reference phases
-
-    def propose(self, phi: float) -> np.ndarray:
-        delta = self.rng.uniform(-phi, phi, self.n_slaves)
-        self.pending = self.candidates(delta)
-        return self.pending
 
     def offsets(self, bounds) -> np.ndarray:
         """(R, N) perturbations of R rounds with phase bounds ``bounds``.
 
         One draw of R * N uniforms, turned into offsets by
         ``Generator.uniform``'s own arithmetic ``low + (high - low) * u``, so
-        row n equals what the n-th of R calls of :meth:`propose` would draw.
+        row n equals the n-th of R calls of ``rng.uniform(-phi, phi, N)``.
         """
         phi = np.asarray(bounds, dtype=float)[:, None]
         u = self.rng.random((phi.shape[0], self.n_slaves))
@@ -316,16 +306,11 @@ class OneBitAligner:
         (k, N) offsets give k proposals.  Changes no state."""
         return (self.ref_phases + delta) % (2.0 * math.pi)
 
-    def record(self, y_raw: float, proposal=None) -> tuple[float, bool]:
-        """(smoothed metric, whether the proposal was accepted).
-
-        The proposal measured is ``proposal`` when given, and otherwise the
-        last one :meth:`propose` drew.
-        """
+    def record(self, y_raw: float, proposal: np.ndarray) -> tuple[float, bool]:
+        """(smoothed metric, whether ``proposal``, measured as ``y_raw``,
+        was accepted)."""
         if not math.isfinite(y_raw):
             raise BeamformError("measurement must be finite")
-        if proposal is not None:
-            self.pending = proposal
         y = self.smoother.update(y_raw) if self.smoother else y_raw
         # Compare against the metric recorded when the reference last moved;
         # a global max would let one noise spike freeze the loop for good.
@@ -334,44 +319,9 @@ class OneBitAligner:
         else:
             accepted = y > self.y_ref + self.deadband_frac * abs(self.y_ref)
         if accepted:
-            self.ref_phases = self.pending.copy()
+            self.ref_phases = proposal.copy()
             self.y_ref = y
         return y, accepted
-
-
-def simulate_update_rule(
-    n_slaves: int,
-    bound,
-    rounds: int,
-    trials: int,
-    rng: np.random.Generator,
-    return_finals: bool = False,
-):
-    """Monte-Carlo mean amplitude trajectory of the bare update rule.
-
-    Ideal unit-gain channel, no noise, no smoothing, no dead band; used as
-    the cross-check against :func:`expected_amplitude_step`.  ``bound`` is
-    one phase bound for every round or a ``(rounds,)`` array of them.
-    Returns the mean reference amplitude for rounds 0..rounds (inclusive of
-    the start), plus the per-trial final amplitudes when ``return_finals``
-    is set.
-    """
-    phis = np.broadcast_to(np.asarray(bound, dtype=float), (rounds,))
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=(trials, n_slaves))
-    amp = np.abs(np.exp(1j * phases).sum(axis=1))
-    means = np.empty(rounds + 1)
-    means[0] = amp.mean()
-    for n, phi in enumerate(phis):
-        delta = rng.uniform(-phi, phi, size=(trials, n_slaves))
-        cand = phases + delta
-        cand_amp = np.abs(np.exp(1j * cand).sum(axis=1))
-        better = cand_amp > amp
-        phases[better] = cand[better]
-        amp[better] = cand_amp[better]
-        means[n + 1] = amp.mean()
-    if return_finals:
-        return means, amp
-    return means
 
 
 # ---------------------------------------------------------------------------

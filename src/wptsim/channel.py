@@ -49,13 +49,6 @@ class Position:
         """Coordinates as a (3,) array, so lists of positions stack to (N, 3)."""
         return np.array([self.x, self.y, self.z], dtype=dtype)
 
-    def distance_to(self, other: "Position") -> float:
-        return math.sqrt(
-            (self.x - other.x) ** 2
-            + (self.y - other.y) ** 2
-            + (self.z - other.z) ** 2
-        )
-
 
 class SegmentKind(Enum):
     AIR = "air"

@@ -30,8 +30,10 @@ class ChirpParams:
     sample_rate_hz: float = 2.048e6
 
     def __post_init__(self):
-        if self.bandwidth_hz < 0 or self.symbol_time_s <= 0 or self.sample_rate_hz <= 0:
-            raise DspError("invalid chirp parameters")
+        for name in ("bandwidth_hz", "symbol_time_s", "sample_rate_hz"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise DspError(f"chirp {name} must be finite and > 0, not {v!r}")
         if self.sample_rate_hz < 2.0 * self.bandwidth_hz:
             raise DspError("sample rate too low for requested band")
         n = self.symbol_time_s * self.sample_rate_hz
@@ -45,10 +47,6 @@ class ChirpParams:
     @property
     def slope_hz_per_s(self) -> float:
         return self.bandwidth_hz / self.symbol_time_s
-
-    @property
-    def processing_gain(self) -> float:
-        return self.symbol_time_s * self.bandwidth_hz
 
 
 @dataclass
@@ -68,9 +66,6 @@ class ComplexSignal:
 
     def power(self) -> float:
         return float(np.mean(np.abs(self.samples) ** 2))
-
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2))
 
 
 def _sweep_phase(params: ChirpParams, n: int) -> np.ndarray:

@@ -93,6 +93,16 @@ def _to_float(v) -> float:
         return math.nan
 
 
+def _number(v, name: str, low: float = -math.inf, strict: bool = False) -> float:
+    """``v`` as a float; ConfigError naming ``name`` unless it is a finite
+    number >= ``low``, or > ``low`` when ``strict``."""
+    x = _to_float(v)
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+        raise ConfigError(f"{name} must be a finite number{bound}, not {v!r}")
+    return x
+
+
 def _coordinates(v, name: str) -> list:
     """``v`` as three floats; ConfigError naming ``name`` unless it is three
     finite numbers."""
@@ -137,15 +147,22 @@ def parse_config(doc) -> dict:
         for i, p in enumerate(slaves):
             _coordinates(p, f"scenario.slave_positions_m[{i}]")
     if scenario["bound_deg"] != "adaptive":
-        scenario["bound_deg"] = float(scenario["bound_deg"])
+        scenario["bound_deg"] = _number(scenario["bound_deg"], "scenario.bound_deg")
     for key in ("slave_count", "rounds", "sync_offset_range", "sync_residual_jitter"):
         if not _is_whole(scenario[key]):
             raise ConfigError(
                 f"scenario.{key} must be a whole number, not {scenario[key]!r}")
-    speed = _to_float(scenario["speed_m_per_s"])
-    if not (math.isfinite(speed) and speed >= 0):
-        raise ConfigError("scenario.speed_m_per_s must be a finite number >= 0, "
-                          f"not {scenario['speed_m_per_s']!r}")
+    # Every other number is read here, so that its error names its field;
+    # the scenario's own checks then apply the ranges not given here.
+    for key in ("ring_radius_m", "ring_height_m", "muscle_depth_m", "tx_power_dbm",
+                "tx_gain_dbi", "freq_hz", "sigma_deg", "wake_threshold_dbm",
+                "feedback_latency_s", "deadband_frac"):
+        _number(scenario[key], f"scenario.{key}")
+    if scenario["noise_floor_dbm"] is not None:
+        _number(scenario["noise_floor_dbm"], "scenario.noise_floor_dbm")
+    for key in ("chirp_bandwidth_hz", "chirp_symbol_time_s", "chirp_sample_rate_hz"):
+        _number(scenario[key], f"scenario.{key}", 0.0, strict=True)
+    _number(scenario["speed_m_per_s"], "scenario.speed_m_per_s", 0.0)
 
     seeds = doc.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
@@ -165,13 +182,19 @@ def parse_config(doc) -> dict:
             )
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{axis} must be a non-empty list")
-        if not all(math.isfinite(_to_float(v)) for v in values):
-            raise ConfigError(f"sweep.{axis} values must be finite numbers, not {values!r}")
+        low, strict = {"speed_m_per_s": (0.0, False),
+                       "chirp_bandwidth_hz": (0.0, True)}.get(axis, (-math.inf, False))
+        for v in values:
+            _number(v, f"sweep.{axis}", low, strict)
         if axis == "slave_count" and not all(map(_is_whole, values)):
             raise ConfigError(
                 f"sweep.slave_count values must be whole numbers, not {values!r}")
-        if axis == "speed_m_per_s" and any(_to_float(v) < 0 for v in values):
-            raise ConfigError(f"sweep.speed_m_per_s values must be >= 0, not {values!r}")
+        if axis == "leader_node_distance_m":
+            # The swept node sits on the leader's bearing to it, past the tissue.
+            depth = _to_float(scenario["muscle_depth_m"])
+            if any(_to_float(v) <= depth for v in values):
+                raise ConfigError("sweep.leader_node_distance_m values must exceed "
+                                  f"scenario.muscle_depth_m ({depth:g}), not {values!r}")
 
     hm = _merge_section(doc.get("heatmap"), HEATMAP_DEFAULTS, "heatmap")
     if not isinstance(hm["enabled"], bool):
@@ -425,7 +448,11 @@ def main(argv=None) -> int:
             return cmd_report(args.out)
         cfg = load_config(args.config)
         if args.seeds:
-            cfg["seeds"] = [int(s) for s in args.seeds.split(",")]
+            try:
+                cfg["seeds"] = [int(s) for s in args.seeds.split(",")]
+            except ValueError:
+                raise ConfigError(
+                    f"--seeds must be comma-separated integers, not {args.seeds!r}") from None
         if args.verb == "run":
             return cmd_run(cfg, args.out)
         return cmd_sweep(cfg, args.out, max(1, args.jobs))

@@ -98,8 +98,6 @@ SCAN_POWER_FLOOR = 0.30
 @dataclass
 class ScanResult:
     scanning_ratio: float
-    cumulative_power: np.ndarray     # per-voxel max power over rounds
-    optimal_power: np.ndarray        # per-voxel coherent optimum
     ratio_by_round: np.ndarray
 
 
@@ -122,11 +120,9 @@ def scanning_ratio(
     """
     if matrix.size == 0:
         raise ValueError("empty grid")
-    opt = coherent_optimum_power(matrix)
     phases = np.asarray(base_phases, dtype=float).copy()
-    floor = SCAN_POWER_FLOOR * opt
+    floor = SCAN_POWER_FLOOR * coherent_optimum_power(matrix)
     scanned = np.zeros(matrix.shape[0], dtype=bool)
-    cum = np.zeros(matrix.shape[0])
     prev = None
     ratio_by_round = np.empty(n_perturbations + 1)
     for r in range(n_perturbations + 1):
@@ -134,22 +130,15 @@ def scanning_ratio(
         if prev is not None:
             scanned |= 0.5 * (p + prev) >= floor
         prev = p
-        np.maximum(cum, p, out=cum)
         ratio_by_round[r] = scanned.mean()
         phases = perturbation_round(phases, sigma_deg, rng)
-    return ScanResult(
-        scanning_ratio=float(ratio_by_round[-1]),
-        cumulative_power=cum,
-        optimal_power=opt,
-        ratio_by_round=ratio_by_round,
-    )
+    return ScanResult(float(ratio_by_round[-1]), ratio_by_round)
 
 
 @dataclass
 class ColdStartResult:
     success: bool
     rounds_used: int
-    incident_power_w: float
 
 
 class ColdStartRunner:
@@ -171,18 +160,14 @@ class ColdStartRunner:
     def run(self) -> ColdStartResult:
         # Round 0 is the unperturbed leader-focused beam; later rounds keep
         # perturbing the previous phases so the lobes walk through space.
-        phases = self.base_phases.copy()
-        power = self.incident_power_w(phases)
-        self.node.harvest_step(power)
-        if self.node.awake:
-            return ColdStartResult(True, 0, power)
-        for rnd in range(1, MAX_PERTURBATIONS + 1):
-            phases = perturbation_round(phases, self.config.sigma_deg, self.rng)
-            power = self.incident_power_w(phases)
-            self.node.harvest_step(power)
+        phases = self.base_phases
+        for rnd in range(MAX_PERTURBATIONS + 1):
+            if rnd:
+                phases = perturbation_round(phases, self.config.sigma_deg, self.rng)
+            self.node.harvest_step(self.incident_power_w(phases))
             if self.node.awake:
-                return ColdStartResult(True, rnd, power)
-        return ColdStartResult(False, MAX_PERTURBATIONS, power)
+                return ColdStartResult(True, rnd)
+        return ColdStartResult(False, MAX_PERTURBATIONS)
 
 
 def export_heatmap(points: np.ndarray, power_w: np.ndarray, path) -> None:

@@ -33,7 +33,7 @@ from .chirp import ChirpParams, generate_chirp, sample_noise_power
 # The run path no longer calls awgn or p_ccs0; perfbench/tracer.py patches
 # both names in this namespace, so they stay importable from here.
 from .chirp import awgn, p_ccs0  # noqa: F401
-from .sync import SyncError, run_sync
+from .sync import FINE_WINDOW_SYMBOLS, SyncError, run_sync
 
 
 class EngineError(ValueError):
@@ -49,14 +49,11 @@ class SyncSettings:
     enabled: bool = True
     offset_range: int = 8000          # initial clock offsets, samples
     residual_jitter: int = 60         # post-coarse processing-delay spread
-    fine_window_symbols: int = 64
 
     def __post_init__(self):
-        for name, low in (("offset_range", 0), ("residual_jitter", 0),
-                          ("fine_window_symbols", 1)):
-            if not getattr(self, name) >= low:
-                raise EngineError(
-                    f"sync {name} must be >= {low}, not {getattr(self, name)!r}")
+        for name in ("offset_range", "residual_jitter"):
+            if not getattr(self, name) >= 0:
+                raise EngineError(f"sync {name} must be >= 0, not {getattr(self, name)!r}")
 
 
 @dataclass
@@ -211,15 +208,9 @@ def _node_links(scn: Scenario, static: np.ndarray, track: np.ndarray) -> Channel
                    scn.freq_hz, scn.tx_gain_dbi, static_phase_rad=static)
 
 
-def optimal_amplitude(scn: Scenario, node_coeffs=None):
-    """Sum of per-slave lone amplitudes at the node (the coherent optimum).
-
-    ``node_coeffs`` defaults to the coefficients at the node's first
-    position; a (K, N) table gives one optimum per row.
-    """
-    if node_coeffs is None:
-        static = _static_phases(scn, _streams(scn.seed))
-        node_coeffs = _node_links(scn, static, node_track(scn))[0].complex
+def optimal_amplitude(scn: Scenario, node_coeffs) -> np.ndarray:
+    """Sum of per-slave lone amplitudes at the node (the coherent optimum),
+    one per row of the (K, N) slave -> node coefficients ``node_coeffs``."""
     return scn.tx_amplitude * np.abs(np.asarray(node_coeffs)).sum(axis=-1)
 
 
@@ -274,7 +265,7 @@ def run_scenario(scn: Scenario) -> Metrics:
                 offsets, scn.chirp, streams["sync"],
                 noise_power=noise_power,
                 residual_jitter=scn.sync.residual_jitter,
-                fine_window_symbols=scn.sync.fine_window_symbols,
+                fine_window_symbols=FINE_WINDOW_SYMBOLS,
             )
             metrics.sync_residuals = [int(r) for r in res.residual_offsets]
             metrics.sync_rounds = [int(r) for r in res.rounds_per_period]
@@ -485,14 +476,6 @@ def heatmap(scn: Scenario, phases, grid_points: np.ndarray) -> np.ndarray:
                             tx_amplitude=scn.tx_amplitude)
         power[lo:lo + block] = cs.field_power(m, phases)
     return power
-
-
-def aligned_phases(scn: Scenario) -> np.ndarray:
-    """Conjugate phases focusing the array on the node position (oracle)."""
-    static = _static_phases(scn, _streams(scn.seed))
-    links = channel(scn.slave_positions, scn.node_position, scn.medium, scn.freq_hz,
-                    scn.tx_gain_dbi, static_phase_rad=static)
-    return cs.leader_focused_phases(links)
 
 
 def region_axis_ratio(points: np.ndarray, power: np.ndarray, drop_db: float = 3.0) -> float:

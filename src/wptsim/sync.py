@@ -52,6 +52,8 @@ COARSE_CAPTURE_SYMBOLS = 3
 # Samples averaged per envelope point in fine sync; the beat of interest sits
 # far below the decimated Nyquist rate.
 ENVELOPE_DECIMATE = 64
+# Symbols of the continuous sweep each fine round captures.
+FINE_WINDOW_SYMBOLS = 64
 
 
 def coarse_sync(slave_rx: ComplexSignal, ref: ComplexSignal) -> int:
@@ -305,14 +307,17 @@ def run_sync(
     params: ChirpParams,
     rng: np.random.Generator,
     noise_power: float = 0.0,
-    residual_jitter: int = 100,
-    fine_window_symbols: int = 64,
+    *,
+    residual_jitter: int,
+    fine_window_symbols: int,
 ) -> SyncResult:
     """Run both synchronization steps over simulated receptions.
 
     ``true_offsets`` holds each slave's initial clock offset in samples;
     ``noise_power`` is the total sample-domain power of the white noise at
-    each receiver.  See :func:`_coarse_residuals` for ``residual_jitter``.
+    each receiver.  See :func:`_coarse_residuals` for ``residual_jitter``;
+    each fine round captures ``fine_window_symbols`` symbols (the engine
+    passes ``FINE_WINDOW_SYMBOLS``).
     """
     if not (math.isfinite(noise_power) and noise_power >= 0.0):
         raise ValueError(f"noise_power must be finite and >= 0, not {noise_power!r}")

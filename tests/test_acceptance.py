@@ -13,11 +13,8 @@ from scipy.stats import spearmanr
 
 from wptsim import coldstart as cs
 from wptsim.backscatter import BackscatterNode
-from wptsim.beamform import (
-    compute_bound_schedule,
-    expected_trajectory,
-    simulate_update_rule,
-)
+from oracles import energy, simulate_update_rule
+from wptsim.beamform import compute_bound_schedule, expected_trajectory
 from wptsim.channel import (
     MediumMap,
     MediumSegment,
@@ -93,7 +90,7 @@ def test_criterion_02_correlation_linearity_and_subnoise_detection():
     ref = generate_chirp(det, n_symbols=800)
     n = len(ref)
     sigma2 = 10 ** 3.5                       # unit-power signal at -35 dB SNR
-    rayleigh_scale = math.sqrt(sigma2 * ref.energy() / 2.0)
+    rayleigh_scale = math.sqrt(sigma2 * energy(ref) / 2.0)
     threshold = 4.5 * rayleigh_scale
     tp = fp = 0
     seeds = 1000
@@ -113,7 +110,7 @@ def test_criterion_03_two_step_sync_residuals_and_rounds():
     sample, in at most initial-residual + 3 feedback rounds each."""
     rng = np.random.default_rng(7)
     offsets = rng.integers(0, 8193, 24)
-    res = run_sync(offsets, ChirpParams(), rng, residual_jitter=100)
+    res = run_sync(offsets, ChirpParams(), rng, residual_jitter=100, fine_window_symbols=64)
     worst = max(abs(r) for r in res.residual_offsets)
     assert worst <= 1, f"worst residual {worst} samples"
     start = {p: off for p, rnd, off, _, _ in reversed(res.transcript) if rnd == 1}
@@ -367,8 +364,7 @@ def test_criterion_10_bit_identical_reruns():
         seed=123,
         rounds=50,
         wake_threshold_dbm=-35.0,
-        sync=SyncSettings(enabled=True, offset_range=300, residual_jitter=10,
-                          fine_window_symbols=32),
+        sync=SyncSettings(enabled=True, offset_range=300, residual_jitter=10),
         baseline="random_phase",
     )
     first = run_scenario(Scenario(**scn)).to_json()

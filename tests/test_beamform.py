@@ -22,10 +22,10 @@ from wptsim.beamform import (
     compute_bound_schedule,
     expected_amplitude_step,
     expected_trajectory,
-    simulate_update_rule,
     solve_concentration,
     uniform_cos_moment,
 )
+from oracles import propose, simulate_update_rule
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +382,18 @@ def test_aligner_improves_ideal_metric():
     al = OneBitAligner(8, rng)
     start = _ideal_metric(al.ref_phases)
     for _ in range(200):
-        ph = al.propose(math.radians(25))
-        al.record(_ideal_metric(ph))
+        ph = propose(al, math.radians(25))
+        al.record(_ideal_metric(ph), ph)
     assert _ideal_metric(al.ref_phases) > max(start, 0.9 * 8)
 
 
 def test_aligner_rejects_worse_proposals():
     rng = np.random.default_rng(2)
     al = OneBitAligner(4, rng, deadband_frac=0.0)
-    ph0 = al.propose(math.radians(30))
-    al.record(10.0)
+    ph0 = propose(al, math.radians(30))
+    al.record(10.0, ph0)
     ref_after = al.ref_phases.copy()
-    al.propose(math.radians(30))
-    y, accepted = al.record(5.0)  # clearly worse
+    y, accepted = al.record(5.0, propose(al, math.radians(30)))  # clearly worse
     assert y == 5.0 and not accepted
     assert np.array_equal(al.ref_phases, ref_after)
     assert np.array_equal(ref_after, ph0)
@@ -404,12 +403,9 @@ def test_aligner_deadband_blocks_marginal_gains():
     rng = np.random.default_rng(3)
     al = OneBitAligner(4, rng, deadband_frac=0.01)
     phi = math.radians(30)
-    al.propose(phi)
-    al.record(100.0)
-    al.propose(phi)
-    assert not al.record(100.5)[1]   # within 1% dead band
-    al.propose(phi)
-    assert al.record(102.0)[1]       # beyond it
+    al.record(100.0, propose(al, phi))
+    assert not al.record(100.5, propose(al, phi))[1]   # within 1% dead band
+    assert al.record(102.0, propose(al, phi))[1]       # beyond it
 
 
 def test_aligner_deterministic_given_seed():
@@ -418,8 +414,8 @@ def test_aligner_deterministic_given_seed():
         rng = np.random.default_rng(9)
         al = OneBitAligner(6, rng)
         for _ in range(50):
-            ph = al.propose(math.radians(30))
-            al.record(_ideal_metric(ph))
+            ph = propose(al, math.radians(30))
+            al.record(_ideal_metric(ph), ph)
         runs.append(al.ref_phases.copy())
     assert np.array_equal(runs[0], runs[1])
 
@@ -447,8 +443,9 @@ def test_candidates_and_record_of_a_proposal_match_propose():
     offsets = block.offsets(bounds)
     for k, y in enumerate([1.0, 0.5, 0.7, 2.0, 1.5]):
         proposal = block.candidates(offsets[k])
-        assert np.array_equal(proposal, per_round.propose(bounds[k]))
-        assert block.record(y, proposal) == per_round.record(y)
+        drawn = propose(per_round, bounds[k])
+        assert np.array_equal(proposal, drawn)
+        assert block.record(y, proposal) == per_round.record(y, drawn)
         assert np.array_equal(block.ref_phases, per_round.ref_phases)
 
 

@@ -162,7 +162,8 @@ def test_broadcast_channel_matches_per_link_calls_and_budget(depth, inbound):
             assert np.ndim(one.gain) == 0
             assert table.gain[r, i] == one.gain
             assert table.phase_rad[r, i] == one.phase_rad
-            budget = compose_budget(one_way_segments(sp.distance_to(node), medium, inbound))
+            d = math.dist(np.array(sp), np.array(node))
+            budget = compose_budget(one_way_segments(d, medium, inbound))
             want = 10 ** (-budget.total_loss_db / 20) * 10 ** (4.0 / 20)
             assert table.gain[r, i] == pytest.approx(want, rel=1e-12)
             assert table.phase_rad[r, i] == pytest.approx(
@@ -203,10 +204,6 @@ def test_channel_rejects_non_finite_coordinates(bad):
             channel(tx, rx)
         with pytest.raises(ChannelError, match="finite"):
             channel(rx, tx, MediumMap(muscle_depth_m=0.05))
-
-
-def test_position_distance():
-    assert Position(0, 0, 0).distance_to(Position(3, 4, 0)) == pytest.approx(5.0)
 
 
 def test_position_rejects_non_finite():

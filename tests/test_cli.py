@@ -325,6 +325,22 @@ def test_bad_number_exits_2_naming_the_field(tmp_path, capsys, key, value):
     # increasing".
     ("feedback_latency_s", -1e-3),
     ("feedback_latency_s", math.nan),
+    # A zero bandwidth used to escape as a ZeroDivisionError; NaN chirp
+    # values failed with errors that named no field.
+    ("chirp_bandwidth_hz", 0),
+    ("chirp_bandwidth_hz", math.nan),
+    ("chirp_symbol_time_s", math.nan),
+    ("chirp_symbol_time_s", -4e-3),
+    ("chirp_sample_rate_hz", "abc"),
+    # A non-number used to report "could not convert string to float", and
+    # a NaN ring radius "position coordinates must be finite".
+    ("bound_deg", "wide"),
+    ("tx_power_dbm", "hot"),
+    ("deadband_frac", "x"),
+    ("ring_radius_m", math.nan),
+    ("ring_height_m", "high"),
+    ("sigma_deg", None),
+    ("noise_floor_dbm", "loud"),
 ])
 def test_bad_scenario_value_exits_2_naming_the_field(tmp_path, capsys, key, value):
     doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], **{key: value}))
@@ -333,13 +349,31 @@ def test_bad_scenario_value_exits_2_naming_the_field(tmp_path, capsys, key, valu
     assert key in capsys.readouterr().err
 
 
+def test_bad_seeds_option_exits_2_naming_it(tmp_path, capsys):
+    # Used to report "invalid literal for int()".
+    cfg_path = write_cfg(tmp_path, MINIMAL)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                 "--seeds", "1,x"]) == 2
+    assert "--seeds" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("axis, values", [("slave_count", [3, 2.5]),
                                           ("slave_count", [False]),
                                           ("speed_m_per_s", [0.0, -1.0]),
                                           ("speed_m_per_s", [math.nan]),
                                           # None used to escape as a TypeError.
                                           ("sigma_deg", [None]),
-                                          ("speed_m_per_s", ["fast"])])
+                                          ("speed_m_per_s", ["fast"]),
+                                          # Used to escape as a ZeroDivisionError.
+                                          ("chirp_bandwidth_hz", [10e3, 0]),
+                                          ("chirp_bandwidth_hz", [math.nan]),
+                                          # -0.5 used to run with the node above
+                                          # the leader; 0 and the muscle depth
+                                          # failed with errors naming no axis.
+                                          ("leader_node_distance_m", [0.5, -0.5]),
+                                          ("leader_node_distance_m", [0]),
+                                          ("leader_node_distance_m", [0.05]),
+                                          ("leader_node_distance_m", [0.03])])
 def test_bad_sweep_value_exits_2_naming_the_axis(tmp_path, capsys, axis, values):
     doc = dict(MINIMAL, sweep={axis: values})
     with pytest.raises(ConfigError, match=f"sweep.{axis}"):

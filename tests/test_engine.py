@@ -8,6 +8,7 @@ import pytest
 from scipy.special import ive
 from scipy.stats import ks_2samp
 
+from oracles import aligned_phases, propose
 from test_golden import SCENARIOS, mismatches
 from wptsim import coldstart as cs, engine
 from wptsim.backscatter import SHIFT_FREQ_HZ, BackscatterNode, amplitude_ratio
@@ -27,7 +28,6 @@ from wptsim.engine import (
     Scenario,
     SyncSettings,
     heatmap,
-    aligned_phases,
     linear_positions,
     node_position_at,
     optimal_amplitude,
@@ -111,12 +111,11 @@ def test_scenario_accepts_valid_numbers(kw):
 @pytest.mark.parametrize("kw, field_name", [
     ({"offset_range": -1}, "offset_range"),            # used to end as "low >= high"
     ({"residual_jitter": -1}, "residual_jitter"),
-    ({"fine_window_symbols": 0}, "fine_window_symbols"),  # used to divide by zero
 ])
 def test_sync_settings_reject_bad_values(kw, field_name):
     with pytest.raises(EngineError, match=field_name):
         SyncSettings(**kw)
-    SyncSettings(**{field_name: 0 if field_name != "fine_window_symbols" else 1})
+    SyncSettings(**{field_name: 0})
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -149,8 +148,7 @@ def test_power_percentage_cannot_beat_optimum():
 def test_stage_ordering_full_pipeline():
     scn = bench_scenario(rounds=20, sync=SyncSettings(enabled=True,
                                                       offset_range=300,
-                                                      residual_jitter=10,
-                                                      fine_window_symbols=32),
+                                                      residual_jitter=10),
                          cold_start_enabled=True, wake_threshold_dbm=-35.0)
     m = run_scenario(scn)
     assert m.stage_log == ["sync", "cold_start", "alignment"]
@@ -254,7 +252,7 @@ def _run_with(measure, scn, monkeypatch):
     decisions = []
 
     class Recording(OneBitAligner):
-        def record(self, y_raw, proposal=None):
+        def record(self, y_raw, proposal):
             out = super().record(y_raw, proposal)
             decisions.append(out[1])
             return out
@@ -290,14 +288,14 @@ def _align_per_round(scn, node, aligner, bounds, to_node, to_leader, optimum, co
     smoothed = np.empty(scn.rounds)
     achieved = np.zeros(scn.rounds)     # amplitude fraction of the optimum
     for n in range(scn.rounds):
-        phases = aligner.propose(bounds[n])
+        phases = propose(aligner, bounds[n])
         h = scn.tx_amplitude * np.sum(to_node[n] * np.exp(1j * phases))
         p_in = float(np.abs(h) ** 2)
         node.harvest_step(p_in, scn.round_time_s)
         z = None if scn.noise_floor_dbm is None else noise_rng.standard_normal(2)
         y_raw = engine._measure(node, h, p_in, to_leader[n], correlator, z)
         raw[n] = y_raw
-        smoothed[n], _ = aligner.record(y_raw)
+        smoothed[n], _ = aligner.record(y_raw, phases)
         if optimum[n] > 0:
             achieved[n] = abs(h) / optimum[n]
     return raw, smoothed, achieved
@@ -341,7 +339,7 @@ def test_block_cases_accept_at_both_ends_of_a_block_and_sleep(monkeypatch):
     measure = engine._measure
 
     class Recording(OneBitAligner):
-        def record(self, y_raw, proposal=None):
+        def record(self, y_raw, proposal):
             out = super().record(y_raw, proposal)
             decisions[-1].append(out[1])
             return out
@@ -489,7 +487,9 @@ def test_metrics_json_matches_asdict(name):
 
 def test_optimal_amplitude_is_sum_of_path_amplitudes():
     scn = bench_scenario()
-    got = optimal_amplitude(scn)
+    static = engine._static_phases(scn, engine._streams(scn.seed))
+    got = optimal_amplitude(
+        scn, engine._node_links(scn, static, engine.node_track(scn))[0].complex)
     # The coherent optimum only depends on per-link gains, not phases.
     amps = [channel(sp, scn.node_position, scn.medium).gain
             for sp in scn.slave_positions]

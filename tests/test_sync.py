@@ -141,19 +141,20 @@ def test_run_sync_round_budget():
 def test_run_sync_rejects_out_of_window_offset():
     rng = np.random.default_rng(0)
     with pytest.raises(SyncError):
-        run_sync([10 * FAST.n_samples], FAST, rng)
+        run_sync([10 * FAST.n_samples], FAST, rng, residual_jitter=100, fine_window_symbols=64)
 
 
 def test_run_sync_single_slave_is_trivial():
     rng = np.random.default_rng(0)
-    res = run_sync([100], FAST, rng)
+    res = run_sync([100], FAST, rng, residual_jitter=100, fine_window_symbols=64)
     assert res.residual_offsets == [0]
     assert res.rounds_per_period == []
 
 
 def test_run_sync_empty_raises():
     with pytest.raises(SyncError):
-        run_sync([], FAST, np.random.default_rng(0))
+        run_sync([], FAST, np.random.default_rng(0), residual_jitter=100,
+                 fine_window_symbols=64)
 
 
 def test_run_sync_rejects_bad_noise_power():
@@ -161,7 +162,8 @@ def test_run_sync_rejects_bad_noise_power():
     # failure, so a bad argument is a ValueError.
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError) as exc:
-            run_sync([100, 200], FAST, np.random.default_rng(0), noise_power=bad)
+            run_sync([100, 200], FAST, np.random.default_rng(0), noise_power=bad,
+                     residual_jitter=100, fine_window_symbols=64)
         assert not isinstance(exc.value, SyncError)
         assert "noise_power" in str(exc.value)
 
@@ -169,7 +171,8 @@ def test_run_sync_rejects_bad_noise_power():
 def test_noise_free_fine_sync_equals_sample_oracle():
     # Without noise the per-offset envelope is the oracle's, rates included.
     offsets = np.random.default_rng(5).integers(0, 501, 6)
-    res = run_sync(offsets, README_FAST_CHIRP, np.random.default_rng(5), residual_jitter=20)
+    res = run_sync(offsets, README_FAST_CHIRP, np.random.default_rng(5), residual_jitter=20,
+                   fine_window_symbols=64)
     ref = _fine_sync_by_samples(offsets, README_FAST_CHIRP, np.random.default_rng(5),
                                 residual_jitter=20)
     assert res.transcript == ref.transcript
@@ -185,7 +188,7 @@ def test_fine_sync_at_minus_70_dbm_makes_the_oracles_decisions(seed):
     offsets = np.random.default_rng(seed).integers(0, 8001, 4)
     noise = _noise_power_at(-70.0, README_CHIRP)
     res = run_sync(offsets, README_CHIRP, np.random.default_rng(seed), noise_power=noise,
-                   residual_jitter=20)
+                   residual_jitter=20, fine_window_symbols=64)
     ref = _fine_sync_by_samples(offsets, README_CHIRP, np.random.default_rng(seed),
                                 noise_power=noise, residual_jitter=20)
     assert res.residual_offsets == ref.residual_offsets
@@ -335,7 +338,8 @@ def test_fine_sync_draws_one_block_vector_per_round(monkeypatch):
     params = README_FAST_CHIRP
     offsets = np.random.default_rng(8).integers(0, 501, 5)
     res = run_sync(offsets, params, CountingGenerator(np.random.default_rng(8)),
-                   noise_power=_noise_power_at(-70.0, params), residual_jitter=20)
+                   noise_power=_noise_power_at(-70.0, params), residual_jitter=20,
+                   fine_window_symbols=64)
 
     rounds = sum(res.rounds_per_period)
     assert rounds == len(res.transcript) > 0
