@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import dbm_to_watt, watt_to_dbm
-from .chirp import ComplexSignal
 
 
 class BackscatterError(ValueError):
@@ -83,15 +82,15 @@ class BackscatterNode:
             if incident_power_w < self.dynamic_power_draw_w:
                 self.awake = False
 
-    def reflect(self, incident: ComplexSignal) -> ComplexSignal:
-        """Reflect the incident signal mixed to +/- ``SHIFT_FREQ_HZ``.
+    def reflect(self, samples: np.ndarray, sample_rate_hz: float) -> np.ndarray:
+        """Reflect the incident samples mixed to +/- ``SHIFT_FREQ_HZ``.
 
         An asleep node reflects nothing.  The reflected amplitude follows the
-        monotone transfer curve; mixing with cos(2 pi f_s t) splits the power
-        evenly between the two sidebands, keeping the radio passive.
+        monotone transfer curve of the mean incident power; mixing with
+        cos(2 pi f_s t) splits the power evenly between the two sidebands,
+        keeping the radio passive.
         """
-        fs = incident.sample_rate_hz
         if not self.awake:
-            return ComplexSignal(np.zeros(len(incident), dtype=np.complex128), fs)
-        a = amplitude_ratio(incident.power())
-        return ComplexSignal(a * incident.samples * mixer(len(incident), fs), fs)
+            return np.zeros(samples.size, dtype=np.complex128)
+        a = amplitude_ratio(float(np.mean(np.abs(samples) ** 2)))
+        return a * samples * mixer(samples.size, sample_rate_hz)

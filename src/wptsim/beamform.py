@@ -275,7 +275,8 @@ class OneBitAligner:
         n_slaves: int,
         rng: np.random.Generator,
         smoother: KalmanSmoother | None = None,
-        deadband_frac: float = 0.001,
+        *,
+        deadband_frac: float,
         init_phases=None,
     ):
         if n_slaves < 1:

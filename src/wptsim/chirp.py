@@ -1,8 +1,9 @@
 """Chirp generation and frequency-domain cross-correlation.
 
-Implements the carrier-side DSP: linear chirp symbols, the zero-lag
+Implements the carrier-side DSP: linear chirp sweeps, the zero-lag
 cross-correlation power metric used to infer backscatter power changes,
 and the amplitude-fluctuation-rate estimator used for fine time sync.
+Signals are complex arrays sampled at the chirp's ``sample_rate_hz``.
 """
 
 from __future__ import annotations
@@ -49,25 +50,6 @@ class ChirpParams:
         return self.bandwidth_hz / self.symbol_time_s
 
 
-@dataclass
-class ComplexSignal:
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.size == 0:
-            raise DspError("signal must be non-empty")
-        if not np.all(np.isfinite(self.samples)):
-            raise DspError("signal contains non-finite samples")
-
-    def __len__(self):
-        return self.samples.size
-
-    def power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2))
-
-
 def _sweep_phase(params: ChirpParams, n: int) -> np.ndarray:
     """Phase of the linear sweep from the band's low edge over ``n`` samples."""
     t = np.arange(n) / params.sample_rate_hz
@@ -75,66 +57,48 @@ def _sweep_phase(params: ChirpParams, n: int) -> np.ndarray:
     return 2.0 * np.pi * (f0 * t + 0.5 * params.slope_hz_per_s * t * t)
 
 
-def generate_chirp(params: ChirpParams, n_symbols: int = 1) -> ComplexSignal:
-    """Unit-amplitude linear up-chirp sweeping [-bw/2, +bw/2] around
-    baseband per symbol.
+def generate_sweep(params: ChirpParams, n_symbols: int) -> np.ndarray:
+    """Single uninterrupted unit-amplitude linear sweep at the symbol chirp
+    slope, sampled at ``params.sample_rate_hz``; one symbol is the chirp,
+    sweeping [-bw/2, +bw/2] around baseband.
 
-    With ``n_symbols`` > 1 the symbol is repeated back to back with
-    continuous sampling (a continuous chirp train).
-    """
-    symbol = np.exp(1j * _sweep_phase(params, params.n_samples))
-    if n_symbols > 1:
-        symbol = np.tile(symbol, n_symbols)
-    return ComplexSignal(symbol, params.sample_rate_hz)
-
-
-def generate_sweep(params: ChirpParams, n_symbols: int) -> ComplexSignal:
-    """Single uninterrupted unit-amplitude linear sweep at the symbol chirp slope.
-
-    Unlike the tiled symbol train this signal never wraps, so the beat of two
+    Unlike a tiled symbol train this signal never wraps, so the beat of two
     time-shifted copies is one constant tone at slope * offset instead of a
     line comb at the symbol rate.  The sampled baseband is taken as is, with
     no band limiting.
     """
     if n_symbols < 1:
         raise DspError("need at least one symbol")
-    phase = _sweep_phase(params, params.n_samples * n_symbols)
-    return ComplexSignal(np.exp(1j * phase), params.sample_rate_hz)
+    return np.exp(1j * _sweep_phase(params, params.n_samples * n_symbols))
 
 
 def _fft_len(n: int) -> int:
     return 1 << (int(n - 1).bit_length())
 
 
-def ccs_correlate(rx: ComplexSignal, ref: ComplexSignal) -> np.ndarray:
+def ccs_correlate(rx: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Frequency-domain cross-correlation of rx against the reference chirp.
 
     Returns the complex correlation indexed by lag: lag k holds
     sum_m rx[m + k] * conj(ref[m]).  The zero-lag magnitude is the power
     metric that tracks the embedded backscatter component.
     """
-    if rx.sample_rate_hz != ref.sample_rate_hz:
-        raise DspError("sample rates must match")
-    if len(rx) < len(ref):
+    if rx.size < ref.size:
         raise DspError("rx must be at least as long as the reference")
-    n = _fft_len(len(rx) + len(ref) - 1)
-    return np.fft.ifft(np.fft.fft(rx.samples, n) * np.conj(np.fft.fft(ref.samples, n)))
+    n = _fft_len(rx.size + ref.size - 1)
+    return np.fft.ifft(np.fft.fft(rx, n) * np.conj(np.fft.fft(ref, n)))
 
 
-def p_ccs0(rx: ComplexSignal, ref: ComplexSignal) -> float:
+def p_ccs0(rx: np.ndarray, ref: np.ndarray) -> float:
     """Zero-lag correlation magnitude; linear proxy for backscatter power."""
-    if rx.sample_rate_hz != ref.sample_rate_hz:
-        raise DspError("sample rates must match")
-    if len(rx) < len(ref):
+    if rx.size < ref.size:
         raise DspError("rx must be at least as long as the reference")
-    m = len(ref)
-    return float(np.abs(np.vdot(ref.samples, rx.samples[:m])))
+    return float(np.abs(np.vdot(ref, rx[: ref.size])))
 
 
-def lag_magnitudes(rx: ComplexSignal, ref: ComplexSignal) -> np.ndarray:
+def lag_magnitudes(rx: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Correlation magnitude at every lag where ``ref`` lies inside ``rx``."""
-    n_lags = len(rx) - len(ref) + 1
-    return np.abs(ccs_correlate(rx, ref)[:n_lags])
+    return np.abs(ccs_correlate(rx, ref)[: rx.size - ref.size + 1])
 
 
 def block_mean(x: np.ndarray, n: int) -> np.ndarray:

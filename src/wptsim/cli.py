@@ -20,13 +20,14 @@ import yaml
 
 from . import coldstart as cs
 from .channel import MediumMap, Position
-from .chirp import ChirpParams
+from .chirp import ChirpParams, DspError
 from .engine import (
     Metrics,
     Scenario,
     SyncSettings,
     heatmap,
     linear_positions,
+    node_track,
     ring_positions,
     run_scenario,
 )
@@ -36,36 +37,108 @@ class ConfigError(ValueError):
     pass
 
 
-# Canonical scenario fields and their defaults.  Unknown keys are rejected
+# Readers: each takes a raw config value and the name its error gives, and
+# returns the value converted, or raises a ConfigError naming the field.
+# Ranges that a dataclass checks are left to it (see _check_scenario).
+
+def _to_float(v) -> float:
+    """float(v), which reads PyYAML's string ``1e-3``; NaN for bools and non-numbers."""
+    try:
+        return math.nan if isinstance(v, bool) else float(v)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _real(low: float = -math.inf, strict: bool = False):
+    """Reader of a finite number >= ``low`` (> ``low`` when ``strict``), as a float."""
+    def read(v, name: str) -> float:
+        x = _to_float(v)
+        if not (math.isfinite(x) and (x > low if strict else x >= low)):
+            bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+            raise ConfigError(f"{name} must be a finite number{bound}, not {v!r}")
+        return x
+    return read
+
+
+def _whole(low: float = -math.inf):
+    """Reader of a whole number >= ``low``, as an int: an int, an integral
+    float, or a string of either (``--seeds`` gives strings)."""
+    def read(v, name: str) -> int:
+        x = _to_float(v)
+        if not (math.isfinite(x) and x.is_integer() and x >= low):
+            bound = "" if low == -math.inf else f" >= {low:g}"
+            raise ConfigError(f"{name} must be a whole number{bound}, not {v!r}")
+        try:
+            return int(v)        # exact for ints and strings of digits
+        except (TypeError, ValueError):
+            return int(x)        # "1e0"
+    return read
+
+
+def _flag(v, name: str) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{name} must be true or false, not {v!r}")
+    return v
+
+
+def _coordinates(v, name: str) -> list:
+    """Reader of three finite numbers, as floats."""
+    xyz = [_to_float(c) for c in v] if isinstance(v, (list, tuple)) and len(v) == 3 else []
+    if not (xyz and all(map(math.isfinite, xyz))):
+        raise ConfigError(f"{name} must be [x, y, z] of finite numbers, not {v!r}")
+    return xyz
+
+
+def _slave_positions(v, name: str):
+    if v is None:
+        return None
+    if not isinstance(v, list):
+        raise ConfigError(f"{name} must be a list, not {v!r}")
+    return [_coordinates(p, f"{name}[{i}]") for i, p in enumerate(v)]
+
+
+def _layout(v, name: str) -> str:
+    if v not in ("ring", "linear", "explicit"):
+        raise ConfigError(f"{name} must be ring, linear or explicit, not {v!r}")
+    return v
+
+
+_REAL = _real()
+_WHOLE = _whole()
+_SEED = _whole(0)
+
+# Canonical scenario fields: (default, reader).  Unknown keys are rejected
 # so a typoed field name fails loudly instead of silently using a default.
 SCENARIO_DEFAULTS = {
-    "slave_layout": "ring",           # ring | linear | explicit
-    "slave_count": 24,
-    "ring_radius_m": 6.0,
-    "ring_height_m": 3.0,
-    "slave_positions_m": None,        # [[x, y, z], ...] for explicit layout
-    "leader_position_m": [0.0, 0.0, 0.0],
-    "node_position_m": [0.0, 0.0, -0.1],
-    "muscle_depth_m": 0.05,
-    "tx_power_dbm": 30.0,
-    "tx_gain_dbi": 4.0,
-    "freq_hz": 915e6,
-    "noise_floor_dbm": -70.0,         # null disables receiver noise
-    "rounds": 300,
-    "bound_deg": "adaptive",          # "adaptive" or a fixed bound in degrees
-    "baseline": "none",               # none | random_phase
-    "sync_enabled": True,
-    "sync_offset_range": 8000,
-    "sync_residual_jitter": 60,
-    "cold_start_enabled": True,
-    "sigma_deg": 55.0,
-    "wake_threshold_dbm": -20.0,
-    "chirp_bandwidth_hz": 40e3,
-    "chirp_symbol_time_s": 4e-3,
-    "chirp_sample_rate_hz": 2.048e6,
-    "speed_m_per_s": 0.0,             # node drift speed; 0 keeps it static
-    "feedback_latency_s": 1e-3,
-    "deadband_frac": 0.001,
+    "slave_layout": ("ring", _layout),
+    "slave_count": (24, _WHOLE),
+    "ring_radius_m": (6.0, _REAL),
+    "ring_height_m": (3.0, _REAL),
+    "slave_positions_m": (None, _slave_positions),  # [[x, y, z], ...], explicit layout
+    "leader_position_m": ([0.0, 0.0, 0.0], _coordinates),
+    "node_position_m": ([0.0, 0.0, -0.1], _coordinates),
+    "muscle_depth_m": (0.05, _REAL),
+    "tx_power_dbm": (30.0, _REAL),
+    "tx_gain_dbi": (4.0, _REAL),
+    "freq_hz": (915e6, _REAL),
+    "noise_floor_dbm": (-70.0,                      # null disables receiver noise
+                        lambda v, name: None if v is None else _REAL(v, name)),
+    "rounds": (300, _WHOLE),
+    "bound_deg": ("adaptive",                       # "adaptive" or a fixed bound in degrees
+                  lambda v, name: v if v == "adaptive" else _REAL(v, name)),
+    "baseline": ("none", lambda v, name: v),        # none | random_phase
+    "sync_enabled": (True, _flag),
+    "sync_offset_range": (8000, _WHOLE),
+    "sync_residual_jitter": (60, _WHOLE),
+    "cold_start_enabled": (True, _flag),
+    "sigma_deg": (55.0, _REAL),
+    "wake_threshold_dbm": (-20.0, _REAL),
+    "chirp_bandwidth_hz": (40e3, _REAL),
+    "chirp_symbol_time_s": (4e-3, _REAL),
+    "chirp_sample_rate_hz": (2.048e6, _REAL),
+    "speed_m_per_s": (0.0, _real(0.0)),             # node drift speed; 0 keeps it static
+    "feedback_latency_s": (1e-3, _REAL),
+    "deadband_frac": (0.001, _REAL),
 }
 
 SWEEP_AXES = (
@@ -76,137 +149,84 @@ SWEEP_AXES = (
     "speed_m_per_s",
 )
 
-HEATMAP_DEFAULTS = {"enabled": False, "cube_m": 1.0, "voxel_m": 0.05}
+HEATMAP_DEFAULTS = {"enabled": (False, _flag), "cube_m": (1.0, _real(0.0, strict=True)),
+                    "voxel_m": (0.05, _real(0.0, strict=True))}
 
 
-def _is_whole(v) -> bool:
-    """An int or an integral float; YAML's true and false are not numbers here."""
-    return not isinstance(v, bool) and (isinstance(v, int) or
-                                        isinstance(v, float) and v.is_integer())
-
-
-def _to_float(v) -> float:
-    """float(v), which reads PyYAML's string ``1e-3``; NaN for bools and non-numbers."""
-    try:
-        return math.nan if isinstance(v, bool) else float(v)
-    except (TypeError, ValueError):
-        return math.nan
-
-
-def _number(v, name: str, low: float = -math.inf, strict: bool = False) -> float:
-    """``v`` as a float; ConfigError naming ``name`` unless it is a finite
-    number >= ``low``, or > ``low`` when ``strict``."""
-    x = _to_float(v)
-    if not (math.isfinite(x) and (x > low if strict else x >= low)):
-        bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
-        raise ConfigError(f"{name} must be a finite number{bound}, not {v!r}")
-    return x
-
-
-def _coordinates(v, name: str) -> list:
-    """``v`` as three floats; ConfigError naming ``name`` unless it is three
-    finite numbers."""
-    xyz = [_to_float(c) for c in v] if isinstance(v, (list, tuple)) and len(v) == 3 else []
-    if not (xyz and all(map(math.isfinite, xyz))):
-        raise ConfigError(f"{name} must be [x, y, z] of finite numbers, not {v!r}")
-    return xyz
-
-
-def _merge_section(raw, defaults, section):
+def _read_section(raw, table: dict, section: str) -> dict:
+    """Every field of ``table`` read once: the value given, or its default."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"'{section}' must be a mapping")
     for key in raw:
-        if key not in defaults:
+        if key not in table:
             raise ConfigError(f"unknown field '{key}' in '{section}'")
-    out = dict(defaults)
-    out.update(raw)
-    return out
+    return {key: read(raw.get(key, default), f"{section}.{key}")
+            for key, (default, read) in table.items()}
+
+
+def _check_scenario(scn_cfg: dict, where: str = "") -> None:
+    """Build ``scn_cfg`` once, so that a value its dataclasses refuse, or a
+    muscle depth that reaches past one of the node's links, fails before
+    anything is written; ``where`` prefixes the error."""
+    try:
+        scn = build_scenario(scn_cfg, 0)
+    except DspError as exc:
+        # ChirpParams names its own fields, which lack the config's prefix.
+        raise ConfigError(f"{where}scenario.chirp_bandwidth_hz, scenario.chirp_symbol_time_s"
+                          f" or scenario.chirp_sample_rate_hz: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{where}scenario: {exc}") from None
+    ends = np.array([scn.leader_position, *scn.slave_positions], dtype=float)
+    nearest = float(np.linalg.norm(node_track(scn)[:, None] - ends, axis=-1).min())
+    depth = scn.medium.muscle_depth_m
+    if depth >= nearest:
+        raise ConfigError(f"{where}scenario.muscle_depth_m ({depth:g}) must be smaller than "
+                          f"the node's distance to the leader and to each slave ({nearest:g})")
 
 
 def parse_config(doc) -> dict:
-    """Validate a raw YAML document into the canonical config dict."""
+    """Read a raw YAML document into the canonical config dict; the scenario
+    and every sweep point are built once, to check them."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
     for key in doc:
         if key not in ("scenario", "seeds", "sweep", "heatmap"):
             raise ConfigError(f"unknown top-level section '{key}'")
 
-    scenario = _merge_section(doc.get("scenario"), SCENARIO_DEFAULTS, "scenario")
-    if scenario["slave_layout"] not in ("ring", "linear", "explicit"):
-        raise ConfigError("scenario.slave_layout must be ring, linear or explicit")
+    scenario = _read_section(doc.get("scenario"), SCENARIO_DEFAULTS, "scenario")
     if scenario["slave_layout"] == "explicit" and not scenario["slave_positions_m"]:
         raise ConfigError("explicit layout requires scenario.slave_positions_m")
-    for vec_field in ("leader_position_m", "node_position_m"):
-        scenario[vec_field] = _coordinates(scenario[vec_field], f"scenario.{vec_field}")
-    slaves = scenario["slave_positions_m"]
-    if slaves is not None:
-        if not isinstance(slaves, list):
-            raise ConfigError(f"scenario.slave_positions_m must be a list, not {slaves!r}")
-        for i, p in enumerate(slaves):
-            _coordinates(p, f"scenario.slave_positions_m[{i}]")
-    if scenario["bound_deg"] != "adaptive":
-        scenario["bound_deg"] = _number(scenario["bound_deg"], "scenario.bound_deg")
-    for key in ("slave_count", "rounds", "sync_offset_range", "sync_residual_jitter"):
-        if not _is_whole(scenario[key]):
-            raise ConfigError(
-                f"scenario.{key} must be a whole number, not {scenario[key]!r}")
-    # Every other number is read here, so that its error names its field;
-    # the scenario's own checks then apply the ranges not given here.
-    for key in ("ring_radius_m", "ring_height_m", "muscle_depth_m", "tx_power_dbm",
-                "tx_gain_dbi", "freq_hz", "sigma_deg", "wake_threshold_dbm",
-                "feedback_latency_s", "deadband_frac"):
-        _number(scenario[key], f"scenario.{key}")
-    if scenario["noise_floor_dbm"] is not None:
-        _number(scenario["noise_floor_dbm"], "scenario.noise_floor_dbm")
-    for key in ("chirp_bandwidth_hz", "chirp_symbol_time_s", "chirp_sample_rate_hz"):
-        _number(scenario[key], f"scenario.{key}", 0.0, strict=True)
-    _number(scenario["speed_m_per_s"], "scenario.speed_m_per_s", 0.0)
+    _check_scenario(scenario)
 
     seeds = doc.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("'seeds' must be a non-empty list of integers")
-    try:
-        seeds = [int(s) for s in seeds]
-    except (TypeError, ValueError):
-        raise ConfigError("'seeds' must be a non-empty list of integers")
+        raise ConfigError("'seeds' must be a non-empty list of whole numbers >= 0")
+    seeds = [_SEED(s, "seeds") for s in seeds]
 
-    sweep = doc.get("sweep") or {}
-    if not isinstance(sweep, dict):
+    raw_sweep = doc.get("sweep") or {}
+    if not isinstance(raw_sweep, dict):
         raise ConfigError("'sweep' must be a mapping of axis -> value list")
-    for axis, values in sweep.items():
+    sweep = {}
+    for axis, values in raw_sweep.items():
         if axis not in SWEEP_AXES:
             raise ConfigError(
                 f"unknown sweep axis '{axis}' (expected one of {', '.join(SWEEP_AXES)})"
             )
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{axis} must be a non-empty list")
-        low, strict = {"speed_m_per_s": (0.0, False),
-                       "chirp_bandwidth_hz": (0.0, True)}.get(axis, (-math.inf, False))
-        for v in values:
-            _number(v, f"sweep.{axis}", low, strict)
-        if axis == "slave_count" and not all(map(_is_whole, values)):
-            raise ConfigError(
-                f"sweep.slave_count values must be whole numbers, not {values!r}")
-        if axis == "leader_node_distance_m":
-            # The swept node sits on the leader's bearing to it, past the tissue.
-            depth = _to_float(scenario["muscle_depth_m"])
-            if any(_to_float(v) <= depth for v in values):
-                raise ConfigError("sweep.leader_node_distance_m values must exceed "
-                                  f"scenario.muscle_depth_m ({depth:g}), not {values!r}")
+        # The swept node sits on the leader's bearing to it, past the leader.
+        read = (_real(0.0, strict=True) if axis == "leader_node_distance_m"
+                else SCENARIO_DEFAULTS[axis][1])
+        sweep[axis] = [read(v, f"sweep.{axis}") for v in values]
+        for v in sweep[axis]:
+            _check_scenario(apply_axis(scenario, axis, v), f"sweep.{axis} = {v!r}: ")
 
-    hm = _merge_section(doc.get("heatmap"), HEATMAP_DEFAULTS, "heatmap")
-    if not isinstance(hm["enabled"], bool):
-        raise ConfigError("heatmap.enabled must be true or false")
-    for key in ("cube_m", "voxel_m"):
-        v = hm[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
-                math.isfinite(v) and v > 0):
-            raise ConfigError(f"heatmap.{key} must be a finite number > 0, not {v!r}")
+    hm = _read_section(doc.get("heatmap"), HEATMAP_DEFAULTS, "heatmap")
     if hm["voxel_m"] > hm["cube_m"]:
         raise ConfigError("heatmap.voxel_m must not exceed heatmap.cube_m")
-    return {"scenario": scenario, "seeds": seeds, "sweep": dict(sweep), "heatmap": hm}
+    return {"scenario": scenario, "seeds": seeds, "sweep": sweep, "heatmap": hm}
 
 
 def load_config(path) -> dict:
@@ -225,74 +245,70 @@ def serialize_config(cfg: dict) -> str:
 
 def _positions(scn_cfg: dict) -> list:
     layout = scn_cfg["slave_layout"]
-    n = int(scn_cfg["slave_count"])
+    n = scn_cfg["slave_count"]
     if layout == "ring":
         return ring_positions(n, scn_cfg["ring_radius_m"], scn_cfg["ring_height_m"])
     if layout == "linear":
         return linear_positions(n, freq_hz=scn_cfg["freq_hz"])
-    return [Position(*map(float, p)) for p in scn_cfg["slave_positions_m"]]
+    return [Position(*p) for p in scn_cfg["slave_positions_m"]]
 
 
 def build_scenario(scn_cfg: dict, seed: int) -> Scenario:
+    """The scenario of a canonical config's ``scenario`` section."""
     node = Position(*scn_cfg["node_position_m"])
     chirp = ChirpParams(
-        bandwidth_hz=float(scn_cfg["chirp_bandwidth_hz"]),
-        symbol_time_s=float(scn_cfg["chirp_symbol_time_s"]),
-        sample_rate_hz=float(scn_cfg["chirp_sample_rate_hz"]),
+        bandwidth_hz=scn_cfg["chirp_bandwidth_hz"],
+        symbol_time_s=scn_cfg["chirp_symbol_time_s"],
+        sample_rate_hz=scn_cfg["chirp_sample_rate_hz"],
     )
-    speed = float(scn_cfg["speed_m_per_s"])
+    speed = scn_cfg["speed_m_per_s"]
     trajectory = []
     if speed > 0:
-        round_s = chirp.symbol_time_s + float(scn_cfg["feedback_latency_s"])
-        total_s = int(scn_cfg["rounds"]) * round_s
+        round_s = chirp.symbol_time_s + scn_cfg["feedback_latency_s"]
+        total_s = scn_cfg["rounds"] * round_s
         end = Position(node.x + speed * total_s, node.y, node.z)
         trajectory = [(0.0, node), (total_s, end)]
-    cold = cs.ColdStartConfig(sigma_deg=float(scn_cfg["sigma_deg"]))
     return Scenario(
         slave_positions=_positions(scn_cfg),
         leader_position=Position(*scn_cfg["leader_position_m"]),
         node_position=node,
-        medium=MediumMap(muscle_depth_m=float(scn_cfg["muscle_depth_m"])),
+        medium=MediumMap(muscle_depth_m=scn_cfg["muscle_depth_m"]),
         chirp=chirp,
         seed=seed,
-        tx_power_dbm=float(scn_cfg["tx_power_dbm"]),
-        tx_gain_dbi=float(scn_cfg["tx_gain_dbi"]),
-        freq_hz=float(scn_cfg["freq_hz"]),
-        noise_floor_dbm=None if scn_cfg["noise_floor_dbm"] is None
-        else float(scn_cfg["noise_floor_dbm"]),
-        rounds=int(scn_cfg["rounds"]),
+        tx_power_dbm=scn_cfg["tx_power_dbm"],
+        tx_gain_dbi=scn_cfg["tx_gain_dbi"],
+        freq_hz=scn_cfg["freq_hz"],
+        noise_floor_dbm=scn_cfg["noise_floor_dbm"],
+        rounds=scn_cfg["rounds"],
         bound=scn_cfg["bound_deg"],
         baseline=scn_cfg["baseline"],
         trajectory=trajectory,
-        feedback_latency_s=float(scn_cfg["feedback_latency_s"]),
+        feedback_latency_s=scn_cfg["feedback_latency_s"],
         sync=SyncSettings(
-            enabled=bool(scn_cfg["sync_enabled"]),
-            offset_range=int(scn_cfg["sync_offset_range"]),
-            residual_jitter=int(scn_cfg["sync_residual_jitter"]),
+            enabled=scn_cfg["sync_enabled"],
+            offset_range=scn_cfg["sync_offset_range"],
+            residual_jitter=scn_cfg["sync_residual_jitter"],
         ),
-        cold_start=cold,
-        wake_threshold_dbm=float(scn_cfg["wake_threshold_dbm"]),
-        deadband_frac=float(scn_cfg["deadband_frac"]),
-        cold_start_enabled=bool(scn_cfg["cold_start_enabled"]),
+        cold_start=cs.ColdStartConfig(sigma_deg=scn_cfg["sigma_deg"]),
+        wake_threshold_dbm=scn_cfg["wake_threshold_dbm"],
+        deadband_frac=scn_cfg["deadband_frac"],
+        cold_start_enabled=scn_cfg["cold_start_enabled"],
     )
 
 
 def apply_axis(scn_cfg: dict, axis: str, value) -> dict:
-    """Scenario config with one sweep axis overridden."""
+    """Scenario config with one sweep axis set to a value read by its reader."""
     out = dict(scn_cfg)
     if axis == "leader_node_distance_m":
-        lead = np.array(scn_cfg["leader_position_m"], dtype=float)
-        node = np.array(scn_cfg["node_position_m"], dtype=float)
-        direction = node - lead
+        lead = np.array(scn_cfg["leader_position_m"])
+        direction = np.array(scn_cfg["node_position_m"]) - lead
         norm = np.linalg.norm(direction)
         direction = direction / norm if norm > 0 else np.array([0.0, 0.0, -1.0])
-        out["node_position_m"] = [float(c) for c in lead + float(value) * direction]
-    elif axis == "slave_count":
-        if scn_cfg["slave_layout"] == "explicit":
-            raise ConfigError("cannot sweep slave_count over an explicit layout")
-        out["slave_count"] = int(value)
+        out["node_position_m"] = (lead + value * direction).tolist()
+    elif axis == "slave_count" and scn_cfg["slave_layout"] == "explicit":
+        raise ConfigError("sweep.slave_count cannot change an explicit layout")
     else:
-        out[axis] = float(value)
+        out[axis] = value
     return out
 
 
@@ -448,11 +464,7 @@ def main(argv=None) -> int:
             return cmd_report(args.out)
         cfg = load_config(args.config)
         if args.seeds:
-            try:
-                cfg["seeds"] = [int(s) for s in args.seeds.split(",")]
-            except ValueError:
-                raise ConfigError(
-                    f"--seeds must be comma-separated integers, not {args.seeds!r}") from None
+            cfg["seeds"] = [_SEED(s, "--seeds") for s in args.seeds.split(",")]
         if args.verb == "run":
             return cmd_run(cfg, args.out)
         return cmd_sweep(cfg, args.out, max(1, args.jobs))

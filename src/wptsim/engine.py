@@ -29,7 +29,7 @@ from .channel import (
     channel,
     dbm_to_watt,
 )
-from .chirp import ChirpParams, generate_chirp, sample_noise_power
+from .chirp import ChirpParams, generate_sweep, sample_noise_power
 # The run path no longer calls awgn or p_ccs0; perfbench/tracer.py patches
 # both names in this namespace, so they stay importable from here.
 from .chirp import awgn, p_ccs0  # noqa: F401
@@ -413,7 +413,7 @@ def _correlator(scn: Scenario, noise_power: float) -> tuple[complex, float]:
 def _correlator_shape(chirp: ChirpParams) -> tuple[complex, float]:
     """(gain, ||shifted||) of :func:`_correlator`, which depend on the chirp
     only, so that a run does not rebuild its reference symbol."""
-    ref = generate_chirp(chirp).samples
+    ref = generate_sweep(chirp, 1)
     fs = chirp.sample_rate_hz
     t = np.arange(chirp.n_samples) / fs
     shifted = ref * np.exp(1j * 2.0 * np.pi * SHIFT_FREQ_HZ * t)

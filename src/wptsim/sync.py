@@ -22,12 +22,10 @@ import numpy as np
 
 from .chirp import (
     ChirpParams,
-    ComplexSignal,
     awgn_power,
     block_mean,
     fluctuation_bin_hz,
     fluctuation_rate,
-    generate_chirp,
     generate_sweep,
     lag_magnitudes,
 )
@@ -56,7 +54,7 @@ ENVELOPE_DECIMATE = 64
 FINE_WINDOW_SYMBOLS = 64
 
 
-def coarse_sync(slave_rx: ComplexSignal, ref: ComplexSignal) -> int:
+def coarse_sync(slave_rx: np.ndarray, ref: np.ndarray) -> int:
     """Sample offset of the preamble inside the received capture.
 
     Raises :class:`SyncError` when no correlation peak stands out of the lag
@@ -236,23 +234,22 @@ class FineSyncEnvelope:
         self.window = params.n_samples * fine_window_symbols
         self.pad = pad
         self.envelope_rate_hz = params.sample_rate_hz / ENVELOPE_DECIMATE
-        self._sample_rate_hz = params.sample_rate_hz
         n_ext = fine_window_symbols + -(-2 * pad // params.n_samples) + 1
-        self._ext = generate_sweep(params, n_ext).samples
+        self._ext = generate_sweep(params, n_ext)
         self._base = self._ext[pad : pad + self.window]
         self._sigma = math.sqrt(noise_power / 2.0)
         self._blocks = {}            # offset -> (block mean, block std or None)
 
-    def samples(self, offset: int) -> ComplexSignal:
+    def samples(self, offset: int) -> np.ndarray:
         """The noise-free superposed sweeps at ``offset``, sample by sample."""
         shifted = self._ext[self.pad - offset : self.pad - offset + self.window]
-        return ComplexSignal(self._base + shifted, self._sample_rate_hz)
+        return self._base + shifted
 
     def blocks(self, offset: int) -> tuple:
         """(mean, std) of each envelope block at ``offset``; std is None
         without noise, when the mean is the envelope itself."""
         if offset not in self._blocks:
-            nu = np.abs(self.samples(offset).samples)
+            nu = np.abs(self.samples(offset))
             if self._sigma == 0.0:
                 self._blocks[offset] = (block_mean(nu, ENVELOPE_DECIMATE), None)
             else:
@@ -286,17 +283,17 @@ def _coarse_residuals(true_offsets, params: ChirpParams, rng: np.random.Generato
     the coarse step: after compensation each slave keeps a uniform random
     residual in [-jitter, +jitter] samples.
     """
-    ref = generate_chirp(params)
+    ref = generate_sweep(params, 1)
     n = params.n_samples
     residuals = []
     for off in true_offsets:
         if off >= (COARSE_CAPTURE_SYMBOLS - 1) * n:
             raise SyncError("offset exceeds the coarse capture window")
         capture = np.zeros(COARSE_CAPTURE_SYMBOLS * n, dtype=np.complex128)
-        capture[off : off + n] = ref.samples
+        capture[off : off + n] = ref
         if noise_power > 0:
             capture = capture + awgn_power(capture.size, noise_power, rng)
-        est = coarse_sync(ComplexSignal(capture, params.sample_rate_hz), ref)
+        est = coarse_sync(capture, ref)
         resid = off - est + int(rng.integers(-residual_jitter, residual_jitter + 1))
         residuals.append(resid)
     return residuals

@@ -62,6 +62,6 @@ def aligned_phases(scn: engine.Scenario) -> np.ndarray:
     return cs.leader_focused_phases(links)
 
 
-def energy(sig) -> float:
+def energy(samples) -> float:
     """Sum of |x|^2 over a signal's samples."""
-    return float(np.sum(np.abs(sig.samples) ** 2))
+    return float(np.sum(np.abs(samples) ** 2))

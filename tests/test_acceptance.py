@@ -25,13 +25,7 @@ from wptsim.channel import (
     dbm_to_watt,
     received_power_dbm,
 )
-from wptsim.chirp import (
-    ChirpParams,
-    ComplexSignal,
-    awgn_power,
-    generate_chirp,
-    p_ccs0,
-)
+from wptsim.chirp import ChirpParams, awgn_power, generate_sweep, p_ccs0
 from wptsim.engine import (
     Scenario,
     SyncSettings,
@@ -70,16 +64,12 @@ def test_criterion_02_correlation_linearity_and_subnoise_detection():
     # Part 1: exact rank correlation over a 20-point amplitude sweep x 100
     # seeds, fixed noise per seed.
     params = ChirpParams()
-    sig = generate_chirp(params)
+    sig = generate_sweep(params, 1)
     amps = np.linspace(0.1, 2.0, 20)
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        noise = awgn_power(len(sig), 1.0, rng)
-        stats = [
-            p_ccs0(ComplexSignal(a * sig.samples + noise, params.sample_rate_hz),
-                   sig)
-            for a in amps
-        ]
+        noise = awgn_power(sig.size, 1.0, rng)
+        stats = [p_ccs0(a * sig + noise, sig) for a in amps]
         rho = spearmanr(amps, stats).statistic
         assert rho == 1.0, f"seed {seed}: rank correlation {rho}"
 
@@ -87,8 +77,10 @@ def test_criterion_02_correlation_linearity_and_subnoise_detection():
     # (fs = 2 * bw), 800-symbol train, so the correlator's deflection is
     # sqrt(2E / 10^3.5) ~ 12.7 noise sigmas; threshold at 4.5 sigma.
     det = ChirpParams(bandwidth_hz=40e3, symbol_time_s=4e-3, sample_rate_hz=80e3)
-    ref = generate_chirp(det, n_symbols=800)
-    n = len(ref)
+    # A tiled train of one symbol, not a sweep: the detector correlates
+    # against the repeated chirp.
+    ref = np.tile(generate_sweep(det, 1), 800)
+    n = ref.size
     sigma2 = 10 ** 3.5                       # unit-power signal at -35 dB SNR
     rayleigh_scale = math.sqrt(sigma2 * energy(ref) / 2.0)
     threshold = 4.5 * rayleigh_scale
@@ -97,8 +89,8 @@ def test_criterion_02_correlation_linearity_and_subnoise_detection():
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
         noise = awgn_power(n, sigma2, rng)
-        h0 = p_ccs0(ComplexSignal(noise, det.sample_rate_hz), ref)
-        h1 = p_ccs0(ComplexSignal(ref.samples + noise, det.sample_rate_hz), ref)
+        h0 = p_ccs0(noise, ref)
+        h1 = p_ccs0(ref + noise, ref)
         fp += h0 > threshold
         tp += h1 > threshold
     assert tp / seeds >= 0.99, f"true positive rate {tp / seeds:.3f}"

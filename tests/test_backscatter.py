@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from wptsim import backscatter
 from wptsim.backscatter import BackscatterError, BackscatterNode
 from wptsim.channel import dbm_to_watt
-from wptsim.chirp import ChirpParams, ComplexSignal, generate_chirp
+from wptsim.chirp import ChirpParams, generate_sweep
 
 
 def test_curve_ratio_bounds():
@@ -67,9 +67,9 @@ def test_awake_node_survives_on_dynamic_draw():
 
 def test_asleep_node_reflects_nothing():
     node = BackscatterNode()
-    sig = generate_chirp(ChirpParams())
-    out = node.reflect(sig)
-    assert np.all(out.samples == 0)
+    p = ChirpParams()
+    out = node.reflect(generate_sweep(p, 1), p.sample_rate_hz)
+    assert out.shape == (p.n_samples,) and np.all(out == 0)
 
 
 def test_reflection_power_follows_curve():
@@ -77,12 +77,12 @@ def test_reflection_power_follows_curve():
     node.awake = True
     p = ChirpParams()
     amp = 0.01
-    sig = ComplexSignal(amp * generate_chirp(p).samples, p.sample_rate_hz)
-    out = node.reflect(sig)
+    sig = amp * generate_sweep(p, 1)
+    out = node.reflect(sig, p.sample_rate_hz)
     # Mixing with a real cosine splits the reflected power evenly between the
     # two sidebands: total reflected power is half the curve output.
-    want = 0.5 * backscatter.reflected_power_w(sig.power())
-    assert out.power() == pytest.approx(want, rel=0.01)
+    want = 0.5 * backscatter.reflected_power_w(np.mean(np.abs(sig) ** 2))
+    assert np.mean(np.abs(out) ** 2) == pytest.approx(want, rel=0.01)
 
 
 def test_reflection_lands_on_shift_frequency():
@@ -91,9 +91,9 @@ def test_reflection_lands_on_shift_frequency():
     p = ChirpParams()
     n = p.n_samples
     t = np.arange(n) / p.sample_rate_hz
-    tone = ComplexSignal(0.01 * np.exp(1j * 2 * np.pi * 5e3 * t), p.sample_rate_hz)
-    out = node.reflect(tone)
-    spec = np.abs(np.fft.fft(out.samples))
+    tone = 0.01 * np.exp(1j * 2 * np.pi * 5e3 * t)
+    out = node.reflect(tone, p.sample_rate_hz)
+    spec = np.abs(np.fft.fft(out))
     freqs = np.fft.fftfreq(n, 1 / p.sample_rate_hz)
     peaks = freqs[np.argsort(spec)[-2:]]
     assert sorted(np.round(peaks / 1e3)) == [-95.0, 105.0]  # 5 kHz +/- 100 kHz

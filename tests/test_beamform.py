@@ -379,7 +379,7 @@ def _ideal_metric(phases):
 
 def test_aligner_improves_ideal_metric():
     rng = np.random.default_rng(1)
-    al = OneBitAligner(8, rng)
+    al = OneBitAligner(8, rng, deadband_frac=0.001)
     start = _ideal_metric(al.ref_phases)
     for _ in range(200):
         ph = propose(al, math.radians(25))
@@ -412,7 +412,7 @@ def test_aligner_deterministic_given_seed():
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(9)
-        al = OneBitAligner(6, rng)
+        al = OneBitAligner(6, rng, deadband_frac=0.001)
         for _ in range(50):
             ph = propose(al, math.radians(30))
             al.record(_ideal_metric(ph), ph)
@@ -427,8 +427,8 @@ def test_bulk_offsets_equal_per_round_uniform_draws(n):
     bounds = np.concatenate(([math.pi, math.radians(1.0)],
                              np.radians(np.linspace(180.0, 1.0, 97)),
                              compute_bound_schedule(24, horizon=300)))
-    bulk = OneBitAligner(n, np.random.default_rng(n))
-    per_round = OneBitAligner(n, np.random.default_rng(n))
+    bulk = OneBitAligner(n, np.random.default_rng(n), deadband_frac=0.001)
+    per_round = OneBitAligner(n, np.random.default_rng(n), deadband_frac=0.001)
     offsets = bulk.offsets(bounds)
     assert offsets.shape == (bounds.size, n)
     for phi, row in zip(bounds, offsets):

@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 import yaml
@@ -16,6 +17,7 @@ from test_golden import SCENARIOS
 from wptsim import coldstart as cs
 from wptsim.chirp import ChirpParams
 from wptsim.cli import (
+    SCENARIO_DEFAULTS,
     ConfigError,
     apply_axis,
     build_scenario,
@@ -170,10 +172,14 @@ def test_bad_heatmap_exits_2_naming_the_field(tmp_path, capsys, heatmap, field):
 
 @pytest.mark.parametrize("heatmap", [{"cube_m": 0.1, "voxel_m": 0.1},
                                      {"cube_m": 2, "voxel_m": 1},
-                                     {"enabled": False, "voxel_m": 0.01}])
+                                     {"enabled": False, "voxel_m": 0.01},
+                                     # Used to be refused, while the scenario
+                                     # section read PyYAML's string 5e-2.
+                                     {"voxel_m": "5e-2"}])
 def test_good_heatmap_is_accepted(heatmap):
+    read = {k: float(v) if isinstance(v, str) else v for k, v in heatmap.items()}
     assert parse_config(dict(MINIMAL, heatmap=heatmap))["heatmap"] == dict(
-        {"enabled": False, "cube_m": 1.0, "voxel_m": 0.05}, **heatmap)
+        {"enabled": False, "cube_m": 1.0, "voxel_m": 0.05}, **read)
 
 
 def _csv_writer_trace(metrics, path):
@@ -295,6 +301,7 @@ def test_bad_number_exits_2_naming_the_field(tmp_path, capsys, key, value):
     cfg_path = write_cfg(tmp_path, doc)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert key.removeprefix("sync_") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -341,12 +348,49 @@ def test_bad_number_exits_2_naming_the_field(tmp_path, capsys, key, value):
     ("ring_height_m", "high"),
     ("sigma_deg", None),
     ("noise_floor_dbm", "loud"),
+    # A node 0.1 m below the leader used to fail in the channel, after
+    # config.yaml was written, with an error naming no field.
+    ("muscle_depth_m", 0.2),
+    # Quoted flags used to run with both stages on.
+    ("sync_enabled", "false"),
+    ("cold_start_enabled", "no"),
+    # A band above half the sample rate used to fail in ChirpParams, after
+    # config.yaml was written, with an error naming no field.
+    ("chirp_bandwidth_hz", 2.0e6),
 ])
 def test_bad_scenario_value_exits_2_naming_the_field(tmp_path, capsys, key, value):
     doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], **{key: value}))
     cfg_path = write_cfg(tmp_path, doc)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("verb, doc", [
+    ("run", dict(MINIMAL, scenario=dict(MINIMAL["scenario"], chirp_bandwidth_hz=2.0e6))),
+    ("sweep", dict(MINIMAL, sweep={"chirp_bandwidth_hz": [10e3, 2.0e6]})),
+])
+def test_band_above_half_the_sample_rate_names_both_fields(tmp_path, capsys, verb, doc):
+    cfg_path = write_cfg(tmp_path, doc)
+    assert main([verb, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.chirp_bandwidth_hz" in err and "scenario.chirp_sample_rate_hz" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seeds, option", [
+    # [1.5, true] used to run seeds [1, 1]; a negative seed failed in numpy
+    # after the outputs were written.
+    ([1.5, True], None),
+    ([-3], None),
+    ([1], "1,-2"),
+])
+def test_bad_seeds_exit_2_before_anything_is_written(tmp_path, capsys, seeds, option):
+    cfg_path = write_cfg(tmp_path, dict(MINIMAL, seeds=seeds))
+    extra = ["--seeds", option] if option else []
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), *extra]) == 2
+    assert ("--seeds must" if option else "seeds must") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_seeds_option_exits_2_naming_it(tmp_path, capsys):
@@ -383,15 +427,54 @@ def test_bad_sweep_value_exits_2_naming_the_axis(tmp_path, capsys, axis, values)
     assert f"sweep.{axis}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis, values", [("sigma_deg", [30, 200]),
+                                          ("slave_count", [3, 0])])
+def test_bad_sweep_point_exits_2_before_anything_is_written(tmp_path, capsys, axis,
+                                                            values):
+    # The first point's runs used to be on disk before the bad point failed.
+    cfg_path = write_cfg(tmp_path, dict(MINIMAL, sweep={axis: values}))
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"sweep.{axis}" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("key, value", [("slave_count", 4), ("slave_count", 4.0),
                                         ("rounds", 12), ("sync_offset_range", 0),
                                         ("speed_m_per_s", 0), ("speed_m_per_s", 0.5),
                                         ("tx_power_dbm", -10), ("feedback_latency_s", 0.0),
-                                        ("muscle_depth_m", 0.0), ("freq_hz", 2.4e9)])
+                                        ("muscle_depth_m", 0.0), ("freq_hz", 2.4e9),
+                                        # Used to crash in ring_positions with a
+                                        # TypeError.
+                                        ("ring_radius_m", "1e0")])
 def test_good_scenario_value_is_accepted(key, value):
     cfg = parse_config(dict(MINIMAL, scenario=dict(MINIMAL["scenario"], **{key: value})))
-    assert cfg["scenario"][key] == value
+    # PyYAML reads an exponent without a dot, such as 1e0, as a string.
+    assert cfg["scenario"][key] == (float(value) if isinstance(value, str) else value)
     build_scenario(cfg["scenario"], 1)
+
+
+def _exponent_string(x) -> str:
+    """``x`` as an exponent without a dot, such as 5e-2."""
+    sign, digits, exp = Decimal(repr(float(x))).as_tuple()
+    return f"{'-' * sign}{''.join(map(str, digits))}e{exp}"
+
+
+@pytest.mark.parametrize("layout", ["ring", "linear"])
+@pytest.mark.parametrize("key", sorted(
+    k for k, (default, _) in SCENARIO_DEFAULTS.items()
+    if isinstance(default, (int, float)) and not isinstance(default, bool)) + ["bound_deg"])
+def test_numeric_field_is_read_once(key, layout):
+    # Each value is read where it enters, so a number PyYAML hands over as a
+    # string builds the same scenario as the number.  A linear layout with
+    # freq_hz: 915e6 used to crash in linear_positions with a TypeError.
+    base = dict(MINIMAL["scenario"], slave_layout=layout, bound_deg=15.0)
+    text = _exponent_string(base.get(key, SCENARIO_DEFAULTS[key][0]))
+    assert isinstance(yaml.safe_load(f"x: {text}")["x"], str)
+    want = build_scenario(parse_config({"scenario": base})["scenario"], 1)
+    got = parse_config({"scenario": dict(base, **{key: text})})["scenario"]
+    assert build_scenario(got, 1) == want
 
 
 _EXPLICIT = {"slave_layout": "explicit",
@@ -431,12 +514,14 @@ def test_explicit_positions_are_accepted():
 
 
 def test_exponent_without_a_dot_is_a_speed(tmp_path):
-    # PyYAML reads 5e-2 as a string; float() reads it as 0.05, and so does
-    # every speed check.
+    # PyYAML reads 5e-2 as a string; the config reads it once, as 0.05, and
+    # keeps and records the number.
     path = tmp_path / "cfg.yaml"
     path.write_text("scenario: {speed_m_per_s: 5e-2}\nsweep: {speed_m_per_s: [0, 1e-1]}\n")
     cfg = load_config(str(path))
-    assert cfg["scenario"]["speed_m_per_s"] == "5e-2"
+    assert cfg["scenario"]["speed_m_per_s"] == 0.05
+    assert cfg["sweep"]["speed_m_per_s"] == [0.0, 0.1]
+    assert "speed_m_per_s: 0.05\n" in serialize_config(cfg)
     assert build_scenario(cfg["scenario"], 0).trajectory[-1][1].x > 0
 
 

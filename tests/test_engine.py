@@ -16,9 +16,8 @@ from wptsim.beamform import OneBitAligner
 from wptsim.channel import ChannelError, MediumMap, Position, SPEED_OF_LIGHT, channel
 from wptsim.chirp import (
     ChirpParams,
-    ComplexSignal,
     awgn,
-    generate_chirp,
+    generate_sweep,
     p_ccs0,
     sample_noise_power,
 )
@@ -196,16 +195,14 @@ def _measure_by_samples(scn, node, h, p_in, ret_coeff, correlator, z, rng=None):
     the node's sideband.  ``correlator`` and the closed form's normal pair
     ``z`` are ignored; everything is rebuilt from the samples."""
     fs = scn.chirp.sample_rate_hz
-    ref_sym = generate_chirp(scn.chirp)
+    ref_sym = generate_sweep(scn.chirp, 1)
     t = np.arange(scn.chirp.n_samples) / fs
-    shifted_ref = ComplexSignal(
-        ref_sym.samples * np.exp(1j * 2.0 * np.pi * SHIFT_FREQ_HZ * t), fs)
-    reflected = node.reflect(ComplexSignal(h * ref_sym.samples, fs))
-    rx = reflected.samples * ret_coeff
+    shifted_ref = ref_sym * np.exp(1j * 2.0 * np.pi * SHIFT_FREQ_HZ * t)
+    rx = node.reflect(h * ref_sym, fs) * ret_coeff
     if scn.noise_floor_dbm is not None:
         rx = rx + awgn(rx.size, rng, noise_floor_dbm=scn.noise_floor_dbm,
                        bandwidth_hz=scn.chirp.bandwidth_hz, sample_rate_hz=fs)
-    return p_ccs0(ComplexSignal(rx, fs), shifted_ref)
+    return p_ccs0(rx, shifted_ref)
 
 
 def _rician_mean(nu, sigma):

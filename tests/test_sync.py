@@ -8,12 +8,11 @@ from wptsim import sync
 from wptsim.channel import dbm_to_watt
 from wptsim.chirp import (
     ChirpParams,
-    ComplexSignal,
     awgn_power,
     block_mean,
     fluctuation_bin_hz,
     fluctuation_rate,
-    generate_chirp,
+    generate_sweep,
 )
 from wptsim.sync import (
     ENVELOPE_DECIMATE,
@@ -46,11 +45,10 @@ def _noise_power_at(floor_dbm: float, params: ChirpParams) -> float:
 def _rate_by_samples(rx: FineSyncEnvelope, offset: int, noise_power: float, rng) -> float:
     """One fine round built sample by sample: the superposed sweeps plus
     white noise at the sample rate, then the decimated envelope's rate."""
-    clean = rx.samples(offset)
-    mixed = clean.samples
+    mixed = rx.samples(offset)
     if noise_power > 0:
         mixed = mixed + awgn_power(mixed.size, noise_power, rng)
-    env = np.abs(ComplexSignal(mixed, clean.sample_rate_hz).samples)
+    env = np.abs(mixed)
     return fluctuation_rate(block_mean(env, ENVELOPE_DECIMATE), rx.envelope_rate_hz)
 
 
@@ -79,19 +77,19 @@ def _fine_sync_by_samples(true_offsets, params, rng, noise_power=0.0,
 
 
 def test_coarse_sync_recovers_offset():
-    ref = generate_chirp(FAST)
+    ref = generate_sweep(FAST, 1)
     off = 217
     cap = np.zeros(3 * FAST.n_samples, dtype=np.complex128)
-    cap[off : off + FAST.n_samples] = ref.samples
-    assert coarse_sync(ComplexSignal(cap, FAST.sample_rate_hz), ref) == off
+    cap[off : off + FAST.n_samples] = ref
+    assert coarse_sync(cap, ref) == off
 
 
 def test_coarse_sync_rejects_pure_noise():
     rng = np.random.default_rng(0)
-    ref = generate_chirp(FAST)
+    ref = generate_sweep(FAST, 1)
     noise = rng.standard_normal(3 * FAST.n_samples) * 0.1
     with pytest.raises(SyncError):
-        coarse_sync(ComplexSignal(noise.astype(complex), FAST.sample_rate_hz), ref)
+        coarse_sync(noise.astype(complex), ref)
 
 
 def test_session_stops_below_threshold():
@@ -251,7 +249,7 @@ def test_first_order_block_model_fails_the_oracle(oracle_stops):
     the mean: the test above must catch it."""
     def first_order(rx, r, rng):
         _, std = rx.blocks(r)
-        clean = block_mean(np.abs(rx.samples(r).samples), ENVELOPE_DECIMATE)
+        clean = block_mean(np.abs(rx.samples(r)), ENVELOPE_DECIMATE)
         return clean + std * rng.standard_normal(std.size)
 
     assert max(_block_model_z(oracle_stops, first_order)) >= 3.3
