@@ -78,8 +78,9 @@ def _ratio_by_hankel_series(k: int, x: float) -> float:
     return sk / s0
 
 
-def solve_concentration(mean_resultant: float, tol: float = 1e-10) -> float:
-    """Solve I_1(eta)/I_0(eta) = mean_resultant for eta by bisection."""
+def solve_concentration(mean_resultant: float) -> float:
+    """Solve I_1(eta)/I_0(eta) = mean_resultant for eta by bisection, to a
+    relative width of 1e-10."""
     t = mean_resultant
     if not 0.0 <= t <= 1.0:
         raise BeamformError("mean resultant must lie in [0, 1]")
@@ -97,7 +98,7 @@ def solve_concentration(mean_resultant: float, tol: float = 1e-10) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * max(1.0, hi):
+        if hi - lo <= 1e-10 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
 

@@ -289,7 +289,7 @@ def build_scenario(scn_cfg: dict, seed: int) -> Scenario:
             offset_range=scn_cfg["sync_offset_range"],
             residual_jitter=scn_cfg["sync_residual_jitter"],
         ),
-        cold_start=cs.ColdStartConfig(sigma_deg=scn_cfg["sigma_deg"]),
+        sigma_deg=scn_cfg["sigma_deg"],
         wake_threshold_dbm=scn_cfg["wake_threshold_dbm"],
         deadband_frac=scn_cfg["deadband_frac"],
         cold_start_enabled=scn_cfg["cold_start_enabled"],
@@ -389,6 +389,7 @@ def cmd_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
     with open(os.path.join(out_dir, "config.yaml"), "w") as fh:
         fh.write(serialize_config(cfg))
     work = sweep_jobs(cfg, out_dir)
+    jobs = min(jobs, len(work))
     if jobs > 1:
         with Pool(jobs) as pool:
             rows = pool.map(_run_point, work)
@@ -421,8 +422,7 @@ def collect_runs(out_dir: str) -> list:
     return rows
 
 
-def cmd_report(out_dir: str, stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_report(out_dir: str) -> int:
     runs = collect_runs(out_dir)
     if not runs:
         print(f"no runs found in {out_dir}", file=sys.stderr)
@@ -431,13 +431,13 @@ def cmd_report(out_dir: str, stream=None) -> int:
     for doc in runs:
         key = json.dumps(doc["point"], sort_keys=True)
         groups.setdefault(key, []).append(doc["metrics"]["power_percentage"])
-    print(f"{'point':<40} {'n':>4} {'mean':>8} {'ci95':>8}", file=stream)
+    print(f"{'point':<40} {'n':>4} {'mean':>8} {'ci95':>8}")
     for key in sorted(groups):
         vals = np.asarray(groups[key])
         mean = vals.mean()
         # Normal-approximation half width; a single run has no spread estimate.
         ci = 1.96 * vals.std(ddof=1) / math.sqrt(vals.size) if vals.size > 1 else 0.0
-        print(f"{key:<40} {vals.size:>4} {mean:>8.4f} {ci:>8.4f}", file=stream)
+        print(f"{key:<40} {vals.size:>4} {mean:>8.4f} {ci:>8.4f}")
     return 0
 
 

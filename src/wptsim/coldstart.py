@@ -28,17 +28,6 @@ from .channel import (
 MAX_PERTURBATIONS = 200
 
 
-@dataclass(frozen=True)
-class ColdStartConfig:
-    sigma_deg: float = 55.0
-
-    def __post_init__(self):
-        # NaN fails the range test too.
-        if not 0.0 <= self.sigma_deg < 180.0:
-            raise ValueError(
-                f"sigma_deg must lie in [0, 180) degrees, not {self.sigma_deg!r}")
-
-
 def leader_focused_phases(slave_channels: ChannelCoeff) -> np.ndarray:
     """Conjugate phases that combine coherently at the leader position."""
     return (-np.asarray(slave_channels.phase_rad)) % (2.0 * math.pi)
@@ -145,12 +134,12 @@ class ColdStartRunner:
     """Round-by-round cold start against explicit node-side channels."""
 
     def __init__(self, node, leader_channels: ChannelCoeff, node_channels: ChannelCoeff,
-                 tx_amplitude: float, config: ColdStartConfig, rng: np.random.Generator):
+                 tx_amplitude: float, sigma_deg: float, rng: np.random.Generator):
         self.node = node
         self.base_phases = leader_focused_phases(leader_channels)
         self.node_coeffs = np.asarray(node_channels.complex)
         self.tx_amplitude = tx_amplitude
-        self.config = config
+        self.sigma_deg = sigma_deg
         self.rng = rng
 
     def incident_power_w(self, phases: np.ndarray) -> float:
@@ -163,7 +152,7 @@ class ColdStartRunner:
         phases = self.base_phases
         for rnd in range(MAX_PERTURBATIONS + 1):
             if rnd:
-                phases = perturbation_round(phases, self.config.sigma_deg, self.rng)
+                phases = perturbation_round(phases, self.sigma_deg, self.rng)
             self.node.harvest_step(self.incident_power_w(phases))
             if self.node.awake:
                 return ColdStartResult(True, rnd)

@@ -33,7 +33,7 @@ from .chirp import ChirpParams, generate_sweep, sample_noise_power
 # The run path no longer calls awgn or p_ccs0; perfbench/tracer.py patches
 # both names in this namespace, so they stay importable from here.
 from .chirp import awgn, p_ccs0  # noqa: F401
-from .sync import FINE_WINDOW_SYMBOLS, SyncError, run_sync
+from .sync import COARSE_CAPTURE_SYMBOLS, FINE_WINDOW_SYMBOLS, SyncError, run_sync
 
 
 class EngineError(ValueError):
@@ -74,7 +74,7 @@ class Scenario:
     trajectory: list = field(default_factory=list)  # [(time_s, Position), ...]
     feedback_latency_s: float = 1e-3
     sync: SyncSettings = field(default_factory=SyncSettings)
-    cold_start: cs.ColdStartConfig = field(default_factory=cs.ColdStartConfig)
+    sigma_deg: float = 55.0           # cold-start perturbation bound, degrees
     wake_threshold_dbm: float = -20.0
     deadband_frac: float = 0.001
     cold_start_enabled: bool = True   # off: node starts awake (bench mode)
@@ -104,6 +104,15 @@ class Scenario:
                 raise EngineError(f"{name} must be finite, not {getattr(self, name)!r}")
         if not (_is_finite(self.freq_hz) and self.freq_hz > 0.0):
             raise EngineError(f"freq_hz must be finite and > 0, not {self.freq_hz!r}")
+        if not (_is_finite(self.sigma_deg) and 0.0 <= self.sigma_deg < 180.0):
+            raise EngineError(
+                f"sigma_deg must lie in [0, 180) degrees, not {self.sigma_deg!r}")
+        # Coarse sync needs each drawn offset to leave the whole preamble
+        # inside its capture.
+        limit = (COARSE_CAPTURE_SYMBOLS - 1) * self.chirp.n_samples
+        if self.sync.enabled and self.n_slaves >= 2 and self.sync.offset_range >= limit:
+            raise EngineError(f"sync offset_range must be below {limit} samples, two "
+                              f"symbols of the chirp, not {self.sync.offset_range!r}")
         times = [t for t, _ in self.trajectory]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise EngineError("trajectory times must be strictly increasing")
@@ -292,7 +301,7 @@ def run_scenario(scn: Scenario) -> Metrics:
                                     scn.freq_hz, scn.tx_gain_dbi, static_phase_rad=static),
             node_channels=node_links[0],
             tx_amplitude=scn.tx_amplitude,
-            config=scn.cold_start,
+            sigma_deg=scn.sigma_deg,
             rng=streams["cold_start"],
         )
         cs_res = runner.run()
@@ -478,14 +487,14 @@ def heatmap(scn: Scenario, phases, grid_points: np.ndarray) -> np.ndarray:
     return power
 
 
-def region_axis_ratio(points: np.ndarray, power: np.ndarray, drop_db: float = 3.0) -> float:
-    """Principal-axis length ratio of the region within ``drop_db`` of peak.
+def region_axis_ratio(points: np.ndarray, power: np.ndarray) -> float:
+    """Principal-axis length ratio of the region within 3 dB of peak.
 
     On a regular voxel grid only the connected component holding the peak is
     measured, so detached side lobes that graze the threshold do not smear
     the shape estimate.
     """
-    mask = power >= power.max() * 10.0 ** (-drop_db / 10.0)
+    mask = power >= power.max() * 10.0 ** (-3.0 / 10.0)
     mask = _peak_component(points, power, mask)
     sel = points[mask]
     if sel.shape[0] < 2:
@@ -533,10 +542,8 @@ def ring_positions(n: int, radius_m: float = 6.0, height_m: float = 3.0) -> list
     return out
 
 
-def linear_positions(n: int, spacing_m: float | None = None,
-                     freq_hz: float = DEFAULT_FREQ_HZ) -> list:
+def linear_positions(n: int, freq_hz: float = DEFAULT_FREQ_HZ) -> list:
     """Co-located half-wavelength linear array along x at the origin."""
-    if spacing_m is None:
-        spacing_m = SPEED_OF_LIGHT / freq_hz / 2.0
+    spacing_m = SPEED_OF_LIGHT / freq_hz / 2.0
     x0 = -(n - 1) * spacing_m / 2.0
     return [Position(x0 + i * spacing_m, 0.0, 0.0) for i in range(n)]

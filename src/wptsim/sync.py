@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -33,12 +32,6 @@ from .chirp import (
 
 class SyncError(RuntimeError):
     pass
-
-
-class SyncFeedback(Enum):
-    ADD_ONE_SAMPLE = "add"
-    SUB_ONE_SAMPLE = "sub"
-    STOP = "stop"
 
 
 # A coarse correlation peak is accepted when it exceeds this multiple of the
@@ -68,36 +61,32 @@ def coarse_sync(slave_rx: np.ndarray, ref: np.ndarray) -> int:
     return lag
 
 
-@dataclass
-class FineSyncSession:
-    """Greedy one-sample walk: keep stepping in the direction that lowered
-    the fluctuation rate, reverse when it grew, stop below one FFT bin."""
+def _fine_walk(period: int, offset: int, rate_at, stop_hz: float, pad: int,
+               transcript: list) -> tuple:
+    """(final offset, rounds) of one slave's greedy one-sample walk.
 
-    stop_threshold_hz: float
-    direction: int = -1  # first probe subtracts one sample
-    last_rate_hz: float | None = None
-    rounds: int = 0
-
-    def feedback_for(self, rate_hz: float) -> SyncFeedback:
-        self.rounds += 1
-        if rate_hz < self.stop_threshold_hz:
-            return SyncFeedback.STOP
-        if self.last_rate_hz is not None and rate_hz > self.last_rate_hz:
-            self.direction = -self.direction
-        self.last_rate_hz = rate_hz
-        return (
-            SyncFeedback.ADD_ONE_SAMPLE
-            if self.direction > 0
-            else SyncFeedback.SUB_ONE_SAMPLE
-        )
-
-
-def apply_feedback(offset: int, fb: SyncFeedback) -> int:
-    if fb is SyncFeedback.ADD_ONE_SAMPLE:
-        return offset + 1
-    if fb is SyncFeedback.SUB_ONE_SAMPLE:
-        return offset - 1
-    return offset
+    Each round the leader reads ``rate_at(offset)``, the beat rate of the
+    superposed envelope, and sends two bits: "stop" once the rate is below
+    ``stop_hz`` (one FFT bin), else "add" or "sub" one sample.  The first
+    step subtracts; the walk turns around when the rate grew.  It gets
+    ``|offset| + 8`` rounds, raises :class:`SyncError` once the offset
+    leaves [-pad, pad], and appends (period, round, offset, rate_hz,
+    command) to ``transcript`` each round.
+    """
+    step, last_hz = -1, None
+    for rounds in range(1, abs(offset) + 9):
+        if abs(offset) > pad:
+            raise SyncError("fine sync walked outside the modeled window")
+        rate_hz = rate_at(offset)
+        if rate_hz < stop_hz:
+            transcript.append((period, rounds, offset, rate_hz, "stop"))
+            break
+        if last_hz is not None and rate_hz > last_hz:
+            step = -step
+        last_hz = rate_hz
+        transcript.append((period, rounds, offset, rate_hz, "add" if step > 0 else "sub"))
+        offset += step
+    return offset, rounds
 
 
 # Rician envelope moments, in the variable z = sigma^2 / nu^2.  Below a
@@ -338,17 +327,9 @@ def run_sync(
     rounds_per_period = []
     transcript = []
     for i in range(1, n_slaves):
-        session = FineSyncSession(stop_threshold_hz=stop_hz)
-        budget = abs(rel[i]) + 8
-        for _ in range(budget):
-            if abs(rel[i]) > rx.pad:
-                raise SyncError("fine sync walked outside the modeled window")
-            rate = fluctuation_rate(rx.draw(rel[i], rng), rx.envelope_rate_hz)
-            fb = session.feedback_for(rate)
-            transcript.append((i, session.rounds, rel[i], rate, fb.value))
-            if fb is SyncFeedback.STOP:
-                break
-            rel[i] = apply_feedback(rel[i], fb)
-        rounds_per_period.append(session.rounds)
+        rel[i], rounds = _fine_walk(
+            i, rel[i], lambda r: fluctuation_rate(rx.draw(r, rng), rx.envelope_rate_hz),
+            stop_hz, rx.pad, transcript)
+        rounds_per_period.append(rounds)
 
     return SyncResult(rel, rounds_per_period, transcript)

@@ -241,8 +241,7 @@ def test_criterion_07_cold_start_behavior():
                               static_phase_rad=static)
             node_ch = channel(cluster, node_pos, medium, static_phase_rad=static)
             node = BackscatterNode()
-            runner = cs.ColdStartRunner(node, lead_ch, node_ch, amp,
-                                        cs.ColdStartConfig(), rng)
+            runner = cs.ColdStartRunner(node, lead_ch, node_ch, amp, 55.0, rng)
             succ += runner.run().success
         rates.append(succ / 40)
     assert rates[0] >= 0.97, f"success at 0.5 m only {rates[0]:.2f}"

@@ -14,7 +14,7 @@ import yaml
 
 import wptsim
 from test_golden import SCENARIOS
-from wptsim import coldstart as cs
+from wptsim import cli
 from wptsim.chirp import ChirpParams
 from wptsim.cli import (
     SCENARIO_DEFAULTS,
@@ -77,8 +77,7 @@ def test_config_defaults_match_dataclass_defaults():
     # default node sits in muscle.
     scn = build_scenario(parse_config({})["scenario"], Scenario.seed)
     checked = 0
-    for obj, cls in ((scn, Scenario), (scn.sync, SyncSettings),
-                     (scn.cold_start, cs.ColdStartConfig), (scn.chirp, ChirpParams)):
+    for obj, cls in ((scn, Scenario), (scn.sync, SyncSettings), (scn.chirp, ChirpParams)):
         for f in dataclasses.fields(cls):
             if f.default is not dataclasses.MISSING:
                 want = f.default
@@ -236,6 +235,36 @@ def test_sweep_on_a_pool_writes_the_serial_bytes(tmp_path):
         assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("speeds, jobs, pools", [([0.0, 1.0], 500, [2]),
+                                                ([0.0], 500, []),
+                                                ([0.0, 1.0], 1, [])])
+def test_sweep_asks_for_no_more_workers_than_jobs(tmp_path, monkeypatch, speeds, jobs,
+                                                  pools):
+    # --jobs 500 on a two-job sweep used to ask for 500 processes.
+    sizes = []
+
+    class RecordingPool:
+        """Records its process count and maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return [fn(w) for w in work]
+
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    cfg = parse_config(dict(MINIMAL, sweep={"speed_m_per_s": speeds}))
+    assert cmd_sweep(cfg, str(tmp_path / "o"), jobs) == 0
+    assert sizes == pools
+    assert len(os.listdir(tmp_path / "o")) == 2 + 2 * len(speeds)
+
+
 def test_run_is_reproducible(tmp_path):
     cfg_path = write_cfg(tmp_path, MINIMAL)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -295,7 +324,10 @@ def test_nan_bound_exits_nonzero(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [("sync_offset_range", -5),
                                         ("sync_residual_jitter", -1),
                                         ("deadband_frac", math.nan),
-                                        ("noise_floor_dbm", math.nan)])
+                                        ("noise_floor_dbm", math.nan),
+                                        # Two symbols of the default chirp or more
+                                        # used to end in a silent sync failure.
+                                        ("sync_offset_range", 20000)])
 def test_bad_number_exits_2_naming_the_field(tmp_path, capsys, key, value):
     doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], sync_enabled=True, **{key: value}))
     cfg_path = write_cfg(tmp_path, doc)
@@ -447,7 +479,8 @@ def test_bad_sweep_point_exits_2_before_anything_is_written(tmp_path, capsys, ax
                                         ("muscle_depth_m", 0.0), ("freq_hz", 2.4e9),
                                         # Used to crash in ring_positions with a
                                         # TypeError.
-                                        ("ring_radius_m", "1e0")])
+                                        ("ring_radius_m", "1e0"),
+                                        ("sync_offset_range", 16383)])
 def test_good_scenario_value_is_accepted(key, value):
     cfg = parse_config(dict(MINIMAL, scenario=dict(MINIMAL["scenario"], **{key: value})))
     # PyYAML reads an exponent without a dot, such as 1e0, as a string.

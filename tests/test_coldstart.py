@@ -22,11 +22,6 @@ def _setup(n=8, seed=0, voxel=0.2):
     return m, base, grid, leader
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        cs.ColdStartConfig(sigma_deg=200.0)
-
-
 def test_cube_grid_shape_and_center():
     c = Position(1.0, -2.0, 0.5)
     g = cs.cube_grid(c, 1.0, 0.25)
@@ -116,8 +111,7 @@ def _runner(node_pos, tx_amp, seed=0, n=6):
     lead_ch = channel(slaves, leader, MediumMap(), static_phase_rad=static)
     node_ch = channel(slaves, node_pos, medium, static_phase_rad=static)
     node = BackscatterNode()
-    return cs.ColdStartRunner(node, lead_ch, node_ch, tx_amp,
-                              cs.ColdStartConfig(), rng), node
+    return cs.ColdStartRunner(node, lead_ch, node_ch, tx_amp, 55.0, rng), node
 
 
 def test_cold_start_succeeds_with_strong_field():

@@ -95,6 +95,10 @@ def test_scenario_accepts_valid_baseline_and_bound(kw):
     ({"noise_floor_dbm": math.nan}, "noise_floor_dbm"),
     ({"noise_floor_dbm": math.inf}, "noise_floor_dbm"),
     ({"noise_floor_dbm": "-70"}, "noise_floor_dbm"),
+    ({"sigma_deg": 200.0}, "sigma_deg"),
+    ({"sigma_deg": math.nan}, "sigma_deg"),
+    # An offset of two symbols or more used to end in a silent sync failure.
+    ({"sync": SyncSettings(offset_range=2 * FAST_CHIRP.n_samples)}, "offset_range"),
 ])
 def test_scenario_rejects_bad_numbers(kw, field_name):
     with pytest.raises(EngineError, match=field_name):
@@ -102,7 +106,11 @@ def test_scenario_rejects_bad_numbers(kw, field_name):
 
 
 @pytest.mark.parametrize("kw", [{"deadband_frac": 0.0}, {"deadband_frac": 0.01},
-                                {"noise_floor_dbm": None}, {"noise_floor_dbm": -90}])
+                                {"noise_floor_dbm": None}, {"noise_floor_dbm": -90},
+                                {"sigma_deg": 0.0},
+                                {"sync": SyncSettings(offset_range=2 * FAST_CHIRP.n_samples - 1)},
+                                # Sync that does not run draws no offset.
+                                {"sync": SyncSettings(enabled=False, offset_range=10**6)}])
 def test_scenario_accepts_valid_numbers(kw):
     bench_scenario(**kw)
 
@@ -154,11 +162,11 @@ def test_stage_ordering_full_pipeline():
     assert m.cold_start_success
 
 
-def test_offset_beyond_coarse_window_sets_sync_failed():
-    # Offsets up to 100 symbols: the first slave's preamble misses the
-    # three-symbol coarse capture and run_sync raises SyncError.
-    scn = bench_scenario(sync=SyncSettings(enabled=True,
-                                           offset_range=100 * FAST_CHIRP.n_samples))
+def test_undetected_preamble_sets_sync_failed():
+    # A noise floor of +40 dBm drowns the preamble: coarse sync finds no
+    # correlation peak and run_sync raises SyncError.
+    scn = bench_scenario(noise_floor_dbm=40.0,
+                         sync=SyncSettings(enabled=True, offset_range=300))
     m = run_scenario(scn)
     assert m.sync_failed
     assert m.stage_log == ["sync"]

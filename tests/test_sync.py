@@ -17,12 +17,10 @@ from wptsim.chirp import (
 from wptsim.sync import (
     ENVELOPE_DECIMATE,
     FineSyncEnvelope,
-    FineSyncSession,
     SyncError,
-    SyncFeedback,
     SyncResult,
     _coarse_residuals,
-    apply_feedback,
+    _fine_walk,
     coarse_sync,
     rician_moments,
     run_sync,
@@ -63,16 +61,10 @@ def _fine_sync_by_samples(true_offsets, params, rng, noise_power=0.0,
     rel = [r - residuals[0] for r in residuals]
     rounds_per_period, transcript = [], []
     for i in range(1, len(rel)):
-        session = FineSyncSession(stop_threshold_hz=stop_hz)
-        for _ in range(abs(rel[i]) + 8):
-            assert abs(rel[i]) <= rx.pad
-            rate = _rate_by_samples(rx, rel[i], noise_power, rng)
-            fb = session.feedback_for(rate)
-            transcript.append((i, session.rounds, rel[i], rate, fb.value))
-            if fb is SyncFeedback.STOP:
-                break
-            rel[i] = apply_feedback(rel[i], fb)
-        rounds_per_period.append(session.rounds)
+        rel[i], rounds = _fine_walk(i, rel[i],
+                                    lambda r: _rate_by_samples(rx, r, noise_power, rng),
+                                    stop_hz, rx.pad, transcript)
+        rounds_per_period.append(rounds)
     return SyncResult(rel, rounds_per_period, transcript)
 
 
@@ -92,29 +84,40 @@ def test_coarse_sync_rejects_pure_noise():
         coarse_sync(noise.astype(complex), ref)
 
 
-def test_session_stops_below_threshold():
-    s = FineSyncSession(stop_threshold_hz=5.0)
-    assert s.feedback_for(1.0) is SyncFeedback.STOP
+def _scripted_walk(rates, offset=5, stop_hz=1.0, pad=50):
+    """(final offset, rounds, transcript) of a walk that reads ``rates`` in
+    turn, whatever its offset."""
+    rates = iter(rates)
+    transcript = []
+    offset, rounds = _fine_walk(2, offset, lambda r: next(rates), stop_hz, pad, transcript)
+    return offset, rounds, transcript
 
 
-def test_session_reverses_direction_when_rate_grows():
-    s = FineSyncSession(stop_threshold_hz=1.0)
-    first = s.feedback_for(100.0)
-    assert first is SyncFeedback.SUB_ONE_SAMPLE
-    second = s.feedback_for(150.0)  # got worse: turn around
-    assert second is SyncFeedback.ADD_ONE_SAMPLE
+def test_walk_stops_below_one_bin():
+    assert _scripted_walk([1.0], stop_hz=5.0) == (5, 1, [(2, 1, 5, 1.0, "stop")])
 
 
-def test_session_keeps_direction_when_rate_drops():
-    s = FineSyncSession(stop_threshold_hz=1.0)
-    s.feedback_for(100.0)
-    assert s.feedback_for(60.0) is SyncFeedback.SUB_ONE_SAMPLE
+def test_walk_turns_around_when_rate_grows():
+    # The first step subtracts one sample; a rate that grew turns the walk.
+    assert _scripted_walk([100.0, 150.0, 0.5]) == (5, 3, [
+        (2, 1, 5, 100.0, "sub"), (2, 2, 4, 150.0, "add"), (2, 3, 5, 0.5, "stop")])
 
 
-def test_apply_feedback():
-    assert apply_feedback(5, SyncFeedback.ADD_ONE_SAMPLE) == 6
-    assert apply_feedback(5, SyncFeedback.SUB_ONE_SAMPLE) == 4
-    assert apply_feedback(5, SyncFeedback.STOP) == 5
+def test_walk_keeps_direction_when_rate_drops():
+    assert _scripted_walk([100.0, 60.0, 0.5]) == (3, 3, [
+        (2, 1, 5, 100.0, "sub"), (2, 2, 4, 60.0, "sub"), (2, 3, 3, 0.5, "stop")])
+
+
+def test_walk_that_never_stops_uses_its_round_budget():
+    offset, rounds, transcript = _scripted_walk([10.0] * 20, offset=-5)
+    assert rounds == len(transcript) == abs(-5) + 8
+    assert [row[2] for row in transcript] == list(range(-5, -18, -1))
+    assert offset == -18
+
+
+def test_walk_outside_the_pad_raises():
+    with pytest.raises(SyncError, match="fine sync walked outside the modeled window"):
+        _scripted_walk([10.0] * 20, offset=3, pad=4)
 
 
 def test_run_sync_zeroes_residuals():
