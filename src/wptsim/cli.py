@@ -109,6 +109,8 @@ _SEED = _whole(0)
 
 # Canonical scenario fields: (default, reader).  Unknown keys are rejected
 # so a typoed field name fails loudly instead of silently using a default.
+# A field that a dataclass defaults takes that default.  The rest are the
+# config's own; its node sits in muscle, where a bare MediumMap is air.
 SCENARIO_DEFAULTS = {
     "slave_layout": ("ring", _layout),
     "slave_count": (24, _WHOLE),
@@ -118,27 +120,27 @@ SCENARIO_DEFAULTS = {
     "leader_position_m": ([0.0, 0.0, 0.0], _coordinates),
     "node_position_m": ([0.0, 0.0, -0.1], _coordinates),
     "muscle_depth_m": (0.05, _REAL),
-    "tx_power_dbm": (30.0, _REAL),
-    "tx_gain_dbi": (4.0, _REAL),
-    "freq_hz": (915e6, _REAL),
-    "noise_floor_dbm": (-70.0,                      # null disables receiver noise
+    "tx_power_dbm": (Scenario.tx_power_dbm, _REAL),
+    "tx_gain_dbi": (Scenario.tx_gain_dbi, _REAL),
+    "freq_hz": (Scenario.freq_hz, _REAL),
+    "noise_floor_dbm": (Scenario.noise_floor_dbm,   # null disables receiver noise
                         lambda v, name: None if v is None else _REAL(v, name)),
-    "rounds": (300, _WHOLE),
-    "bound_deg": ("adaptive",                       # "adaptive" or a fixed bound in degrees
+    "rounds": (Scenario.rounds, _WHOLE),
+    "bound_deg": (Scenario.bound,                   # "adaptive" or a fixed bound in degrees
                   lambda v, name: v if v == "adaptive" else _REAL(v, name)),
-    "baseline": ("none", lambda v, name: v),        # none | random_phase
-    "sync_enabled": (True, _flag),
-    "sync_offset_range": (8000, _WHOLE),
-    "sync_residual_jitter": (60, _WHOLE),
-    "cold_start_enabled": (True, _flag),
-    "sigma_deg": (55.0, _REAL),
-    "wake_threshold_dbm": (-20.0, _REAL),
-    "chirp_bandwidth_hz": (40e3, _REAL),
-    "chirp_symbol_time_s": (4e-3, _REAL),
-    "chirp_sample_rate_hz": (2.048e6, _REAL),
-    "speed_m_per_s": (0.0, _real(0.0)),             # node drift speed; 0 keeps it static
-    "feedback_latency_s": (1e-3, _REAL),
-    "deadband_frac": (0.001, _REAL),
+    "baseline": (Scenario.baseline, lambda v, name: v),  # none | random_phase
+    "sync_enabled": (SyncSettings.enabled, _flag),
+    "sync_offset_range": (SyncSettings.offset_range, _WHOLE),
+    "sync_residual_jitter": (SyncSettings.residual_jitter, _WHOLE),
+    "cold_start_enabled": (Scenario.cold_start_enabled, _flag),
+    "sigma_deg": (Scenario.sigma_deg, _REAL),
+    "wake_threshold_dbm": (Scenario.wake_threshold_dbm, _REAL),
+    "chirp_bandwidth_hz": (ChirpParams.bandwidth_hz, _REAL),
+    "chirp_symbol_time_s": (ChirpParams.symbol_time_s, _REAL),
+    "chirp_sample_rate_hz": (ChirpParams.sample_rate_hz, _REAL),
+    "speed_m_per_s": (Scenario.speed_m_per_s, _real(0.0)),  # node drift; 0 keeps it static
+    "feedback_latency_s": (Scenario.feedback_latency_s, _REAL),
+    "deadband_frac": (Scenario.deadband_frac, _REAL),
 }
 
 SWEEP_AXES = (
@@ -167,9 +169,10 @@ def _read_section(raw, table: dict, section: str) -> dict:
 
 
 def _check_scenario(scn_cfg: dict, where: str = "") -> None:
-    """Build ``scn_cfg`` once, so that a value its dataclasses refuse, or a
-    muscle depth that reaches past one of the node's links, fails before
-    anything is written; ``where`` prefixes the error."""
+    """Build ``scn_cfg`` once, so that a value its dataclasses refuse, a node
+    on the leader or on a slave, or a muscle depth that reaches past one of
+    the node's links, fails before anything is written; ``where`` prefixes
+    the error."""
     try:
         scn = build_scenario(scn_cfg, 0)
     except DspError as exc:
@@ -180,6 +183,9 @@ def _check_scenario(scn_cfg: dict, where: str = "") -> None:
         raise ConfigError(f"{where}scenario: {exc}") from None
     ends = np.array([scn.leader_position, *scn.slave_positions], dtype=float)
     nearest = float(np.linalg.norm(node_track(scn)[:, None] - ends, axis=-1).min())
+    if nearest == 0.0:
+        raise ConfigError(f"{where}scenario.node_position_m puts the node on the leader "
+                          f"or on a slave")
     depth = scn.medium.muscle_depth_m
     if depth >= nearest:
         raise ConfigError(f"{where}scenario.muscle_depth_m ({depth:g}) must be smaller than "
@@ -255,25 +261,16 @@ def _positions(scn_cfg: dict) -> list:
 
 def build_scenario(scn_cfg: dict, seed: int) -> Scenario:
     """The scenario of a canonical config's ``scenario`` section."""
-    node = Position(*scn_cfg["node_position_m"])
-    chirp = ChirpParams(
-        bandwidth_hz=scn_cfg["chirp_bandwidth_hz"],
-        symbol_time_s=scn_cfg["chirp_symbol_time_s"],
-        sample_rate_hz=scn_cfg["chirp_sample_rate_hz"],
-    )
-    speed = scn_cfg["speed_m_per_s"]
-    trajectory = []
-    if speed > 0:
-        round_s = chirp.symbol_time_s + scn_cfg["feedback_latency_s"]
-        total_s = scn_cfg["rounds"] * round_s
-        end = Position(node.x + speed * total_s, node.y, node.z)
-        trajectory = [(0.0, node), (total_s, end)]
     return Scenario(
         slave_positions=_positions(scn_cfg),
         leader_position=Position(*scn_cfg["leader_position_m"]),
-        node_position=node,
+        node_position=Position(*scn_cfg["node_position_m"]),
         medium=MediumMap(muscle_depth_m=scn_cfg["muscle_depth_m"]),
-        chirp=chirp,
+        chirp=ChirpParams(
+            bandwidth_hz=scn_cfg["chirp_bandwidth_hz"],
+            symbol_time_s=scn_cfg["chirp_symbol_time_s"],
+            sample_rate_hz=scn_cfg["chirp_sample_rate_hz"],
+        ),
         seed=seed,
         tx_power_dbm=scn_cfg["tx_power_dbm"],
         tx_gain_dbi=scn_cfg["tx_gain_dbi"],
@@ -282,7 +279,7 @@ def build_scenario(scn_cfg: dict, seed: int) -> Scenario:
         rounds=scn_cfg["rounds"],
         bound=scn_cfg["bound_deg"],
         baseline=scn_cfg["baseline"],
-        trajectory=trajectory,
+        speed_m_per_s=scn_cfg["speed_m_per_s"],
         feedback_latency_s=scn_cfg["feedback_latency_s"],
         sync=SyncSettings(
             enabled=scn_cfg["sync_enabled"],
@@ -326,7 +323,8 @@ def write_trace(metrics: Metrics, path) -> None:
 
 
 def write_heatmap(scn: Scenario, metrics: Metrics, hm_cfg: dict, path) -> None:
-    grid = cs.cube_grid(scn.node_position, hm_cfg["cube_m"], hm_cfg["voxel_m"])
+    """Field power on a cube centred on the node's last tracked position."""
+    grid = cs.cube_grid(Position(*node_track(scn)[-1]), hm_cfg["cube_m"], hm_cfg["voxel_m"])
     power = heatmap(scn, metrics.final_phases, grid)
     cs.export_heatmap(grid, power, path)
 

@@ -71,7 +71,7 @@ class Scenario:
     rounds: int = 300
     bound: object = "adaptive"        # "adaptive", or a fixed bound in degrees
     baseline: str = "none"            # "none" | "random_phase"
-    trajectory: list = field(default_factory=list)  # [(time_s, Position), ...]
+    speed_m_per_s: float = 0.0        # node drift along +x from node_position
     feedback_latency_s: float = 1e-3
     sync: SyncSettings = field(default_factory=SyncSettings)
     sigma_deg: float = 55.0           # cold-start perturbation bound, degrees
@@ -92,7 +92,7 @@ class Scenario:
                 isinstance(self.bound, numbers.Real) and 0.0 < self.bound <= 180.0):
             raise EngineError(
                 f"bound must be 'adaptive' or in (0, 180] degrees, not {self.bound!r}")
-        for name in ("deadband_frac", "feedback_latency_s"):
+        for name in ("deadband_frac", "feedback_latency_s", "speed_m_per_s"):
             v = getattr(self, name)
             if not (_is_finite(v) and v >= 0.0):
                 raise EngineError(f"{name} must be finite and >= 0, not {v!r}")
@@ -113,9 +113,6 @@ class Scenario:
         if self.sync.enabled and self.n_slaves >= 2 and self.sync.offset_range >= limit:
             raise EngineError(f"sync offset_range must be below {limit} samples, two "
                               f"symbols of the chirp, not {self.sync.offset_range!r}")
-        times = [t for t, _ in self.trajectory]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise EngineError("trajectory times must be strictly increasing")
 
     @property
     def n_slaves(self) -> int:
@@ -128,6 +125,18 @@ class Scenario:
     @property
     def tx_amplitude(self) -> float:
         return math.sqrt(dbm_to_watt(self.tx_power_dbm))
+
+    @property
+    def trajectory(self) -> list:
+        """[(time_s, Position), ...] of the node's motion: empty when it is
+        static, else its start and the point ``speed_m_per_s`` reaches at
+        the end of the last round, ``rounds * round_time_s``."""
+        if self.speed_m_per_s == 0.0:
+            return []
+        start = self.node_position
+        end_s = self.rounds * self.round_time_s
+        return [(0.0, start),
+                (end_s, Position(start.x + self.speed_m_per_s * end_s, start.y, start.z))]
 
 
 @dataclass
@@ -160,35 +169,19 @@ class Metrics:
         return json.dumps(self.as_dict(), sort_keys=True, indent=1)
 
 
-def node_position_at(trajectory, t: float) -> Position:
-    """Piecewise-linear interpolation of the node trajectory."""
-    if not trajectory:
-        raise EngineError("empty trajectory")
-    times = [w[0] for w in trajectory]
-    if t < times[0] or t > times[-1]:
-        raise EngineError("time outside trajectory span")
-    for (t0, p0), (t1, p1) in zip(trajectory, trajectory[1:]):
-        if t0 <= t <= t1:
-            a = (t - t0) / (t1 - t0)
-            return Position(
-                p0.x + a * (p1.x - p0.x),
-                p0.y + a * (p1.y - p0.y),
-                p0.z + a * (p1.z - p0.z),
-            )
-    return trajectory[-1][1]
-
-
 def node_track(scn: Scenario) -> np.ndarray:
     """(K, 3) node position per alignment round; a static node has one row.
 
-    Round n sits at trajectory time n * round_time_s, held at the last
-    waypoint once the trajectory ends.  Cold start sees row 0.
+    Round n sits at time n * round_time_s on the straight line of
+    ``scn.trajectory``.  Cold start sees row 0.
     """
-    if len(scn.trajectory) < 2:
+    trajectory = scn.trajectory
+    if not trajectory:
         return np.asarray([scn.node_position], dtype=float)
-    end = scn.trajectory[-1][0]
-    return np.asarray([node_position_at(scn.trajectory, min(n * scn.round_time_s, end))
-                       for n in range(scn.rounds)], dtype=float)
+    (_, start), (end_s, end) = trajectory
+    start, end = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+    a = np.arange(scn.rounds)[:, None] * scn.round_time_s / end_s
+    return start + a * (end - start)
 
 
 # What a run draws for.  Each name owns one child of the seed's SeedSequence,
@@ -533,7 +526,7 @@ def _peak_component(points: np.ndarray, power: np.ndarray, mask: np.ndarray) -> 
 # ---------------------------------------------------------------------------
 # Geometry helpers for canonical testbeds.
 
-def ring_positions(n: int, radius_m: float = 6.0, height_m: float = 3.0) -> list:
+def ring_positions(n: int, radius_m: float, height_m: float) -> list:
     """Slaves distributed on a ceiling ring, mirroring the testbed layout."""
     out = []
     for i in range(n):

@@ -299,21 +299,17 @@ def test_criterion_08_energy_spot_vs_beam():
 
 
 def _mobile_scenario(speed, seed, rounds=300):
-    round_s = 0.004 + 0.001
-    total = rounds * round_s
-    start = Position(0, 0, -0.1)
-    end = Position(speed * total, 0, -0.1)
     return Scenario(
         slave_positions=ring_positions(24, radius_m=1.0, height_m=0.0),
         leader_position=Position(0, 0, 0),
-        node_position=start,
+        node_position=Position(0, 0, -0.1),
         medium=MediumMap(muscle_depth_m=0.05),
         seed=seed,
         rounds=rounds,
         sync=SyncSettings(enabled=False),
         cold_start_enabled=False,
         baseline="random_phase",
-        trajectory=[(0.0, start), (total, end)] if speed > 0 else [],
+        speed_m_per_s=speed,
     )
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from decimal import Decimal
 
+import numpy as np
 import pytest
 import yaml
 
@@ -30,7 +31,7 @@ from wptsim.cli import (
     sweep_jobs,
     write_trace,
 )
-from wptsim.engine import Scenario, SyncSettings, run_scenario
+from wptsim.engine import Scenario, SyncSettings, node_track, run_scenario
 
 MINIMAL = {
     "scenario": {
@@ -70,11 +71,11 @@ def test_config_round_trip():
 
 
 def test_config_defaults_match_dataclass_defaults():
-    # The config's defaults and the dataclasses' defaults are written out
-    # twice; a scenario built from an empty config must not drift from them.
-    # Fields whose default is itself a dataclass are compared field by field
-    # below, except the medium: a bare MediumMap is air, while the config's
-    # default node sits in muscle.
+    # The config takes its defaults from the dataclasses, and a scenario
+    # built from an empty config must carry each of them through
+    # build_scenario.  Fields whose default is itself a dataclass are
+    # compared field by field below, except the medium: a bare MediumMap is
+    # air, while the config's default node sits in muscle.
     scn = build_scenario(parse_config({})["scenario"], Scenario.seed)
     checked = 0
     for obj, cls in ((scn, Scenario), (scn.sync, SyncSettings), (scn.chirp, ChirpParams)):
@@ -146,6 +147,20 @@ def test_run_verb_heatmap_csv(tmp_path):
     lines = (out / "run_seed1_heatmap.csv").read_text().strip().splitlines()
     assert lines[0] == "x_m,y_m,z_m,power_w"
     assert all(len(l.split(",")) == 4 for l in lines[1:])
+
+
+def test_moving_run_heatmap_holds_the_last_tracked_position(tmp_path):
+    # At 1 m/s over 60 rounds the node ends 0.295 m along +x, past the
+    # 0.4 m cube's half edge, which used to centre on the start position.
+    doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], speed_m_per_s=1.0, rounds=60),
+               heatmap={"enabled": True, "cube_m": 0.4, "voxel_m": 0.1})
+    cfg_path = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    grid = np.loadtxt(out / "run_seed1_heatmap.csv", delimiter=",", skiprows=1)[:, :3]
+    last = node_track(build_scenario(parse_config(doc)["scenario"], 1))[-1]
+    assert last[0] > 0.2
+    assert np.linalg.norm(grid - last, axis=1).min() <= 0.1 * math.sqrt(3) / 2
 
 
 @pytest.mark.parametrize("heatmap, field", [
@@ -389,6 +404,8 @@ def test_bad_number_exits_2_naming_the_field(tmp_path, capsys, key, value):
     # A band above half the sample rate used to fail in ChirpParams, after
     # config.yaml was written, with an error naming no field.
     ("chirp_bandwidth_hz", 2.0e6),
+    # A node on the leader used to blame muscle_depth_m, even at depth 0.
+    ("node_position_m", [0, 0, 0]),
 ])
 def test_bad_scenario_value_exits_2_naming_the_field(tmp_path, capsys, key, value):
     doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], **{key: value}))
@@ -555,7 +572,7 @@ def test_exponent_without_a_dot_is_a_speed(tmp_path):
     assert cfg["scenario"]["speed_m_per_s"] == 0.05
     assert cfg["sweep"]["speed_m_per_s"] == [0.0, 0.1]
     assert "speed_m_per_s: 0.05\n" in serialize_config(cfg)
-    assert build_scenario(cfg["scenario"], 0).trajectory[-1][1].x > 0
+    assert build_scenario(cfg["scenario"], 0).speed_m_per_s == 0.05
 
 
 def test_good_sweep_values_are_accepted():

@@ -28,7 +28,6 @@ from wptsim.engine import (
     SyncSettings,
     heatmap,
     linear_positions,
-    node_position_at,
     optimal_amplitude,
     region_axis_ratio,
     ring_positions,
@@ -59,9 +58,6 @@ def test_scenario_validation():
     with pytest.raises(EngineError):
         Scenario(slave_positions=[], leader_position=Position(0, 0, 0),
                  node_position=Position(0, 0, -0.1))
-    with pytest.raises(EngineError):
-        bench_scenario(trajectory=[(0.0, Position(0, 0, 0)),
-                                   (0.0, Position(1, 0, 0))])
 
 
 @pytest.mark.parametrize("kw", [
@@ -99,6 +95,9 @@ def test_scenario_accepts_valid_baseline_and_bound(kw):
     ({"sigma_deg": math.nan}, "sigma_deg"),
     # An offset of two symbols or more used to end in a silent sync failure.
     ({"sync": SyncSettings(offset_range=2 * FAST_CHIRP.n_samples)}, "offset_range"),
+    ({"speed_m_per_s": -1.0}, "speed_m_per_s"),
+    ({"speed_m_per_s": math.nan}, "speed_m_per_s"),
+    ({"speed_m_per_s": math.inf}, "speed_m_per_s"),
 ])
 def test_scenario_rejects_bad_numbers(kw, field_name):
     with pytest.raises(EngineError, match=field_name):
@@ -181,11 +180,8 @@ def test_run_computes_each_link_table_once(monkeypatch):
         return channel(*args, **kwargs)
 
     monkeypatch.setattr(engine, "channel", counted)
-    total = 40 * bench_scenario().round_time_s
     scn = bench_scenario(rounds=40, baseline="random_phase", cold_start_enabled=True,
-                         wake_threshold_dbm=-35.0,
-                         trajectory=[(0.0, Position(0, 0, -0.1)),
-                                     (total, Position(0.05, 0, -0.1))])
+                         wake_threshold_dbm=-35.0, speed_m_per_s=0.625)
     m = run_scenario(scn)
     assert m.cold_start_success and len(m.baseline_trace) == 40
     # slave -> node over every round, node -> leader, slave -> leader.
@@ -501,21 +497,31 @@ def test_optimal_amplitude_is_sum_of_path_amplitudes():
     assert got == pytest.approx(scn.tx_amplitude * sum(amps), rel=1e-12)
 
 
-def test_node_position_interpolation():
-    traj = [(0.0, Position(0, 0, 0)), (10.0, Position(2.0, 0, 0))]
-    p = node_position_at(traj, 2.5)
-    assert p.x == pytest.approx(0.5)
-    with pytest.raises(EngineError):
-        node_position_at(traj, 11.0)
-    with pytest.raises(EngineError):
-        node_position_at([], 0.0)
+@pytest.mark.parametrize("speed", [0.01, 0.625, 3.7])
+@pytest.mark.parametrize("rounds", [1, 40, 1000])
+def test_node_track_drifts_along_x_at_speed(speed, rounds):
+    scn = bench_scenario(rounds=rounds, speed_m_per_s=speed,
+                         node_position=Position(0.3, -0.2, -0.1))
+    track = engine.node_track(scn)
+    assert track.shape == (rounds, 3)
+    n = np.arange(rounds)
+    np.testing.assert_allclose(track[:, 0], 0.3 + speed * n * scn.round_time_s,
+                               rtol=1e-12, atol=0.0)
+    assert (track[:, 1:] == [-0.2, -0.1]).all()
+
+
+def test_static_node_track_has_one_row():
+    scn = bench_scenario(rounds=40)
+    assert scn.trajectory == []
+    assert engine.node_track(scn).tolist() == [[0.0, 0.0, -0.1]]
 
 
 def test_mobile_run_tracks_trajectory():
-    scn = bench_scenario(rounds=40)
-    total = 40 * scn.round_time_s
-    scn = bench_scenario(rounds=40, trajectory=[
-        (0.0, Position(0, 0, -0.1)), (total, Position(0.05, 0, -0.1))])
+    # 0.625 m/s over 40 rounds of 2 ms ends 0.05 m along +x.
+    scn = bench_scenario(rounds=40, speed_m_per_s=0.625)
+    (_, start), (end_s, end) = scn.trajectory
+    assert start == scn.node_position and end_s == 40 * scn.round_time_s
+    assert end.x == pytest.approx(0.05, rel=1e-12)
     m = run_scenario(scn)
     assert len(m.power_trace) == 40
 
