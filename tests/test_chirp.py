@@ -140,3 +140,15 @@ def test_awgn_power_helper():
     noise = awgn_power(200000, 3.5, rng)
     assert np.mean(np.abs(noise) ** 2) == pytest.approx(3.5, rel=0.05)
 
+
+def test_fluctuation_rate_never_writes_its_input():
+    t = np.arange(512) / 8e3
+    rng = np.random.default_rng(2)
+    envelopes = [np.full(512, 1.5),                          # flat
+                 1.0 + 0.3 * np.cos(2 * np.pi * 40.0 * t),  # one beat
+                 1.0 + rng.standard_normal(512)]            # noise only
+    for env in envelopes:
+        before = env.copy()
+        env.setflags(write=False)
+        fluctuation_rate(env, 8e3)
+        np.testing.assert_array_equal(env, before)
