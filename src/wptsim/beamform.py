@@ -1,13 +1,12 @@
-"""One-bit phase alignment and its expected-gain analysis.
+"""One-bit phase alignment and its adaptive phase-bound schedule.
 
 The alignment loop perturbs every slave's phase by a uniform draw within
 +/- Phi each round and keeps the new phases only when the smoothed power
 metric improved.  The expected one-round amplitude gain has a closed form
 built on modified Bessel function ratios; optimizing that gain round by
 round yields the adaptive large-then-small phase-bound schedule.  The
-expected amplitude over many rounds is computed by density evolution: the
-distribution of the amplitude on [0, N] is pushed through the one-round
-transition and its mean is read off each round.
+density evolution that the tests check this analysis against lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -105,27 +104,6 @@ def solve_concentration(mean_resultant: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Expected amplitude step of the one-bit update rule.
-
-def uniform_cos_moment(phi_rad: float) -> float:
-    """E[cos d] for d uniform on [-phi, phi]: sin(phi)/phi."""
-    if phi_rad == 0.0:
-        return 1.0
-    return math.sin(phi_rad) / phi_rad
-
-
-def expected_amplitude_step(y_n: float, n_slaves: int, phi_rad: float) -> float:
-    """Expected beamforming amplitude after one keep-if-improved round.
-
-    ``y_n`` is the current resultant amplitude of ``n_slaves`` unit phasors
-    (0 <= y_n <= N); ``phi_rad`` the half-width of the uniform perturbation.
-    """
-    if not 0.0 <= y_n <= n_slaves * (1.0 + 1e-12):
-        raise BeamformError("amplitude must lie in [0, n_slaves]")
-    if not 0.0 < phi_rad <= math.pi:
-        raise BeamformError("phase bound must lie in (0, pi]")
-    y_n = min(y_n, float(n_slaves))
-    return float(_step_over_grid(y_n, n_slaves, np.array([phi_rad]))[0])
-
 
 def _step_over_grid(y_n: float, n_slaves: int, phi_grid: np.ndarray) -> np.ndarray:
     """Expected one-round step from amplitude ``y_n``, per phase bound.
@@ -324,126 +302,3 @@ class OneBitAligner:
             self.ref_phases = proposal.copy()
             self.y_ref = y
         return y, accepted
-
-
-# ---------------------------------------------------------------------------
-# Density evolution of the amplitude under the update rule.
-
-AMPLITUDE_GRID_POINTS = 200
-# Midpoints over a quarter period of the projection angle in Cauchy's
-# formula |z| = (1/4) * integral over [0, 2 pi) of |Re(z exp(-ia))| da.
-_PROJECTION_ANGLES = (np.arange(64) + 0.5) * (0.5 * math.pi / 64)
-
-
-@lru_cache(maxsize=16)
-def _amplitude_grid(n_slaves: int):
-    """Grid over [0, N], I2/I0 of the von Mises phase spread at each node,
-    and the (row, edge) pairs of the upper triangle of the CDF table."""
-    if n_slaves < 1:
-        raise BeamformError("need at least one slave")
-    points = AMPLITUDE_GRID_POINTS
-    grid = np.linspace(0.0, float(n_slaves), points)
-    i2i0 = np.array([bessel_ratio(2, solve_concentration(min(y / n_slaves, 1.0)))
-                     for y in grid])
-    edges = np.concatenate(([0.0], 0.5 * (grid[1:] + grid[:-1]), [float(n_slaves)]))
-    rows, cols = np.triu_indices(points, 1, points + 1)
-    for arr in (grid, i2i0, edges, rows, cols):
-        arr.setflags(write=False)
-    return grid, i2i0, edges, rows, cols
-
-
-def _resultant_moments(grid: np.ndarray, n_slaves: int, phi_rad: float,
-                       i2i0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of the perturbed resultant R' from each amplitude.
-
-    The in-phase and quadrature components of the perturbed phasor sum are
-    taken as independent Gaussians with means (c1*y, 0) and variances
-    (N/2) * ((1 - c1^2) -/+ I2/I0 * (c1^2 - c2)); the in-phase one is the
-    sigma_1^2 of :func:`_step_over_grid`.  E[R'] follows from Cauchy's
-    formula, each projection being a folded normal; E[R'^2] is exact.
-    """
-    from scipy.special import erf
-
-    c1 = uniform_cos_moment(phi_rad)
-    c2 = uniform_cos_moment(2.0 * phi_rad)
-    spread = i2i0 * (c1 * c1 - c2)
-    var_i = np.clip(0.5 * n_slaves * ((1.0 - c1 * c1) - spread), 0.0, None)
-    var_q = np.clip(0.5 * n_slaves * ((1.0 - c1 * c1) + spread), 0.0, None)
-    cos_a = np.cos(_PROJECTION_ANGLES)
-    sin_a = np.sin(_PROJECTION_ANGLES)
-    m = (c1 * grid)[:, None] * cos_a
-    s = np.sqrt(var_i[:, None] * cos_a ** 2 + var_q[:, None] * sin_a ** 2)
-    # A floor far below any amplitude scale keeps m / s finite at phi -> 0.
-    s = np.maximum(s, 1e-12 * n_slaves)
-    folded = (s * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * (m / s) ** 2)
-              + m * erf(m / (s * math.sqrt(2.0))))
-    mean = folded.mean(axis=1) * (0.5 * math.pi)
-    second = c1 * c1 * grid * grid + n_slaves * (1.0 - c1 * c1)
-    return mean, np.clip(second - mean * mean, 0.0, None)
-
-
-def amplitude_transition(n_slaves: int, phi_rad: float) -> np.ndarray:
-    """One keep-if-improved round as a row-stochastic matrix on the grid.
-
-    ``T[j, k]`` is the probability that the amplitude moves from node j to
-    node k of the grid of ``AMPLITUDE_GRID_POINTS`` even steps over [0, N]:
-    y' = max(y, R'), with R' an N * Beta variable matching the moments of
-    :func:`_resultant_moments`.
-    Mass of R' below node j's upper cell edge stays at node j, so T is upper
-    triangular and the amplitude never decreases.
-    """
-    from scipy.special import betainc
-
-    if not 0.0 < phi_rad <= math.pi:
-        raise BeamformError("phase bound must lie in (0, pi]")
-    grid, i2i0, edges, rows, cols = _amplitude_grid(n_slaves)
-    mean, var = _resultant_moments(grid, n_slaves, phi_rad, i2i0)
-    mu = np.clip(mean / n_slaves, 1e-12, 1.0 - 1e-12)
-    # Beta(mu * nu, (1 - mu) * nu) has mean mu and variance mu(1 - mu)/(nu + 1).
-    spread = mu * (1.0 - mu)
-    nu = np.maximum(spread / np.maximum(var / n_slaves ** 2, 1e-300) - 1.0, 1e-9)
-    cdf = np.zeros((grid.size, grid.size + 1))
-    cdf[rows, cols] = betainc((mu * nu)[rows], ((1.0 - mu) * nu)[rows],
-                              edges[cols] / n_slaves)
-    # cdf[j, :j + 1] == 0, so the differences put P(R' <= upper edge of
-    # cell j) on the diagonal and nothing below it.  The running maximum
-    # removes rounding dips of betainc, which would give negative entries.
-    return np.diff(np.maximum.accumulate(cdf, axis=1), axis=1)
-
-
-def amplitude_distributions(n_slaves: int, bound, rounds: int, y0: float):
-    """Distribution of the amplitude on [0, N] for rounds 0..rounds.
-
-    Starts from a point mass at y0, split between its two neighbouring grid
-    nodes so that its mean is y0.  ``bound`` is one phase bound for every
-    round or a ``(rounds,)`` array of them.  Returns ``(grid, dists)``, one
-    row of ``dists`` per round; each distinct bound's transition is built
-    once.
-    """
-    if not 0.0 <= y0 <= n_slaves * (1.0 + 1e-12):
-        raise BeamformError("amplitude must lie in [0, n_slaves]")
-    if rounds < 0:
-        raise BeamformError("rounds must be >= 0")
-    phis = np.broadcast_to(np.asarray(bound, dtype=float), (rounds,))
-    grid = _amplitude_grid(n_slaves)[0]
-    pos = min(y0, float(n_slaves)) / (grid[1] - grid[0])
-    k = min(int(pos), grid.size - 2)
-    dists = np.zeros((rounds + 1, grid.size))
-    dists[0, k] = 1.0 - (pos - k)
-    dists[0, k + 1] = pos - k
-    transitions = {}
-    for n, phi in enumerate(phis.tolist()):
-        if phi not in transitions:
-            transitions[phi] = amplitude_transition(n_slaves, phi)
-        dists[n + 1] = dists[n] @ transitions[phi]
-    return grid, dists
-
-
-def expected_trajectory(n_slaves: int, bound, rounds: int, y0: float) -> np.ndarray:
-    """Expected amplitude for rounds 0..rounds, starting at y0.
-
-    The mean of :func:`amplitude_distributions`; tracking the whole
-    distribution avoids the Jensen gap of iterating a one-step mean.
-    """
-    grid, dists = amplitude_distributions(n_slaves, bound, rounds, y0)
-    return dists @ grid

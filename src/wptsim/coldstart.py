@@ -69,59 +69,9 @@ def field_matrix(
     return g * tx_amplitude
 
 
-def coherent_optimum_power(matrix: np.ndarray) -> np.ndarray:
-    """Per-point power when every slave combines coherently there."""
-    return np.abs(matrix).sum(axis=1) ** 2
-
-
 def field_power(matrix: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Received power per point for one set of transmit phases."""
     return np.abs(matrix @ np.exp(1j * np.asarray(phases))) ** 2
-
-
-# A voxel counts as scanned once its two-round mean power reaches this
-# fraction of its own coherent optimum.
-SCAN_POWER_FLOOR = 0.30
-
-
-@dataclass
-class ScanResult:
-    scanning_ratio: float
-    ratio_by_round: np.ndarray
-
-
-def scanning_ratio(
-    matrix: np.ndarray,
-    base_phases: np.ndarray,
-    sigma_deg: float,
-    n_perturbations: int,
-    rng: np.random.Generator,
-) -> ScanResult:
-    """Fraction of voxels swept above the floor by the perturbed beams.
-
-    Successive rounds accumulate the perturbations, so the beam pattern walks
-    away from the leader-focused start and its lobes drift through the cube.
-    A voxel counts as scanned once its received power, averaged over two
-    consecutive rounds, reaches ``SCAN_POWER_FLOOR`` times its own coherent
-    optimum; a harvesting node must hold that power across a full
-    perturb-and-measure cycle before it can come up, so one-round flickers
-    do not count.
-    """
-    if matrix.size == 0:
-        raise ValueError("empty grid")
-    phases = np.asarray(base_phases, dtype=float).copy()
-    floor = SCAN_POWER_FLOOR * coherent_optimum_power(matrix)
-    scanned = np.zeros(matrix.shape[0], dtype=bool)
-    prev = None
-    ratio_by_round = np.empty(n_perturbations + 1)
-    for r in range(n_perturbations + 1):
-        p = field_power(matrix, phases)
-        if prev is not None:
-            scanned |= 0.5 * (p + prev) >= floor
-        prev = p
-        ratio_by_round[r] = scanned.mean()
-        phases = perturbation_round(phases, sigma_deg, rng)
-    return ScanResult(float(ratio_by_round[-1]), ratio_by_round)
 
 
 @dataclass

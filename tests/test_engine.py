@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ive
 from scipy.stats import ks_2samp
 
-from oracles import aligned_phases, propose
+from oracles import aligned_phases, propose, region_axis_ratio
 from test_golden import SCENARIOS, mismatches
 from wptsim import coldstart as cs, engine
 from wptsim.backscatter import SHIFT_FREQ_HZ, BackscatterNode, amplitude_ratio
@@ -29,7 +29,6 @@ from wptsim.engine import (
     heatmap,
     linear_positions,
     optimal_amplitude,
-    region_axis_ratio,
     ring_positions,
     run_scenario,
 )
@@ -122,6 +121,26 @@ def test_sync_settings_reject_bad_values(kw, field_name):
     with pytest.raises(EngineError, match=field_name):
         SyncSettings(**kw)
     SyncSettings(**{field_name: 0})
+
+
+@pytest.mark.parametrize("build, field_name, bad, good", [
+    # A float jitter used to fail in coarse sync ("slice indices must be
+    # integers"), and a float offset range was accepted silently.
+    (SyncSettings, "residual_jitter", 2.5, np.int64(20)),
+    (SyncSettings, "offset_range", 100.5, np.int32(100)),
+    (SyncSettings, "offset_range", True, 1),
+    # A float round count used to raise numpy's TypeError, a negative seed
+    # SeedSequence's ValueError and a float seed its TypeError.
+    (bench_scenario, "rounds", 2.5, np.int64(3)),
+    (bench_scenario, "rounds", True, 1),
+    (bench_scenario, "seed", -1, np.uint32(7)),
+    (bench_scenario, "seed", 1.5, np.int64(7)),
+    (bench_scenario, "seed", np.float64(3.0), 3),
+])
+def test_whole_number_fields_are_checked(build, field_name, bad, good):
+    with pytest.raises(EngineError, match=field_name):
+        build(**{field_name: bad})
+    build(**{field_name: good})
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

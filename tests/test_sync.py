@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import i0e, i1e
@@ -282,7 +283,6 @@ def test_rician_mean_matches_scipy_bessel(sigma):
 def test_rician_variance_matches_high_precision():
     # nu^2 + 2 sigma^2 - mean^2 cancels in double precision, so the
     # reference is evaluated with 60 digits.
-    mpmath = pytest.importorskip("mpmath")
     sigma = 0.7
     _, var = rician_moments(_RATIOS * sigma, sigma)
     with mpmath.workdps(60):

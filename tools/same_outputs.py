@@ -11,6 +11,14 @@ from one tree's ``src/``: first the base, then the working tree.  The corpus:
 - ``sync/``: README-pipeline runs on the 512 kHz readme_fast chirp with sync
   on, over seeds 0-9, residual jitter 0, 20 and 60, with the receiver noise
   floor at -70 dBm and off, and at +30 dBm, where sync fails;
+- ``bench/``: bench-mode runs (sync and cold start off, the criterion-4
+  geometry) over seeds 0-19 x N in {1, 2, 3, 24}, with the noise floor at
+  -70 dBm and off; at N in {3, 24} over seeds 0-4, fixed bounds of 1 and
+  180 degrees, one round, a dead band of 0, and nodes moving at 0.05 and
+  1 m/s;
+- ``readme/``: the README scenario on the readme_fast chirp with cold start
+  on and sync off, over seeds 0-5, with the leader on the ring's axis and
+  off it at (0.3, 0.2, 0) m;
 - ``run/``: ``wptsim run`` of three seeds, with trace CSVs and config.yaml;
 - ``sweep/``: ``wptsim sweep`` over node speed on two workers, with trace
   and heat-map CSVs and summary.csv.
@@ -56,14 +64,30 @@ README_FAST = {
 # Receiver noise floors of the sync runs: the default, none (fine sync's
 # noise-free envelope) and one at which the preamble is lost in the noise.
 SYNC_FLOORS = {"floor-70": -70.0, "nofloor": None, "floor+30": 30.0}
+# Bench mode, as criterion 4 runs it: a 1 m ring around a node 10 cm down in
+# muscle, which starts awake, with sync off.
+BENCH = {"ring_radius_m": 1.0, "ring_height_m": 0.0, "node_position_m": [0.0, 0.0, -0.1],
+         "muscle_depth_m": 0.05, "sync_enabled": False, "cold_start_enabled": False}
+BENCH_FLOORS = {"floor-70": -70.0, "nofloor": None}
+# One change each to a bench run: the extreme fixed bounds, a single round,
+# no dead band, and a moving node.
+BENCH_VARIANTS = {"bound1": {"bound_deg": 1.0}, "bound180": {"bound_deg": 180.0},
+                  "rounds1": {"rounds": 1}, "deadband0": {"deadband_frac": 0.0},
+                  "speed0.05": {"speed_m_per_s": 0.05}, "speed1": {"speed_m_per_s": 1.0}}
+# The README scenario with cold start on and sync off, its leader on the
+# ring's axis and off it.
+README_LEADERS = {"onaxis": [0.0, 0.0, 0.0], "offaxis": [0.3, 0.2, 0.0]}
 
 CORPORA = {
     "full": {"goldens": None, "sync_seeds": range(10), "jitters": (0, 20, 60),
-             "rounds": 100, "run_seeds": [1, 2, 3],
+             "rounds": 100, "bench_seeds": range(20), "bench_sizes": (1, 2, 3, 24),
+             "variant_seeds": range(5), "variant_sizes": (3, 24),
+             "readme_seeds": range(6), "run_seeds": [1, 2, 3],
              "sweep_seeds": [1, 2], "sweep_slaves": 8, "jobs": 2},
     "tiny": {"goldens": ["bench_3"], "sync_seeds": range(2), "jitters": (20,),
-             "rounds": 10, "run_seeds": [1],
-             "sweep_seeds": [1], "sweep_slaves": 3, "jobs": 1},
+             "rounds": 10, "bench_seeds": range(1), "bench_sizes": (3,),
+             "variant_seeds": range(0), "variant_sizes": (), "readme_seeds": range(0),
+             "run_seeds": [1], "sweep_seeds": [1], "sweep_slaves": 3, "jobs": 1},
 }
 
 
@@ -85,16 +109,30 @@ def write_corpus(out: Path, corpus: dict) -> None:
         dump(out / "golden" / f"{name}.json",
              json.dumps(test_golden.document(name), sort_keys=True, indent=1) + "\n")
 
+    def documents(path: str, seeds, scenario: dict) -> None:
+        scn_cfg = cli.parse_config({"scenario": scenario})["scenario"]
+        for seed in seeds:
+            metrics = engine.run_scenario(cli.build_scenario(scn_cfg, seed))
+            dump(out / f"{path}_seed{seed}.json", metrics.to_json() + "\n")
+
     rounds = corpus["rounds"]
     for jitter in corpus["jitters"]:
         for label, floor in SYNC_FLOORS.items():
-            scn_cfg = cli.parse_config({"scenario": dict(
-                README_FAST, rounds=rounds, sync_residual_jitter=jitter,
-                noise_floor_dbm=floor)})["scenario"]
-            for seed in corpus["sync_seeds"]:
-                metrics = engine.run_scenario(cli.build_scenario(scn_cfg, seed))
-                dump(out / "sync" / f"jitter{jitter}_{label}_seed{seed}.json",
-                     metrics.to_json() + "\n")
+            documents(f"sync/jitter{jitter}_{label}", corpus["sync_seeds"],
+                      dict(README_FAST, rounds=rounds, sync_residual_jitter=jitter,
+                           noise_floor_dbm=floor))
+    for n in corpus["bench_sizes"]:
+        for label, floor in BENCH_FLOORS.items():
+            documents(f"bench/n{n}_{label}", corpus["bench_seeds"],
+                      dict(BENCH, slave_count=n, rounds=rounds, noise_floor_dbm=floor))
+    for n in corpus["variant_sizes"]:
+        for label, change in BENCH_VARIANTS.items():
+            documents(f"bench/n{n}_{label}", corpus["variant_seeds"],
+                      {**BENCH, "slave_count": n, "rounds": rounds, **change})
+    for label, leader in README_LEADERS.items():
+        documents(f"readme/{label}", corpus["readme_seeds"],
+                  dict(README_FAST, rounds=rounds, leader_position_m=leader,
+                       sync_enabled=False))
 
     def cli_verb(verb: str, cfg: dict, *extra: str) -> None:
         path = out / f"{verb}_config.yaml"
