@@ -67,19 +67,19 @@ class BackscatterNode:
     def wake_threshold_w(self) -> float:
         return dbm_to_watt(self.wake_threshold_dbm)
 
-    def harvest_step(self, incident_power_w: float, dt_s: float = 1.0) -> None:
+    def harvest_step(self, power_w: float, dt_s: float = 1.0) -> None:
         """Update wake state from the incident RF power.
 
         Wake is instantaneous at the threshold; an awake node stays awake as
         long as the incident power covers its dynamic draw.
         """
-        if incident_power_w < 0:
+        if power_w < 0:
             raise BackscatterError("incident power must be >= 0")
         if not self.awake:
-            if incident_power_w >= self.wake_threshold_w:
+            if power_w >= self.wake_threshold_w:
                 self.awake = True
         else:
-            if incident_power_w < self.dynamic_power_draw_w:
+            if power_w < self.dynamic_power_draw_w:
                 self.awake = False
 
     def reflect(self, samples: np.ndarray, sample_rate_hz: float) -> np.ndarray:

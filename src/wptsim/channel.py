@@ -3,10 +3,12 @@
 The propagation path between a transmitter outside the body and a node
 embedded in tissue is described as an ordered list of medium segments
 (air, skin boundary, muscle, insertion point).  Losses are composed in dB;
-the complex channel coefficient carries the linear amplitude gain and the
-geometric plus per-link static phase.  :func:`channel` is the one model
-every stage uses; it broadcasts over arrays of positions, so a whole table
-of links (rounds x slaves, or grid points x slaves) is one call.
+a link is one complex number, gain times e^{j phase}.  :func:`channel` is
+the one model every stage uses; it broadcasts over arrays of positions, so
+a whole table of links (rounds x slaves, or grid points x slaves) is one
+complex array.  :func:`incident_field` is the one field sum that cold start,
+alignment and the baseline read; the heat map keeps ``coldstart.field_power``,
+whose matrix product sums in another order, so that its CSV bytes stay put.
 """
 
 from __future__ import annotations
@@ -138,21 +140,6 @@ def received_power_dbm(tx_power_dbm: float, budget: LinkBudget) -> float:
 
 
 @dataclass(frozen=True)
-class ChannelCoeff:
-    """Coefficients of one link or of a broadcast table of links."""
-
-    gain: np.ndarray  # linear amplitude ratio, includes tx antenna gain
-    phase_rad: np.ndarray  # in [0, 2*pi)
-
-    @property
-    def complex(self) -> np.ndarray:
-        return self.gain * np.exp(1j * self.phase_rad)
-
-    def __getitem__(self, index) -> "ChannelCoeff":
-        return ChannelCoeff(self.gain[index], self.phase_rad[index])
-
-
-@dataclass(frozen=True)
 class MediumMap:
     """Tissue description for a link whose far end sits inside muscle.
 
@@ -192,7 +179,7 @@ def channel(
     tx_gain_dbi: float = DEFAULT_TX_GAIN_DBI,
     static_phase_rad=0.0,
     inbound: bool = True,
-) -> ChannelCoeff:
+) -> np.ndarray:
     """Complex channel coefficients between transmit and receive positions.
 
     ``tx`` and ``rx`` are positions, lists of them or (..., 3) coordinate
@@ -202,7 +189,7 @@ def channel(
     link distances.  ``static_phase_rad`` models the unknown per-link
     hardware/propagation phase offset; the scenario draws it once per link
     from its seed, so the result is deterministic for a given scenario.
-    A single pair of positions gives scalar ``gain`` and ``phase_rad``.
+    Each is ``gain * exp(1j * phase)``; one pair of positions gives a scalar.
     """
     tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
     # Raw coordinate arrays skip Position's check; NaN would pass every
@@ -216,8 +203,13 @@ def channel(
     budget = compose_budget(one_way_segments(d, medium, inbound), freq_hz)
     gain = 10.0 ** (-budget.total_loss_db / 20.0) * 10.0 ** (tx_gain_dbi / 20.0)
     phase = (budget.phase_rad + static_phase_rad) % (2.0 * math.pi)
-    gain, phase = np.broadcast_arrays(gain, phase)
-    return ChannelCoeff(gain=gain[()], phase_rad=phase[()])
+    return gain * np.exp(1j * phase)
+
+
+def incident_field(coeffs, phases, amplitude: float):
+    """The field at the receiver: ``amplitude`` times the sum over slaves,
+    the last axis, of each link coefficient times ``exp(1j * phase)``."""
+    return amplitude * np.add.reduce(coeffs * np.exp(1j * phases), axis=-1)
 
 
 def dbm_to_watt(p_dbm: float) -> float:

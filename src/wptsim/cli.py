@@ -97,6 +97,14 @@ def _slave_positions(v, name: str):
     return [_coordinates(p, f"{name}[{i}]") for i, p in enumerate(v)]
 
 
+def _distinct(values: list, name: str) -> list:
+    """``values``, unless one repeats: it would run and write its files twice."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{name} repeats {v!r}")
+    return values
+
+
 def _layout(v, name: str) -> str:
     if v not in ("ring", "linear", "explicit"):
         raise ConfigError(f"{name} must be ring, linear or explicit, not {v!r}")
@@ -209,7 +217,7 @@ def parse_config(doc) -> dict:
     seeds = doc.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("'seeds' must be a non-empty list of whole numbers >= 0")
-    seeds = [_SEED(s, "seeds") for s in seeds]
+    seeds = _distinct([_SEED(s, "seeds") for s in seeds], "seeds")
 
     raw_sweep = doc.get("sweep") or {}
     if not isinstance(raw_sweep, dict):
@@ -225,7 +233,7 @@ def parse_config(doc) -> dict:
         # The swept node sits on the leader's bearing to it, past the leader.
         read = (_real(0.0, strict=True) if axis == "leader_node_distance_m"
                 else SCENARIO_DEFAULTS[axis][1])
-        sweep[axis] = [read(v, f"sweep.{axis}") for v in values]
+        sweep[axis] = _distinct([read(v, f"sweep.{axis}") for v in values], f"sweep.{axis}")
         for v in sweep[axis]:
             _check_scenario(apply_axis(scenario, axis, v), f"sweep.{axis} = {v!r}: ")
 
@@ -462,7 +470,8 @@ def main(argv=None) -> int:
             return cmd_report(args.out)
         cfg = load_config(args.config)
         if args.seeds:
-            cfg["seeds"] = [_SEED(s, "--seeds") for s in args.seeds.split(",")]
+            cfg["seeds"] = _distinct([_SEED(s, "--seeds") for s in args.seeds.split(",")],
+                                     "--seeds")
         if args.verb == "run":
             return cmd_run(cfg, args.out)
         return cmd_sweep(cfg, args.out, max(1, args.jobs))

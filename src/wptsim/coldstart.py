@@ -16,11 +16,11 @@ import numpy as np
 from .channel import (
     DEFAULT_FREQ_HZ,
     DEFAULT_TX_GAIN_DBI,
-    ChannelCoeff,
     ChannelError,
     MediumMap,
     Position,
     channel,
+    incident_field,
 )
 
 
@@ -28,9 +28,9 @@ from .channel import (
 MAX_PERTURBATIONS = 200
 
 
-def leader_focused_phases(slave_channels: ChannelCoeff) -> np.ndarray:
-    """Conjugate phases that combine coherently at the leader position."""
-    return (-np.asarray(slave_channels.phase_rad)) % (2.0 * math.pi)
+def leader_focused_phases(slave_channels) -> np.ndarray:
+    """Conjugate phases that focus the complex slave -> leader links."""
+    return (-np.angle(slave_channels)) % (2.0 * math.pi)
 
 
 def perturbation_round(base_phases, sigma_deg: float, rng: np.random.Generator) -> np.ndarray:
@@ -65,7 +65,7 @@ def field_matrix(
     if points.ndim != 2 or points.shape[1] != 3:
         raise ChannelError("points must be (V, 3)")
     g = channel(slave_positions, points[:, None, :], MediumMap(),
-                freq_hz, tx_gain_dbi, static_phase_rad=static_phases).complex
+                freq_hz, tx_gain_dbi, static_phase_rad=static_phases)
     return g * tx_amplitude
 
 
@@ -81,20 +81,16 @@ class ColdStartResult:
 
 
 class ColdStartRunner:
-    """Round-by-round cold start against explicit node-side channels."""
+    """Round-by-round cold start against complex slave -> leader and -> node links."""
 
-    def __init__(self, node, leader_channels: ChannelCoeff, node_channels: ChannelCoeff,
+    def __init__(self, node, leader_channels, node_channels,
                  tx_amplitude: float, sigma_deg: float, rng: np.random.Generator):
         self.node = node
         self.base_phases = leader_focused_phases(leader_channels)
-        self.node_coeffs = np.asarray(node_channels.complex)
+        self.node_coeffs = node_channels
         self.tx_amplitude = tx_amplitude
         self.sigma_deg = sigma_deg
         self.rng = rng
-
-    def incident_power_w(self, phases: np.ndarray) -> float:
-        field = np.sum(self.tx_amplitude * self.node_coeffs * np.exp(1j * phases))
-        return float(np.abs(field) ** 2)
 
     def run(self) -> ColdStartResult:
         # Round 0 is the unperturbed leader-focused beam; later rounds keep
@@ -103,7 +99,8 @@ class ColdStartRunner:
         for rnd in range(MAX_PERTURBATIONS + 1):
             if rnd:
                 phases = perturbation_round(phases, self.sigma_deg, self.rng)
-            self.node.harvest_step(self.incident_power_w(phases))
+            field = incident_field(self.node_coeffs, phases, self.tx_amplitude)
+            self.node.harvest_step(float(np.abs(field) ** 2))
             if self.node.awake:
                 return ColdStartResult(True, rnd)
         return ColdStartResult(False, MAX_PERTURBATIONS)

@@ -23,17 +23,17 @@ from .channel import (
     DEFAULT_TX_GAIN_DBI,
     DEFAULT_TX_POWER_DBM,
     SPEED_OF_LIGHT,
-    ChannelCoeff,
     MediumMap,
     Position,
     channel,
     dbm_to_watt,
+    incident_field,
 )
 from .chirp import ChirpParams, generate_sweep, sample_noise_power
 # The run path no longer calls awgn or p_ccs0; perfbench/tracer.py patches
 # both names in this namespace, so they stay importable from here.
 from .chirp import awgn, p_ccs0  # noqa: F401
-from .sync import COARSE_CAPTURE_SYMBOLS, FINE_WINDOW_SYMBOLS, SyncError, run_sync
+from .sync import COARSE_CAPTURE_SYMBOLS, SyncError, run_sync
 
 
 class EngineError(ValueError):
@@ -212,12 +212,6 @@ def _static_phases(scn: Scenario, streams: dict) -> np.ndarray:
     return streams["static_phases"].uniform(0.0, 2.0 * math.pi, scn.n_slaves)
 
 
-def _node_links(scn: Scenario, static: np.ndarray, track: np.ndarray) -> ChannelCoeff:
-    """(K, N) slave -> node links, one row per row of ``track``."""
-    return channel(scn.slave_positions, track[:, None, :], scn.medium,
-                   scn.freq_hz, scn.tx_gain_dbi, static_phase_rad=static)
-
-
 def optimal_amplitude(scn: Scenario, node_coeffs) -> np.ndarray:
     """Sum of per-slave lone amplitudes at the node (the coherent optimum),
     one per row of the (K, N) slave -> node coefficients ``node_coeffs``."""
@@ -275,7 +269,6 @@ def run_scenario(scn: Scenario) -> Metrics:
                 offsets, scn.chirp, streams["sync"],
                 noise_power=noise_power,
                 residual_jitter=scn.sync.residual_jitter,
-                fine_window_symbols=FINE_WINDOW_SYMBOLS,
             )
             metrics.sync_residuals = [int(r) for r in res.residual_offsets]
             metrics.sync_rounds = [int(r) for r in res.rounds_per_period]
@@ -283,13 +276,13 @@ def run_scenario(scn: Scenario) -> Metrics:
             metrics.sync_failed = True
             return metrics
 
-    # One coefficient table serves every stage: row k holds the links of
-    # the node at row k of its track; cold start sees row 0.
+    # One (K, N) table of slave -> node links serves every stage: row k
+    # holds the links of the node at row k of its track; cold start sees row 0.
     track = node_track(scn)
-    node_links = _node_links(scn, static, track)
-    to_node = node_links.complex
+    to_node = channel(scn.slave_positions, track[:, None, :], scn.medium,
+                      scn.freq_hz, scn.tx_gain_dbi, static_phase_rad=static)
     to_leader = channel(track, scn.leader_position, scn.medium, scn.freq_hz,
-                        tx_gain_dbi=0.0, inbound=False).complex
+                        tx_gain_dbi=0.0, inbound=False)
     optimum = optimal_amplitude(scn, to_node)
 
     # --- stage 2: cold start ----------------------------------------------
@@ -300,7 +293,7 @@ def run_scenario(scn: Scenario) -> Metrics:
             node,
             leader_channels=channel(scn.slave_positions, scn.leader_position, MediumMap(),
                                     scn.freq_hz, scn.tx_gain_dbi, static_phase_rad=static),
-            node_channels=node_links[0],
+            node_channels=to_node[0],
             tx_amplitude=scn.tx_amplitude,
             sigma_deg=scn.sigma_deg,
             rng=streams["cold_start"],
@@ -347,7 +340,7 @@ def run_scenario(scn: Scenario) -> Metrics:
     # --- optional incoherent baseline -------------------------------------
     if scn.baseline == "random_phase":
         phases = streams["baseline"].uniform(0.0, 2.0 * math.pi, (scn.rounds, scn.n_slaves))
-        hb = np.abs(scn.tx_amplitude * np.sum(to_node * np.exp(1j * phases), axis=1))
+        hb = np.abs(incident_field(to_node, phases, scn.tx_amplitude))
         btrace = np.divide(hb, optimum, out=np.zeros(scn.rounds), where=optimum > 0)
         metrics.baseline_trace = btrace.tolist()
         metrics.baseline_power_percentage = float(np.mean(btrace[-window:] ** 2))
@@ -384,8 +377,7 @@ def _align(scn, node, aligner, bounds, to_node, to_leader, optimum, correlator,
     while n < rounds:
         stop = min(n + BLOCK_ROUNDS, rounds)
         proposals = aligner.candidates(offsets[n:stop])
-        fields = scn.tx_amplitude * np.add.reduce(
-            to_node[n:stop] * np.exp(1j * proposals), axis=1)
+        fields = incident_field(to_node[n:stop], proposals, scn.tx_amplitude)
         # numpy's vectorized |h| (np.abs of the block, or of one scalar) and
         # the scalar abs(h) can differ in the last bit: p_in has always read
         # the first and the achieved fraction the second.  The square stays

@@ -227,20 +227,19 @@ class FineSyncEnvelope:
 
     The table holds only these read-only, seed-free arrays, so
     :func:`run_sync` takes one instance per process and key from
-    :func:`fine_sync_envelope`: every run with that chirp, window, jitter
-    and noise power reuses the offsets earlier runs built.  It fills lazily
+    :func:`fine_sync_envelope`: every run with that chirp, jitter and
+    noise power reuses the offsets earlier runs built.  It fills lazily
     and holds at most 2 * pad + 1 offsets, each two float64 arrays of
     window / ``ENVELOPE_DECIMATE`` blocks, beside the extended sweep: about
     0.9 MB for the 512-sample chirp at jitter 20, and up to 36 MB plus the
     8.7 MB sweep for the README chirp at jitter 60.
     """
 
-    def __init__(self, params: ChirpParams, fine_window_symbols: int, pad: int,
-                 noise_power: float = 0.0):
-        self.window = params.n_samples * fine_window_symbols
+    def __init__(self, params: ChirpParams, pad: int, noise_power: float = 0.0):
+        self.window = params.n_samples * FINE_WINDOW_SYMBOLS
         self.pad = pad
         self.envelope_rate_hz = params.sample_rate_hz / ENVELOPE_DECIMATE
-        n_ext = fine_window_symbols + -(-2 * pad // params.n_samples) + 1
+        n_ext = FINE_WINDOW_SYMBOLS + -(-2 * pad // params.n_samples) + 1
         self._ext = generate_sweep(params, n_ext)
         self._base = self._ext[pad : pad + self.window]
         self._sigma = math.sqrt(noise_power / 2.0)
@@ -279,12 +278,11 @@ class FineSyncEnvelope:
 
 
 @lru_cache(maxsize=1)
-def fine_sync_envelope(params: ChirpParams, fine_window_symbols: int, pad: int,
-                       noise_power: float) -> FineSyncEnvelope:
+def fine_sync_envelope(params: ChirpParams, pad: int, noise_power: float) -> FineSyncEnvelope:
     """The process's one :class:`FineSyncEnvelope` for this key.  A single
     entry bounds the memory at one table; a process that changes chirp,
-    window, jitter or noise power builds a new table for the new key."""
-    return FineSyncEnvelope(params, fine_window_symbols, pad, noise_power)
+    jitter or noise power builds a new table for the new key."""
+    return FineSyncEnvelope(params, pad, noise_power)
 
 
 @dataclass
@@ -326,15 +324,13 @@ def run_sync(
     noise_power: float = 0.0,
     *,
     residual_jitter: int,
-    fine_window_symbols: int,
 ) -> SyncResult:
     """Run both synchronization steps over simulated receptions.
 
     ``true_offsets`` holds each slave's initial clock offset in samples;
     ``noise_power`` is the total sample-domain power of the white noise at
     each receiver.  See :func:`_coarse_residuals` for ``residual_jitter``;
-    each fine round captures ``fine_window_symbols`` symbols (the engine
-    passes ``FINE_WINDOW_SYMBOLS``).
+    each fine round captures ``FINE_WINDOW_SYMBOLS`` symbols.
     """
     if not (math.isfinite(noise_power) and noise_power >= 0.0):
         raise ValueError(f"noise_power must be finite and >= 0, not {noise_power!r}")
@@ -350,8 +346,7 @@ def run_sync(
     # Step two: align slave i to slave 0, one period per slave.  Slaves
     # transmit one continuous sweep for the whole window; a clock offset then
     # shows up as a single constant beat tone in the superposed envelope.
-    rx = fine_sync_envelope(params, fine_window_symbols, fine_sync_pad(residual_jitter),
-                            noise_power)
+    rx = fine_sync_envelope(params, fine_sync_pad(residual_jitter), noise_power)
     stop_hz = fluctuation_bin_hz(rx.window, params.sample_rate_hz)
 
     # Offsets below are relative to the first slave.

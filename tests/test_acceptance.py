@@ -108,7 +108,7 @@ def test_criterion_03_two_step_sync_residuals_and_rounds():
     sample, in at most initial-residual + 3 feedback rounds each."""
     rng = np.random.default_rng(7)
     offsets = rng.integers(0, 8193, 24)
-    res = run_sync(offsets, ChirpParams(), rng, residual_jitter=100, fine_window_symbols=64)
+    res = run_sync(offsets, ChirpParams(), rng, residual_jitter=100)
     worst = max(abs(r) for r in res.residual_offsets)
     assert worst <= 1, f"worst residual {worst} samples"
     start = {p: off for p, rnd, off, _, _ in reversed(res.transcript) if rnd == 1}

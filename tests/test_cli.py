@@ -451,6 +451,32 @@ def test_bad_seeds_option_exits_2_naming_it(tmp_path, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, doc, option, field", [
+    # Each used to run the repeated value twice and write its files twice.
+    ("run", dict(MINIMAL, seeds=[1, 1]), None, "seeds repeats 1"),
+    ("run", dict(MINIMAL, seeds=[2, 1, 2.0]), None, "seeds repeats 2"),
+    ("run", MINIMAL, "3,1,3", "--seeds repeats 3"),
+    ("sweep", dict(MINIMAL, seeds=[1, 1], sweep={"speed_m_per_s": [0.0]}), None,
+     "seeds repeats 1"),
+    ("sweep", dict(MINIMAL, sweep={"speed_m_per_s": [0.0, 0.0, 5e-2, 0.05]}), None,
+     "sweep.speed_m_per_s repeats 0.0"),
+    ("sweep", dict(MINIMAL, sweep={"speed_m_per_s": [0.05, "5e-2"]}), None,
+     "sweep.speed_m_per_s repeats 0.05"),
+    ("sweep", dict(MINIMAL, sweep={"slave_count": [3, 2, 3.0]}), None,
+     "sweep.slave_count repeats 3"),
+    ("sweep", dict(MINIMAL, sweep={"leader_node_distance_m": [0.5, 0.5]}), None,
+     "sweep.leader_node_distance_m repeats 0.5"),
+])
+def test_repeated_seed_or_sweep_value_exits_2_naming_the_field(tmp_path, capsys, verb, doc,
+                                                               option, field):
+    cfg_path = write_cfg(tmp_path, doc)
+    extra = ["--seeds", option] if option else []
+    out = tmp_path / "o"
+    assert main([verb, "--config", cfg_path, "--out", str(out), *extra]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("axis, values", [("slave_count", [3, 2.5]),
                                           ("slave_count", [False]),
                                           ("speed_m_per_s", [0.0, -1.0]),

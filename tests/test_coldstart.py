@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import coherent_optimum_power, scanning_ratio
-from wptsim import coldstart as cs
+from wptsim import coldstart as cs, engine
 from wptsim.backscatter import BackscatterNode
-from wptsim.channel import ChannelError, MediumMap, Position, channel
+from wptsim.channel import ChannelError, MediumMap, Position, channel, incident_field
+from wptsim.cli import build_scenario, parse_config
 from wptsim.engine import ring_positions
 
 
@@ -57,8 +58,8 @@ def test_leader_focused_phases_combine_coherently():
     static = rng.uniform(0, 2 * np.pi, 6)
     chans = channel(slaves, leader, MediumMap(), static_phase_rad=static)
     phases = cs.leader_focused_phases(chans)
-    field = np.sum(chans.complex * np.exp(1j * phases))
-    assert abs(field) == pytest.approx(chans.gain.sum(), rel=1e-9)
+    field = incident_field(chans, phases, 1.0)
+    assert abs(field) == pytest.approx(np.abs(chans).sum(), rel=1e-9)
 
 
 def test_coherent_optimum_upper_bounds_any_phasing():
@@ -113,6 +114,40 @@ def _runner(node_pos, tx_amp, seed=0, n=6):
     node_ch = channel(slaves, node_pos, medium, static_phase_rad=static)
     node = BackscatterNode()
     return cs.ColdStartRunner(node, lead_ch, node_ch, tx_amp, 55.0, rng), node
+
+
+def _readme_round_zero(seed: int, leader_m: list):
+    """(incident field of the leader-focused beam, coherent optimum, runner)
+    at the node of the README scenario with its leader at ``leader_m``."""
+    cfg = parse_config({"scenario": {"leader_position_m": leader_m}})["scenario"]
+    scn = build_scenario(cfg, seed)
+    streams = engine._streams(seed)
+    static = engine._static_phases(scn, streams)
+    to_node = channel(scn.slave_positions, scn.node_position, scn.medium, scn.freq_hz,
+                      scn.tx_gain_dbi, static_phase_rad=static)
+    to_leader = channel(scn.slave_positions, scn.leader_position, MediumMap(), scn.freq_hz,
+                        scn.tx_gain_dbi, static_phase_rad=static)
+    field = incident_field(to_node, cs.leader_focused_phases(to_leader), scn.tx_amplitude)
+    runner = cs.ColdStartRunner(BackscatterNode(wake_threshold_dbm=scn.wake_threshold_dbm),
+                                to_leader, to_node, scn.tx_amplitude, scn.sigma_deg,
+                                streams["cold_start"])
+    return field, engine.optimal_amplitude(scn, to_node), runner
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_leader_focused_beam_on_the_readme_axis_is_the_optimum(seed):
+    # The README leader sits on the ring's axis, above the node, so the beam
+    # that focuses on it is coherent at the node too, and wakes it at once.
+    field, optimum, runner = _readme_round_zero(seed, [0.0, 0.0, 0.0])
+    assert abs(field) == pytest.approx(optimum, rel=1e-12)
+    res = runner.run()
+    assert res.success and res.rounds_used == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_leader_focused_beam_off_the_axis_misses_the_node(seed):
+    field, optimum, _ = _readme_round_zero(seed, [0.3, 0.2, 0.0])
+    assert abs(field) ** 2 < 0.25 * optimum ** 2
 
 
 def test_cold_start_succeeds_with_strong_field():

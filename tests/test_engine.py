@@ -508,11 +508,11 @@ def test_metrics_json_matches_asdict(name):
 def test_optimal_amplitude_is_sum_of_path_amplitudes():
     scn = bench_scenario()
     static = engine._static_phases(scn, engine._streams(scn.seed))
-    got = optimal_amplitude(
-        scn, engine._node_links(scn, static, engine.node_track(scn))[0].complex)
+    to_node = channel(scn.slave_positions, engine.node_track(scn)[:, None, :], scn.medium,
+                      scn.freq_hz, scn.tx_gain_dbi, static_phase_rad=static)
+    got = optimal_amplitude(scn, to_node[0])
     # The coherent optimum only depends on per-link gains, not phases.
-    amps = [channel(sp, scn.node_position, scn.medium).gain
-            for sp in scn.slave_positions]
+    amps = [abs(channel(sp, scn.node_position, scn.medium)) for sp in scn.slave_positions]
     assert got == pytest.approx(scn.tx_amplitude * sum(amps), rel=1e-12)
 
 

@@ -17,6 +17,7 @@ from wptsim.chirp import (
 )
 from wptsim.sync import (
     ENVELOPE_DECIMATE,
+    FINE_WINDOW_SYMBOLS,
     FineSyncEnvelope,
     SyncError,
     SyncResult,
@@ -54,12 +55,12 @@ def _rate_by_samples(rx: FineSyncEnvelope, offset: int, noise_power: float, rng)
 
 
 def _fine_sync_by_samples(true_offsets, params, rng, noise_power=0.0,
-                          residual_jitter=100, fine_window_symbols=64) -> SyncResult:
+                          residual_jitter=100) -> SyncResult:
     """The oracle: :func:`run_sync` with every fine round built sample by
     sample, as fine sync ran before it drew whole blocks."""
     residuals = _coarse_residuals([int(o) for o in true_offsets], params, rng,
                                   noise_power, residual_jitter)
-    rx = FineSyncEnvelope(params, fine_window_symbols, fine_sync_pad(residual_jitter))
+    rx = FineSyncEnvelope(params, fine_sync_pad(residual_jitter))
     stop_hz = fluctuation_bin_hz(rx.window, params.sample_rate_hz)
     rel = [r - residuals[0] for r in residuals]
     rounds_per_period, transcript = [], []
@@ -126,8 +127,7 @@ def test_walk_outside_the_pad_raises():
 def test_run_sync_zeroes_residuals():
     rng = np.random.default_rng(3)
     offsets = rng.integers(0, 1200, 6)
-    res = run_sync(offsets, FAST, rng, residual_jitter=20,
-                   fine_window_symbols=32)
+    res = run_sync(offsets, FAST, rng, residual_jitter=20)
     assert all(abs(r) <= 1 for r in res.residual_offsets)
     assert res.residual_offsets[0] == 0
 
@@ -135,8 +135,7 @@ def test_run_sync_zeroes_residuals():
 def test_run_sync_round_budget():
     rng = np.random.default_rng(4)
     offsets = rng.integers(0, 1200, 6)
-    res = run_sync(offsets, FAST, rng, residual_jitter=20,
-                   fine_window_symbols=32)
+    res = run_sync(offsets, FAST, rng, residual_jitter=20)
     start = {p: off for p, rnd, off, _, _ in reversed(res.transcript) if rnd == 1}
     for period, rounds in enumerate(res.rounds_per_period, start=1):
         assert rounds <= abs(start[period]) + 3
@@ -145,20 +144,19 @@ def test_run_sync_round_budget():
 def test_run_sync_rejects_out_of_window_offset():
     rng = np.random.default_rng(0)
     with pytest.raises(SyncError):
-        run_sync([10 * FAST.n_samples], FAST, rng, residual_jitter=100, fine_window_symbols=64)
+        run_sync([10 * FAST.n_samples], FAST, rng, residual_jitter=100)
 
 
 def test_run_sync_single_slave_is_trivial():
     rng = np.random.default_rng(0)
-    res = run_sync([100], FAST, rng, residual_jitter=100, fine_window_symbols=64)
+    res = run_sync([100], FAST, rng, residual_jitter=100)
     assert res.residual_offsets == [0]
     assert res.rounds_per_period == []
 
 
 def test_run_sync_empty_raises():
     with pytest.raises(SyncError):
-        run_sync([], FAST, np.random.default_rng(0), residual_jitter=100,
-                 fine_window_symbols=64)
+        run_sync([], FAST, np.random.default_rng(0), residual_jitter=100)
 
 
 def test_run_sync_rejects_bad_noise_power():
@@ -167,7 +165,7 @@ def test_run_sync_rejects_bad_noise_power():
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError) as exc:
             run_sync([100, 200], FAST, np.random.default_rng(0), noise_power=bad,
-                     residual_jitter=100, fine_window_symbols=64)
+                     residual_jitter=100)
         assert not isinstance(exc.value, SyncError)
         assert "noise_power" in str(exc.value)
 
@@ -175,8 +173,7 @@ def test_run_sync_rejects_bad_noise_power():
 def test_noise_free_fine_sync_equals_sample_oracle():
     # Without noise the per-offset envelope is the oracle's, rates included.
     offsets = np.random.default_rng(5).integers(0, 501, 6)
-    res = run_sync(offsets, README_FAST_CHIRP, np.random.default_rng(5), residual_jitter=20,
-                   fine_window_symbols=64)
+    res = run_sync(offsets, README_FAST_CHIRP, np.random.default_rng(5), residual_jitter=20)
     ref = _fine_sync_by_samples(offsets, README_FAST_CHIRP, np.random.default_rng(5),
                                 residual_jitter=20)
     assert res.transcript == ref.transcript
@@ -192,7 +189,7 @@ def test_fine_sync_at_minus_70_dbm_makes_the_oracles_decisions(seed):
     offsets = np.random.default_rng(seed).integers(0, 8001, 4)
     noise = _noise_power_at(-70.0, README_CHIRP)
     res = run_sync(offsets, README_CHIRP, np.random.default_rng(seed), noise_power=noise,
-                   residual_jitter=20, fine_window_symbols=64)
+                   residual_jitter=20)
     ref = _fine_sync_by_samples(offsets, README_CHIRP, np.random.default_rng(seed),
                                 noise_power=noise, residual_jitter=20)
     assert res.residual_offsets == ref.residual_offsets
@@ -224,7 +221,7 @@ def _stops(rates, rx: FineSyncEnvelope) -> int:
 def oracle_stops():
     out = {}
     for power, r in _STOP_CASES:
-        rx = FineSyncEnvelope(README_FAST_CHIRP, 64, _STOP_PAD, power)
+        rx = FineSyncEnvelope(README_FAST_CHIRP, _STOP_PAD, power)
         rng = np.random.default_rng([1, int(power), r])
         out[power, r] = _stops((_rate_by_samples(rx, r, power, rng)
                                 for _ in range(_STOP_DRAWS)), rx)
@@ -235,7 +232,7 @@ def _block_model_z(oracle_stops, envelope_draw) -> list:
     """z of each case's P(stop), block model against oracle."""
     zs = []
     for power, r in _STOP_CASES:
-        rx = FineSyncEnvelope(README_FAST_CHIRP, 64, _STOP_PAD, power)
+        rx = FineSyncEnvelope(README_FAST_CHIRP, _STOP_PAD, power)
         rng = np.random.default_rng([2, int(power), r])
         k = _stops((fluctuation_rate(envelope_draw(rx, r, rng), rx.envelope_rate_hz)
                     for _ in range(_STOP_DRAWS)), rx)
@@ -342,8 +339,7 @@ def test_fine_sync_draws_one_block_vector_per_round(monkeypatch):
     params = README_FAST_CHIRP
     offsets = np.random.default_rng(8).integers(0, 501, 5)
     res = run_sync(offsets, params, CountingGenerator(np.random.default_rng(8)),
-                   noise_power=_noise_power_at(-70.0, params), residual_jitter=20,
-                   fine_window_symbols=64)
+                   noise_power=_noise_power_at(-70.0, params), residual_jitter=20)
 
     rounds = sum(res.rounds_per_period)
     assert rounds == len(res.transcript) > 0
@@ -354,11 +350,11 @@ def test_fine_sync_draws_one_block_vector_per_round(monkeypatch):
 
 
 # The fine-sync table is shared by every run_sync call of a process with the
-# same chirp, window, jitter and noise power.
+# same chirp, jitter and noise power.
 
 @pytest.mark.parametrize("noise_power", [0.0, 1e-3])
 def test_table_arrays_are_read_only(noise_power):
-    rx = FineSyncEnvelope(README_FAST_CHIRP, 64, fine_sync_pad(20), noise_power)
+    rx = FineSyncEnvelope(README_FAST_CHIRP, fine_sync_pad(20), noise_power)
     for arr in rx.blocks(3):
         if arr is None:
             continue
@@ -378,8 +374,7 @@ def _sync_runs(seeds, noise_power, jitter=20) -> dict:
         offsets = np.random.default_rng(seed).integers(0, 501, 6)
         try:
             out[seed] = run_sync(offsets, README_FAST_CHIRP, np.random.default_rng(seed),
-                                 noise_power=noise_power, residual_jitter=jitter,
-                                 fine_window_symbols=64)
+                                 noise_power=noise_power, residual_jitter=jitter)
         except SyncError as exc:
             out[seed] = str(exc)
     return out
@@ -406,25 +401,24 @@ def test_run_sync_reads_the_shared_table():
     noise = _noise_power_at(-70.0, README_FAST_CHIRP)
     fine_sync_envelope.cache_clear()
     res = _sync_runs([4], noise)[4]
-    rx = fine_sync_envelope(README_FAST_CHIRP, 64, fine_sync_pad(20), noise)
+    rx = fine_sync_envelope(README_FAST_CHIRP, fine_sync_pad(20), noise)
     assert fine_sync_envelope.cache_info().hits == 1
     assert {off for _, _, off, _, _ in res.transcript} == set(rx._blocks)
 
 
 def test_each_sync_setting_gets_its_own_table():
-    key = (README_FAST_CHIRP, 64, fine_sync_pad(20), 1e-3)
+    key = (README_FAST_CHIRP, fine_sync_pad(20), 1e-3)
     fine_sync_envelope.cache_clear()
     rx = fine_sync_envelope(*key)
     assert fine_sync_envelope(*key) is rx
     others = [(FAST,) + key[1:],                              # chirp
-              key[:1] + (32,) + key[2:],                      # window
-              key[:2] + (fine_sync_pad(60),) + key[3:],       # jitter
-              key[:3] + (2e-3,)]                              # noise power
+              key[:1] + (fine_sync_pad(60),) + key[2:],       # jitter
+              key[:2] + (2e-3,)]                              # noise power
     for other in others:
         got = fine_sync_envelope(*other)
         assert got is not rx
         assert (got.window, got.pad, got._sigma) == (
-            other[0].n_samples * other[1], other[2], math.sqrt(other[3] / 2.0))
+            other[0].n_samples * FINE_WINDOW_SYMBOLS, other[1], math.sqrt(other[2] / 2.0))
     assert fine_sync_envelope.cache_info().currsize == 1
 
 
@@ -433,7 +427,7 @@ def test_table_never_holds_more_than_the_modeled_offsets():
     pad = fine_sync_pad(jitter)
     fine_sync_envelope.cache_clear()
     _sync_runs(range(20), 4.0, jitter)
-    rx = fine_sync_envelope(README_FAST_CHIRP, 64, pad, 4.0)
+    rx = fine_sync_envelope(README_FAST_CHIRP, pad, 4.0)
     assert 0 < len(rx._blocks) <= 2 * pad + 1
     for offset in range(-pad, pad + 1):
         rx.blocks(offset)

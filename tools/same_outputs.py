@@ -17,8 +17,8 @@ from one tree's ``src/``: first the base, then the working tree.  The corpus:
   180 degrees, one round, a dead band of 0, and nodes moving at 0.05 and
   1 m/s;
 - ``readme/``: the README scenario on the readme_fast chirp with cold start
-  on and sync off, over seeds 0-5, with the leader on the ring's axis and
-  off it at (0.3, 0.2, 0) m;
+  on and sync off, over seeds 0-19, with the leader on the ring's axis and
+  off it at (0.3, 0.2, 0) m, where cold start walks or fails;
 - ``run/``: ``wptsim run`` of three seeds, with trace CSVs and config.yaml;
 - ``sweep/``: ``wptsim sweep`` over node speed on two workers, with trace
   and heat-map CSVs and summary.csv.
@@ -82,7 +82,7 @@ CORPORA = {
     "full": {"goldens": None, "sync_seeds": range(10), "jitters": (0, 20, 60),
              "rounds": 100, "bench_seeds": range(20), "bench_sizes": (1, 2, 3, 24),
              "variant_seeds": range(5), "variant_sizes": (3, 24),
-             "readme_seeds": range(6), "run_seeds": [1, 2, 3],
+             "readme_seeds": range(20), "run_seeds": [1, 2, 3],
              "sweep_seeds": [1, 2], "sweep_slaves": 8, "jobs": 2},
     "tiny": {"goldens": ["bench_3"], "sync_seeds": range(2), "jitters": (20,),
              "rounds": 10, "bench_seeds": range(1), "bench_sizes": (3,),
