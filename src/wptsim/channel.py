@@ -6,9 +6,9 @@ embedded in tissue is described as an ordered list of medium segments
 a link is one complex number, gain times e^{j phase}.  :func:`channel` is
 the one model every stage uses; it broadcasts over arrays of positions, so
 a whole table of links (rounds x slaves, or grid points x slaves) is one
-complex array.  :func:`incident_field` is the one field sum that cold start,
-alignment and the baseline read; the heat map keeps ``coldstart.field_power``,
-whose matrix product sums in another order, so that its CSV bytes stay put.
+complex array.  :func:`incident_field` is the one field sum that every stage
+reads: cold start, alignment, the baseline and, through
+``coldstart.field_power``, the heat map.
 """
 
 from __future__ import annotations

@@ -240,6 +240,10 @@ def parse_config(doc) -> dict:
     hm = _read_section(doc.get("heatmap"), HEATMAP_DEFAULTS, "heatmap")
     if hm["voxel_m"] > hm["cube_m"]:
         raise ConfigError("heatmap.voxel_m must not exceed heatmap.cube_m")
+    try:
+        cs.voxels_per_edge(hm["cube_m"], hm["voxel_m"])
+    except ValueError as exc:
+        raise ConfigError(f"heatmap.voxel_m: {exc}") from None
     return {"scenario": scenario, "seeds": seeds, "sweep": sweep, "heatmap": hm}
 
 

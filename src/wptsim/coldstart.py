@@ -40,8 +40,20 @@ def perturbation_round(base_phases, sigma_deg: float, rng: np.random.Generator) 
     return (base + rng.uniform(-sigma, sigma, base.size)) % (2.0 * math.pi)
 
 
+def voxels_per_edge(edge_m: float, voxel_m: float) -> int:
+    """``edge_m / voxel_m``, whole to a relative 1e-9 (0.3 / 0.1 reads
+    2.9999999999999996), or a partial voxel moves the cube off its centre."""
+    ratio = edge_m / voxel_m
+    count = round(ratio) if math.isfinite(ratio) else 0
+    if count < 1 or abs(ratio - count) > 1e-9 * count:
+        raise ValueError(f"a {edge_m:g} m cube edge is not a whole number "
+                         f"of {voxel_m:g} m voxels")
+    return count
+
+
 def cube_grid(center: Position, edge_m: float, voxel_m: float) -> np.ndarray:
     """(V, 3) voxel centers of a cube centered on ``center``."""
+    voxels_per_edge(edge_m, voxel_m)
     half = edge_m / 2.0
     axis = np.arange(-half + voxel_m / 2.0, half, voxel_m)
     gx, gy, gz = np.meshgrid(axis + center.x, axis + center.y, axis + center.z,
@@ -70,8 +82,10 @@ def field_matrix(
 
 
 def field_power(matrix: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Received power per point for one set of transmit phases."""
-    return np.abs(matrix @ np.exp(1j * np.asarray(phases))) ** 2
+    """|:func:`incident_field`|² over each point's row of ``matrix``.  The
+    phases go in as a (1, N) row: numpy multiplies a (1, 1) array by a (1,)
+    one in a scalar loop, which rounds unlike the loop of larger blocks."""
+    return np.abs(incident_field(matrix, np.reshape(phases, (1, -1)), 1.0)) ** 2
 
 
 @dataclass

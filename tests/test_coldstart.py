@@ -29,6 +29,16 @@ def test_cube_grid_shape_and_center():
     g = cs.cube_grid(c, 1.0, 0.25)
     assert g.shape == (64, 3)
     assert np.allclose(g.mean(axis=0), [c.x, c.y, c.z])
+    # A partial voxel would move the cube off its centre: 1.0 / 0.3 used to
+    # centre on -0.05 m, 0.5 / 0.2 on -0.05 m too.
+    for edge, voxel in ((1.0, 0.3), (0.5, 0.2)):
+        with pytest.raises(ValueError, match="whole number"):
+            cs.cube_grid(c, edge, voxel)
+    # 0.3 / 0.1 reads 2.9999999999999996 and 0.7 / 0.1 6.999999999999999.
+    for edge, voxel, count in ((0.3, 0.1, 3), (0.7, 0.1, 7)):
+        g = cs.cube_grid(c, edge, voxel)
+        assert g.shape == (count ** 3, 3)
+        assert np.allclose(g.mean(axis=0), [c.x, c.y, c.z], rtol=0.0, atol=1e-12)
 
 
 def test_field_matrix_inverse_distance_amplitude():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -13,7 +14,9 @@ from test_golden import SCENARIOS, mismatches
 from wptsim import coldstart as cs, engine
 from wptsim.backscatter import SHIFT_FREQ_HZ, BackscatterNode, amplitude_ratio
 from wptsim.beamform import OneBitAligner
-from wptsim.channel import ChannelError, MediumMap, Position, SPEED_OF_LIGHT, channel
+from wptsim.channel import (
+    SPEED_OF_LIGHT, ChannelError, MediumMap, Position, channel, incident_field,
+)
 from wptsim.chirp import (
     ChirpParams,
     awgn,
@@ -574,46 +577,44 @@ def _unblocked_heatmap(scn, phases, grid):
 
 
 @pytest.mark.parametrize("n", [1, 3, 24, 2100])
-def test_blocked_heatmap_equals_one_matrix(n):
-    # 2,100 slaves give two-row blocks, the floor that keeps every block off
-    # numpy's one-row dot product.
+def test_blocked_heatmap_equals_one_matrix(monkeypatch, n):
+    # Each voxel's power is the sum over its own row, so neither the block
+    # size nor the voxel's place in its block moves a bit of it.
     scn = bench_scenario(n=n, seed=n)
     phases = np.random.default_rng(n).uniform(0.0, 2.0 * math.pi, n)
     grid = cs.cube_grid(scn.node_position, 1.0, 0.05)     # 8000 voxels
-    block = engine._heatmap_block(n)
-    sizes = (1, block - 1, block, block + 1, 2 * block + 1)
-    for v in sizes + ((8000,) if n <= 24 else ()):
-        points = grid[:v]
-        assert np.array_equal(heatmap(scn, phases, points),
-                              _unblocked_heatmap(scn, phases, points)), v
+    if n > 24:
+        grid = grid[:300]       # one 8000 x 2100 matrix would take 270 MB
+    whole = _unblocked_heatmap(scn, phases, grid)
+    assert np.array_equal(heatmap(scn, phases, grid), whole)
+    for v in (0, len(grid) // 3, len(grid) - 1):
+        assert heatmap(scn, phases, grid[v:v + 1])[0] == whole[v], v
+    for block in (1, 2, 7):
+        monkeypatch.setattr(engine, "HEATMAP_BLOCK_VOXELS", block)
+        assert np.array_equal(heatmap(scn, phases, grid[:300]), whole[:300]), block
 
 
-@pytest.mark.parametrize("n, v", [(1, 5000), (3, 3000), (24, 8000), (24, 171),
-                                  (24, 1), (300, 100)])
-def test_heatmap_blocks_stay_below_blas_threading(monkeypatch, n, v):
-    # OpenBLAS threads a zgemv from 4,096 matrix entries on; every block
-    # stays below that, and none but a one-voxel grid's has a single row.
-    shapes = []
-    field_matrix = cs.field_matrix
-
-    def spy(slaves, points, *args, **kwargs):
-        shapes.append(points.shape[0])
-        return field_matrix(slaves, points, *args, **kwargs)
-
-    monkeypatch.setattr(cs, "field_matrix", spy)
-    scn = bench_scenario(n=n)
-    grid = cs.cube_grid(scn.node_position, 1.0, 0.05)[:v]
-    heatmap(scn, np.zeros(n), grid)
-    assert all(rows * n < 4096 for rows in shapes)
-    assert all(rows >= 2 for rows in shapes) or v == 1
-    assert sum(shapes) >= v
+def test_heatmap_at_the_node_is_the_node_field_in_air():
+    # In air the heat map and alignment see one link model and one field
+    # sum, so the voxel on the node reads the power of the final phases.
+    scn = bench_scenario(n=24, medium=MediumMap(muscle_depth_m=0.0))
+    phases = run_scenario(scn).final_phases
+    grid = cs.cube_grid(scn.node_position, 0.3, 0.1)
+    at_node = np.linalg.norm(grid - np.asarray(scn.node_position), axis=1).argmin()
+    assert np.allclose(grid[at_node], scn.node_position, rtol=0.0, atol=1e-15)
+    to_node = channel(scn.slave_positions, scn.node_position, scn.medium, scn.freq_hz,
+                      scn.tx_gain_dbi,
+                      static_phase_rad=engine._static_phases(scn, engine._streams(scn.seed)))
+    node_power = abs(incident_field(to_node, np.asarray(phases), scn.tx_amplitude)) ** 2
+    assert heatmap(scn, phases, grid)[at_node] == pytest.approx(node_power, rel=1e-12)
 
 
 def test_heatmap_needs_one_phase_per_slave():
     scn = bench_scenario(n=4)
     grid = cs.cube_grid(scn.node_position, 0.2, 0.1)
-    for phases in ([], [0.0] * 3, [0.0] * 5):
-        with pytest.raises(EngineError, match="4 phases"):
+    for phases in ([], [0.0] * 3, [0.0] * 5, [[0.0] * 4], [[0.0]] * 4):
+        shape = np.shape(phases)
+        with pytest.raises(EngineError, match=re.escape(f"need 4 phases, not shape {shape}")):
             heatmap(scn, phases, grid)
 
 

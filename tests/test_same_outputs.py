@@ -61,6 +61,15 @@ def test_json_difference_sees_types_lengths_and_signed_zero():
     assert diff({"a": 1}, {"b": 1}) == "$.a (only in base)"
 
 
+def test_each_expect_adds_its_patterns():
+    # CI passes one --expect=<value> per commit trailer; a value that looks
+    # like an option stays a pattern.
+    args = same_outputs.parse_args(["--base", "HEAD", "--expect", "a", "b*",
+                                    "--expect=golden/c.json", "--expect=--tiny"])
+    assert args.expect == ["a", "b*", "golden/c.json", "--tiny"]
+    assert not args.tiny
+
+
 @pytest.mark.skipif(not _has_head(), reason="needs a git checkout with a HEAD commit")
 def test_head_against_itself_writes_the_same_bytes():
     proc = subprocess.run([sys.executable, str(TOOL), "--base", "HEAD", "--tiny"],

@@ -28,8 +28,9 @@ file that differs is printed with its first differing JSON key or text line.
 The exit status is 1 when a file differs and no ``--expect`` pattern
 (``fnmatch``, relative to the corpus root, e.g. ``sweep/*_heatmap.csv``)
 names it, or when either tree fails to write the corpus; 2 when ``<rev>``
-cannot be exported; else 0.  ``--tiny`` writes a corpus of a few short
-runs, for the tests.
+cannot be exported; else 0.  Each ``--expect`` adds its patterns to those
+of the others.  ``--tiny`` writes a corpus of a few short runs, for the
+tests.
 
 The golden scenarios are read from this tree's ``tests/test_golden.py`` for
 both runs, so both trees simulate the same inputs.
@@ -227,20 +228,26 @@ def compare(base: Path, head: Path) -> dict:
     return diffs
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", help="git revision to compare the working tree with")
-    parser.add_argument("--expect", nargs="*", default=[],
+    # extend: each --expect adds its patterns, as CI passes one per trailer.
+    parser.add_argument("--expect", nargs="*", action="extend", default=[],
                         help="fnmatch patterns of files that are meant to differ")
     parser.add_argument("--tiny", action="store_true", help="a few short runs only")
     parser.add_argument("--write", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if not (args.base or args.write):
+        parser.error("--base is required")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     corpus = CORPORA["tiny" if args.tiny else "full"]
     if args.write:
         write_corpus(args.write, corpus)
         return 0
-    if not args.base:
-        parser.error("--base is required")
 
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         tmp = Path(tmp)
