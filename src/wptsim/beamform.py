@@ -1,12 +1,12 @@
 """One-bit phase alignment and its adaptive phase-bound schedule.
 
 The alignment loop perturbs every slave's phase by a uniform draw within
-+/- Phi each round and keeps the new phases only when the smoothed power
-metric improved.  The expected one-round amplitude gain has a closed form
-built on modified Bessel function ratios; optimizing that gain round by
-round yields the adaptive large-then-small phase-bound schedule.  The
-density evolution that the tests check this analysis against lives in
-``tests/oracles.py``.
++/- Phi each round and keeps the new phases only when the raw power metric
+measured for them beats the one measured for the current phases.  The
+expected one-round amplitude gain has a closed form built on modified
+Bessel function ratios; optimizing that gain round by round yields the
+adaptive large-then-small phase-bound schedule.  The density evolution
+that the tests check this analysis against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -184,76 +184,24 @@ def _build_bound_schedule(n_slaves: int, horizon: int, y0: float | None):
 
 
 # ---------------------------------------------------------------------------
-# Scalar Kalman smoother with adaptive measurement noise.
-
-# Process noise as a multiple of the measurement noise, and the number of
-# recent innovations whose variance estimates the measurement noise.
-_Q_RATIO = 2.0
-_INNOVATION_WINDOW = 30
-
-
-class KalmanSmoother:
-    """Random-walk Kalman filter whose measurement noise is re-estimated
-    from the innovation variance over a sliding window."""
-
-    def __init__(self):
-        self.x = None
-        self.p = 0.0
-        # The last W innovations, oldest first, as a contiguous view of a 2W
-        # buffer: value k of the stream goes to slots k % W and k % W + W.
-        self._buf = np.empty(2 * _INNOVATION_WINDOW)
-        self._count = 0
-
-    def update(self, z: float) -> float:
-        if not math.isfinite(z):
-            raise BeamformError("measurement must be finite")
-        if self.x is None:
-            self.x = z
-            self.p = (0.5 * abs(z)) ** 2 + 1e-300
-            return self.x
-        innov = z - self.x
-        slot = self._count % _INNOVATION_WINDOW
-        self._buf[slot] = self._buf[slot + _INNOVATION_WINDOW] = innov
-        self._count += 1
-        r = self._measurement_noise(innov)
-        q = _Q_RATIO * r
-        p_pred = self.p + q
-        k = p_pred / (p_pred + r)
-        self.x = self.x + k * innov
-        self.p = (1.0 - k) * p_pred
-        return self.x
-
-    def _measurement_noise(self, innov: float) -> float:
-        n = min(self._count, _INNOVATION_WINDOW)
-        if n < 3:
-            return max(innov ** 2, self.p, 1e-300)
-        start = (self._count - n) % _INNOVATION_WINDOW
-        w = self._buf[start:start + n]
-        # np.var's own arithmetic, in its order, without its dispatch.
-        d = w - w.sum() / n
-        var = float((d * d).sum() / n)
-        return max(var - self.p, 0.1 * var, 1e-300)
-
-
-# ---------------------------------------------------------------------------
 # The alignment loop driver.
 
 class OneBitAligner:
-    """Keep-if-improved phase alignment over a smoothed power metric.
+    """Keep-if-improved phase alignment on the raw power metric.
 
     :meth:`offsets` draws every round's per-slave perturbations within the
     round's phase bound at once; :meth:`candidates` turns a run of them into
     proposals around the current reference phases; :meth:`record` feeds
-    back the metric measured for one proposal, accepts it when the smoothed
-    value beats the reference metric by more than the dead band, and keeps
-    the reference otherwise.
+    back the metric measured for one proposal, accepts it when that value
+    beats ``y_ref``, the value measured when the reference last moved, by
+    more than the dead band, and keeps the reference otherwise.  So
+    ``y_ref`` never falls.
     """
 
     def __init__(
         self,
         n_slaves: int,
         rng: np.random.Generator,
-        smoother: KalmanSmoother | None = None,
         *,
         deadband_frac: float,
         init_phases=None,
@@ -262,13 +210,12 @@ class OneBitAligner:
             raise BeamformError("need at least one slave")
         self.n_slaves = n_slaves
         self.rng = rng
-        self.smoother = smoother
         self.deadband_frac = deadband_frac
         if init_phases is None:
             self.ref_phases = rng.uniform(0.0, 2.0 * math.pi, n_slaves)
         else:
             self.ref_phases = np.asarray(init_phases, dtype=float) % (2.0 * math.pi)
-        self.y_ref = None   # smoothed metric of the current reference phases
+        self.y_ref = None   # metric measured for the current reference phases
 
     def offsets(self, bounds) -> np.ndarray:
         """(R, N) perturbations of R rounds with phase bounds ``bounds``.
@@ -286,19 +233,12 @@ class OneBitAligner:
         (k, N) offsets give k proposals.  Changes no state."""
         return (self.ref_phases + delta) % (2.0 * math.pi)
 
-    def record(self, y_raw: float, proposal: np.ndarray) -> tuple[float, bool]:
-        """(smoothed metric, whether ``proposal``, measured as ``y_raw``,
-        was accepted)."""
-        if not math.isfinite(y_raw):
+    def record(self, y: float, proposal: np.ndarray) -> bool:
+        """Whether ``proposal``, measured as ``y``, was accepted."""
+        if not math.isfinite(y):
             raise BeamformError("measurement must be finite")
-        y = self.smoother.update(y_raw) if self.smoother else y_raw
-        # Compare against the metric recorded when the reference last moved;
-        # a global max would let one noise spike freeze the loop for good.
-        if self.y_ref is None:
-            accepted = True
-        else:
-            accepted = y > self.y_ref + self.deadband_frac * abs(self.y_ref)
+        accepted = self.y_ref is None or y > self.y_ref + self.deadband_frac * abs(self.y_ref)
         if accepted:
             self.ref_phases = proposal.copy()
             self.y_ref = y
-        return y, accepted
+        return accepted

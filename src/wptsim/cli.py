@@ -159,6 +159,12 @@ SWEEP_AXES = (
     "speed_m_per_s",
 )
 
+# The most heat-map voxels a config may ask for: a 1 m cube at 1 cm, which
+# samples the 33 cm free-space wavelength at 915 MHz 33 times per edge.
+# Larger grids are refused by name before anything is written, not left to
+# fail in numpy's allocator after the run's other files exist.
+MAX_HEATMAP_VOXELS = 10 ** 6
+
 HEATMAP_DEFAULTS = {"enabled": (False, _flag), "cube_m": (1.0, _real(0.0, strict=True)),
                     "voxel_m": (0.05, _real(0.0, strict=True))}
 
@@ -241,9 +247,13 @@ def parse_config(doc) -> dict:
     if hm["voxel_m"] > hm["cube_m"]:
         raise ConfigError("heatmap.voxel_m must not exceed heatmap.cube_m")
     try:
-        cs.voxels_per_edge(hm["cube_m"], hm["voxel_m"])
+        voxels = cs.voxels_per_edge(hm["cube_m"], hm["voxel_m"]) ** 3
     except ValueError as exc:
         raise ConfigError(f"heatmap.voxel_m: {exc}") from None
+    if voxels > MAX_HEATMAP_VOXELS:
+        raise ConfigError(f"heatmap.voxel_m: a {hm['cube_m']:g} m cube of {hm['voxel_m']:g} m "
+                          f"voxels has {voxels:,} voxels, above the cap of "
+                          f"{MAX_HEATMAP_VOXELS:,}")
     return {"scenario": scenario, "seeds": seeds, "sweep": sweep, "heatmap": hm}
 
 
@@ -326,10 +336,10 @@ def apply_axis(scn_cfg: dict, axis: str, value) -> dict:
 
 def write_trace(metrics: Metrics, path) -> None:
     """Per-round CSV with ``csv.writer``'s CRLF line ends, in one write."""
-    lines = ["round,y_raw,y_smoothed,phi_deg,power_percentage"]
-    lines += [f"{rnd},{raw:.9g},{smoothed:.9g},{phi:.6f},{amp * amp:.9g}"
-              for (rnd, raw, smoothed, phi), amp in zip(metrics.metric_trace,
-                                                        metrics.power_trace)]
+    lines = ["round,y_raw,y_ref,phi_deg,power_percentage"]
+    lines += [f"{rnd},{raw:.9g},{ref:.9g},{phi:.6f},{amp * amp:.9g}"
+              for (rnd, raw, ref, phi), amp in zip(metrics.metric_trace,
+                                                   metrics.power_trace)]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 

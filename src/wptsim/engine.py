@@ -17,7 +17,7 @@ import numpy as np
 
 from . import coldstart as cs
 from .backscatter import SHIFT_FREQ_HZ, BackscatterNode, amplitude_ratio, mixer
-from .beamform import KalmanSmoother, OneBitAligner, compute_bound_schedule
+from .beamform import OneBitAligner, compute_bound_schedule
 from .channel import (
     DEFAULT_FREQ_HZ,
     DEFAULT_TX_GAIN_DBI,
@@ -159,7 +159,7 @@ class Metrics:
     cold_start_rounds: int = -1
     power_trace: list = field(default_factory=list)       # achieved amplitude fraction
     baseline_trace: list = field(default_factory=list)
-    metric_trace: list = field(default_factory=list)      # (round, y_raw, y_smoothed, phi_deg)
+    metric_trace: list = field(default_factory=list)      # (round, y_raw, y_ref, phi_deg)
     stage_log: list = field(default_factory=list)
     final_phases: list = field(default_factory=list)
     optimal_amplitude_v: float = 0.0
@@ -227,14 +227,13 @@ def _bounds(scn: Scenario) -> np.ndarray:
     return compute_bound_schedule(scn.n_slaves, horizon=scn.rounds)
 
 
-def _converged_at(smoothed: np.ndarray) -> int:
-    """First round whose running-max smoothed metric rose by under 0.5%
-    over the previous 20 rounds; ``len(smoothed)`` when none did."""
-    best = np.maximum.accumulate(smoothed)
-    old, new = best[:-20], best[20:]
+def _converged_at(y_ref: np.ndarray) -> int:
+    """First round whose reference metric, which never falls, rose by under
+    0.5% over the previous 20 rounds; ``len(y_ref)`` when none did."""
+    old, new = y_ref[:-20], y_ref[20:]
     rise = np.divide(new - old, old, out=np.full(old.shape, np.inf), where=old > 0)
     hits = np.flatnonzero(rise < 0.005)
-    return int(hits[0]) + 20 if hits.size else len(smoothed)
+    return int(hits[0]) + 20 if hits.size else len(y_ref)
 
 
 def run_scenario(scn: Scenario) -> Metrics:
@@ -249,8 +248,10 @@ def run_scenario(scn: Scenario) -> Metrics:
     ``BLOCK_ROUNDS`` (K = 8): every round up to the next accepted proposal
     starts from the same reference phases, so one vectorized pass gives a
     block's candidate phases and incident fields, and a scalar walk
-    harvests, measures, smooths and decides each round in turn, starting
-    the next block after the first accept (see :func:`_align`).
+    harvests, measures and decides each round in turn, starting the next
+    block after the first accept (see :func:`_align`).  A round's proposal
+    is accepted when its raw measurement beats the reference metric
+    ``y_ref`` by more than the dead band (:class:`OneBitAligner`).
     """
     streams = _streams(scn.seed)
     static = _static_phases(scn, streams)
@@ -319,19 +320,19 @@ def run_scenario(scn: Scenario) -> Metrics:
 
     bounds = _bounds(scn)
     aligner = OneBitAligner(scn.n_slaves, streams["proposals"],
-                            smoother=KalmanSmoother(), deadband_frac=scn.deadband_frac)
+                            deadband_frac=scn.deadband_frac)
     # Round n reads row n; a static node's single row serves every round.
     to_node = np.broadcast_to(to_node, (scn.rounds, scn.n_slaves))
     to_leader = np.broadcast_to(to_leader, (scn.rounds,))
     optimum = np.broadcast_to(optimum, (scn.rounds,))
-    raw, smoothed, achieved = _align(scn, node, aligner, bounds, to_node, to_leader,
-                                     optimum, _correlator(scn, noise_power),
-                                     streams["noise"])
+    raw, y_ref, achieved = _align(scn, node, aligner, bounds, to_node, to_leader,
+                                  optimum, _correlator(scn, noise_power),
+                                  streams["noise"])
 
     metrics.power_trace = achieved.tolist()
-    metrics.metric_trace = list(zip(range(scn.rounds), raw.tolist(), smoothed.tolist(),
+    metrics.metric_trace = list(zip(range(scn.rounds), raw.tolist(), y_ref.tolist(),
                                     np.degrees(bounds).tolist()))
-    metrics.rounds_to_converge = _converged_at(smoothed)
+    metrics.rounds_to_converge = _converged_at(y_ref)
     metrics.final_phases = [float(p) for p in aligner.ref_phases]
 
     window = max(1, scn.rounds // 4)
@@ -356,7 +357,8 @@ BLOCK_ROUNDS = 8
 
 def _align(scn, node, aligner, bounds, to_node, to_leader, optimum, correlator,
            noise_rng):
-    """(raw, smoothed, achieved) per round of the one-bit alignment loop.
+    """(raw, y_ref, achieved) per round of the one-bit alignment loop, with
+    ``y_ref`` the aligner's reference metric after the round's decision.
 
     The rounds run in speculative blocks from bulk draws, as
     :func:`run_scenario` describes; the rest of a block after an accept is
@@ -371,7 +373,7 @@ def _align(scn, node, aligner, bounds, to_node, to_leader, optimum, correlator,
     if scn.noise_floor_dbm is not None:
         noise = noise_rng.standard_normal((rounds, 2)).tolist()
     raw = np.empty(rounds)
-    smoothed = np.empty(rounds)
+    y_ref = np.empty(rounds)
     achieved = np.zeros(rounds)     # amplitude fraction of the optimum
     n = 0
     while n < rounds:
@@ -387,13 +389,14 @@ def _align(scn, node, aligner, bounds, to_node, to_leader, optimum, correlator,
             node.harvest_step(p_in, scn.round_time_s)
             y_raw = _measure(node, h, p_in, to_leader[n], correlator, noise[n])
             raw[n] = y_raw
-            smoothed[n], accepted = aligner.record(y_raw, proposal)
+            accepted = aligner.record(y_raw, proposal)
+            y_ref[n] = aligner.y_ref
             if optimum[n] > 0:
                 achieved[n] = abs(h) / optimum[n]
             n += 1
             if accepted:
                 break
-    return raw, smoothed, achieved
+    return raw, y_ref, achieved
 
 
 def _correlator(scn: Scenario, noise_power: float) -> tuple[complex, float]:

@@ -38,8 +38,8 @@ def simulate_update_rule(
 ):
     """Monte-Carlo mean amplitude trajectory of the bare update rule.
 
-    Ideal unit-gain channel, no noise, no smoothing, no dead band; the
-    cross-check against :func:`expected_amplitude_step`.
+    Ideal unit-gain channel, no noise, no dead band; the cross-check
+    against :func:`expected_amplitude_step`.
     ``bound`` is one phase bound for every round or a ``(rounds,)`` array of
     them.  Returns the mean reference amplitude for rounds 0..rounds
     (inclusive of the start), plus the per-trial final amplitudes when
@@ -257,18 +257,16 @@ def scanning_ratio(
     """
     if matrix.size == 0:
         raise ValueError("empty grid")
-    phases = np.asarray(base_phases, dtype=float).copy()
+    # The walk does not depend on the field, so every round's phases are
+    # drawn first and all rounds' fields come from one (V, N) @ (N, R) product.
+    walk = [np.asarray(base_phases, dtype=float)]
+    for _ in range(n_perturbations):
+        walk.append(cs.perturbation_round(walk[-1], sigma_deg, rng))
+    power = np.abs(matrix @ np.exp(1j * np.array(walk)).T) ** 2
     floor = SCAN_POWER_FLOOR * coherent_optimum_power(matrix)
-    scanned = np.zeros(matrix.shape[0], dtype=bool)
-    prev = None
-    ratio_by_round = np.empty(n_perturbations + 1)
-    for r in range(n_perturbations + 1):
-        p = cs.field_power(matrix, phases)
-        if prev is not None:
-            scanned |= 0.5 * (p + prev) >= floor
-        prev = p
-        ratio_by_round[r] = scanned.mean()
-        phases = cs.perturbation_round(phases, sigma_deg, rng)
+    held = 0.5 * (power[:, 1:] + power[:, :-1]) >= floor[:, None]
+    scanned = np.logical_or.accumulate(held, axis=1)
+    ratio_by_round = np.concatenate(([0.0], scanned.mean(axis=0)))
     return ScanResult(float(ratio_by_round[-1]), ratio_by_round)
 
 

@@ -327,7 +327,7 @@ def test_criterion_09_baseline_head_to_head():
         ratio = m.power_percentage / m.baseline_power_percentage
         assert ratio >= 5.0, f"stationary seed {seed}: ratio {ratio:.2f}"
 
-    for seed in range(3):
+    for seed in range(12):
         m = run_scenario(_mobile_scenario(0.05, seed))
         a = np.sort(np.asarray(m.power_trace) ** 2)
         b = np.sort(np.asarray(m.baseline_trace) ** 2)

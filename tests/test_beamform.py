@@ -1,7 +1,6 @@
 import hashlib
 import math
 import warnings
-from collections import deque
 from functools import lru_cache
 
 import numpy as np
@@ -14,7 +13,6 @@ from wptsim.beamform import (
     _SERIES_MAX_X,
     BeamformError,
     _build_bound_schedule,
-    KalmanSmoother,
     OneBitAligner,
     bessel_ratio,
     compute_bound_schedule,
@@ -307,73 +305,6 @@ def test_expected_trajectory_monotone_under_schedule():
 
 
 # ---------------------------------------------------------------------------
-# Kalman smoother.
-
-def test_smoother_locks_to_constant():
-    sm = KalmanSmoother()
-    out = 0.0
-    for _ in range(50):
-        out = sm.update(3.0)
-    assert out == pytest.approx(3.0, abs=1e-6)
-
-
-def test_smoother_reduces_noise_variance():
-    rng = np.random.default_rng(0)
-    sm = KalmanSmoother()
-    raw, smooth = [], []
-    for _ in range(400):
-        z = 5.0 + 0.5 * rng.standard_normal()
-        raw.append(z)
-        smooth.append(sm.update(z))
-    assert np.var(np.array(smooth)[100:]) < np.var(np.array(raw)[100:])
-
-
-def test_smoother_rejects_non_finite():
-    with pytest.raises(BeamformError):
-        KalmanSmoother().update(math.nan)
-
-
-class _DequeSmoother:
-    """The smoother with its window kept as a deque and ``np.var`` over it:
-    the reference the buffered window must equal bit for bit."""
-
-    def __init__(self):
-        self.x = None
-        self.p = 0.0
-        self._innovations = deque(maxlen=30)
-
-    def update(self, z):
-        if self.x is None:
-            self.x = z
-            self.p = (0.5 * abs(z)) ** 2 + 1e-300
-            return self.x
-        innov = z - self.x
-        self._innovations.append(innov)
-        if len(self._innovations) < 3:
-            r = max(self._innovations[-1] ** 2, self.p, 1e-300)
-        else:
-            var = float(np.var(np.asarray(self._innovations)))
-            r = max(var - self.p, 0.1 * var, 1e-300)
-        p_pred = self.p + 2.0 * r
-        k = p_pred / (p_pred + r)
-        self.x = self.x + k * innov
-        self.p = (1.0 - k) * p_pred
-        return self.x
-
-
-@pytest.mark.parametrize("length", [1, 2, 3, 4, 29, 30, 31, 32, 59, 60, 61, 97, 300])
-@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6])
-def test_smoother_window_equals_deque_variance(length, scale):
-    rng = np.random.default_rng(length)
-    zs = scale * (3.0 + rng.standard_normal(length) * rng.uniform(0.01, 2.0))
-    zs[::7] *= -1.0     # sign flips give innovations of mixed sign and size
-    sm, oracle = KalmanSmoother(), _DequeSmoother()
-    for z in zs.tolist():
-        assert sm.update(z) == oracle.update(z)
-        assert sm.p == oracle.p
-
-
-# ---------------------------------------------------------------------------
 # Aligner.
 
 def _ideal_metric(phases):
@@ -396,10 +327,12 @@ def test_aligner_rejects_worse_proposals():
     ph0 = propose(al, math.radians(30))
     al.record(10.0, ph0)
     ref_after = al.ref_phases.copy()
-    y, accepted = al.record(5.0, propose(al, math.radians(30)))  # clearly worse
-    assert y == 5.0 and not accepted
+    assert not al.record(5.0, propose(al, math.radians(30)))  # clearly worse
+    assert al.y_ref == 10.0
     assert np.array_equal(al.ref_phases, ref_after)
     assert np.array_equal(ref_after, ph0)
+    with pytest.raises(BeamformError):
+        al.record(math.nan, propose(al, math.radians(30)))
 
 
 def test_aligner_deadband_blocks_marginal_gains():
@@ -407,8 +340,9 @@ def test_aligner_deadband_blocks_marginal_gains():
     al = OneBitAligner(4, rng, deadband_frac=0.01)
     phi = math.radians(30)
     al.record(100.0, propose(al, phi))
-    assert not al.record(100.5, propose(al, phi))[1]   # within 1% dead band
-    assert al.record(102.0, propose(al, phi))[1]       # beyond it
+    assert not al.record(100.5, propose(al, phi))   # within 1% dead band
+    assert al.record(102.0, propose(al, phi))       # beyond it
+    assert al.y_ref == 102.0
 
 
 def test_aligner_deterministic_given_seed():

@@ -142,7 +142,7 @@ def test_run_verb_writes_artifacts(tmp_path):
     assert 0.0 <= doc["metrics"]["power_percentage"] <= 1.05
     with open(out / "run_seed1_trace.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["round", "y_raw", "y_smoothed", "phi_deg",
+    assert rows[0] == ["round", "y_raw", "y_ref", "phi_deg",
                        "power_percentage"]
     assert len(rows) == 1 + 30
     assert all(len(r) == 5 for r in rows)
@@ -185,6 +185,9 @@ def test_moving_run_heatmap_holds_the_last_tracked_position(tmp_path):
     ({"enabled": "yes"}, "enabled"),
     ({"enabled": 1}, "enabled"),
     ({"cube_m": 1.0, "voxel_m": 0.3}, "voxel_m"),   # not a whole number of voxels
+    # 10^15 voxels, and 101^3 just past the cap: refused before any allocation.
+    ({"cube_m": 1.0, "voxel_m": 1.0e-5}, "voxel_m"),
+    ({"cube_m": 1.01, "voxel_m": 0.01}, "voxel_m"),
 ])
 def test_bad_heatmap_exits_2_naming_the_field(tmp_path, capsys, heatmap, field):
     doc = dict(MINIMAL, heatmap=dict({"enabled": True}, **heatmap))
@@ -193,11 +196,12 @@ def test_bad_heatmap_exits_2_naming_the_field(tmp_path, capsys, heatmap, field):
     cfg_path = write_cfg(tmp_path, doc)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert f"heatmap.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("heatmap", [{"cube_m": 0.1, "voxel_m": 0.1},
                                      {"cube_m": 2, "voxel_m": 1},
-                                     {"enabled": False, "voxel_m": 0.01},
+                                     {"enabled": False, "voxel_m": 0.01},   # 10^6, the cap
                                      # Used to be refused, while the scenario
                                      # section read PyYAML's string 5e-2.
                                      {"voxel_m": "5e-2"}])
@@ -211,10 +215,10 @@ def _csv_writer_trace(metrics, path):
     """The trace CSV as ``csv.writer`` wrote it: the byte-for-byte reference."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["round", "y_raw", "y_smoothed", "phi_deg", "power_percentage"])
-        for (rnd, raw, smoothed, phi), amp in zip(metrics.metric_trace,
-                                                  metrics.power_trace):
-            w.writerow([rnd, f"{raw:.9g}", f"{smoothed:.9g}", f"{phi:.6f}",
+        w.writerow(["round", "y_raw", "y_ref", "phi_deg", "power_percentage"])
+        for (rnd, raw, ref, phi), amp in zip(metrics.metric_trace,
+                                             metrics.power_trace):
+            w.writerow([rnd, f"{raw:.9g}", f"{ref:.9g}", f"{phi:.6f}",
                         f"{amp * amp:.9g}"])
 
 

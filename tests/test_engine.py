@@ -275,10 +275,10 @@ def _run_with(measure, scn, monkeypatch):
     decisions = []
 
     class Recording(OneBitAligner):
-        def record(self, y_raw, proposal):
-            out = super().record(y_raw, proposal)
-            decisions.append(out[1])
-            return out
+        def record(self, y, proposal):
+            accepted = super().record(y, proposal)
+            decisions.append(accepted)
+            return accepted
 
     monkeypatch.setattr(engine, "OneBitAligner", Recording)
     monkeypatch.setattr(engine, "_measure", measure)
@@ -308,7 +308,7 @@ def _align_per_round(scn, node, aligner, bounds, to_node, to_leader, optimum, co
     """Oracle for ``engine._align``: the alignment loop one round at a time,
     with one proposal draw and one noise draw per round."""
     raw = np.empty(scn.rounds)
-    smoothed = np.empty(scn.rounds)
+    y_ref = np.empty(scn.rounds)
     achieved = np.zeros(scn.rounds)     # amplitude fraction of the optimum
     for n in range(scn.rounds):
         phases = propose(aligner, bounds[n])
@@ -318,10 +318,11 @@ def _align_per_round(scn, node, aligner, bounds, to_node, to_leader, optimum, co
         z = None if scn.noise_floor_dbm is None else noise_rng.standard_normal(2)
         y_raw = engine._measure(node, h, p_in, to_leader[n], correlator, z)
         raw[n] = y_raw
-        smoothed[n], _ = aligner.record(y_raw, phases)
+        aligner.record(y_raw, phases)
+        y_ref[n] = aligner.y_ref
         if optimum[n] > 0:
             achieved[n] = abs(h) / optimum[n]
-    return raw, smoothed, achieved
+    return raw, y_ref, achieved
 
 
 _B3, _B24 = SCENARIOS["bench_3"][0], SCENARIOS["bench_24"][0]
@@ -362,10 +363,10 @@ def test_block_cases_accept_at_both_ends_of_a_block_and_sleep(monkeypatch):
     measure = engine._measure
 
     class Recording(OneBitAligner):
-        def record(self, y_raw, proposal):
-            out = super().record(y_raw, proposal)
-            decisions[-1].append(out[1])
-            return out
+        def record(self, y, proposal):
+            accepted = super().record(y, proposal)
+            decisions[-1].append(accepted)
+            return accepted
 
     def recording_measure(node, *args):
         awake[-1].append(node.awake)
@@ -448,22 +449,23 @@ def test_total_radiated_power_reported():
         scn.n_slaves * scn.tx_amplitude ** 2)
 
 
-def _converged_at_by_loop(smoothed):
+def _converged_at_by_loop(trace):
     """The convergence rule as the alignment loop once applied it, round by
     round on a running-max history: the first round past the 20th whose
     best-so-far metric rose by under 0.5% over the last 20 rounds."""
     history, best = [], None
-    for n, y in enumerate(smoothed):
+    for n, y in enumerate(trace):
         best = y if best is None else max(y, best)
         history.append(best)
         if len(history) > 20:
             old = history[-21]
             if old > 0 and (history[-1] - old) / old < 0.005:
                 return n
-    return len(smoothed)
+    return len(trace)
 
 
 def _convergence_traces():
+    """Series that never fall, as the aligner's reference metric never does."""
     rng = np.random.default_rng(11)
     yield "constant", np.full(40, 3.0)            # converges at round 20 exactly
     yield "short", np.full(20, 3.0)               # never has 20 rounds of history
@@ -476,12 +478,30 @@ def _convergence_traces():
     for k in range(20):
         steps = rng.exponential(rng.uniform(0.0, 0.0005), 120)
         noise = rng.normal(0.0, rng.uniform(0.0, 0.01), 120)
-        yield f"random_{k}", np.maximum(np.cumsum(steps) + 1.0 + noise, 0.0)
+        yield f"random_{k}", np.maximum.accumulate(
+            np.maximum(np.cumsum(steps) + 1.0 + noise, 0.0))
 
 
 @pytest.mark.parametrize("name,trace", list(_convergence_traces()))
 def test_converged_at_matches_the_running_max_loop(name, trace):
+    # On a series that never falls the running max is the series itself,
+    # so the rule applied to it directly must give the loop's round.
+    assert np.all(np.diff(trace) >= 0.0)
     assert engine._converged_at(trace) == _converged_at_by_loop(trace.tolist())
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_reference_metric_never_falls_and_gives_convergence(name):
+    scn_cfg, seed, _ = SCENARIOS[name]
+    m = run_scenario(build_scenario(parse_config({"scenario": scn_cfg})["scenario"], seed))
+    _, raw, y_ref, _ = (np.array(c) for c in zip(*m.metric_trace))
+    assert np.all(np.diff(y_ref) >= 0.0)
+    # The reference holds the raw value of the last accepted round: the
+    # first round is always accepted, and each rise is an accept.
+    rises = np.flatnonzero(np.diff(y_ref) > 0.0) + 1
+    assert y_ref[0] == raw[0] and np.array_equal(y_ref[rises], raw[rises])
+    assert rises.size > 0
+    assert m.rounds_to_converge == _converged_at_by_loop(y_ref.tolist())
 
 
 def test_converged_at_cases():
