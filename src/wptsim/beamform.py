@@ -193,29 +193,23 @@ class OneBitAligner:
     round's phase bound at once; :meth:`candidates` turns a run of them into
     proposals around the current reference phases; :meth:`record` feeds
     back the metric measured for one proposal, accepts it when that value
-    beats ``y_ref``, the value measured when the reference last moved, by
-    more than the dead band, and keeps the reference otherwise.  So
-    ``y_ref`` never falls.
+    beats ``y_ref``, the value measured when the reference last moved, and
+    keeps the reference otherwise: the rule ``y_ref' = max(y_ref, y)`` that
+    :func:`_step_over_grid` analyses.  So ``y_ref`` never falls.
     """
 
-    def __init__(
-        self,
-        n_slaves: int,
-        rng: np.random.Generator,
-        *,
-        deadband_frac: float,
-        init_phases=None,
-    ):
+    def __init__(self, n_slaves: int, rng: np.random.Generator, *, init_phases=None):
         if n_slaves < 1:
             raise BeamformError("need at least one slave")
         self.n_slaves = n_slaves
         self.rng = rng
-        self.deadband_frac = deadband_frac
         if init_phases is None:
             self.ref_phases = rng.uniform(0.0, 2.0 * math.pi, n_slaves)
         else:
             self.ref_phases = np.asarray(init_phases, dtype=float) % (2.0 * math.pi)
-        self.y_ref = None   # metric measured for the current reference phases
+        # Metric measured for the current reference phases; none yet, so
+        # the first proposal is accepted.
+        self.y_ref = -math.inf
 
     def offsets(self, bounds) -> np.ndarray:
         """(R, N) perturbations of R rounds with phase bounds ``bounds``.
@@ -234,10 +228,11 @@ class OneBitAligner:
         return (self.ref_phases + delta) % (2.0 * math.pi)
 
     def record(self, y: float, proposal: np.ndarray) -> bool:
-        """Whether ``proposal``, measured as ``y``, was accepted."""
+        """Whether ``proposal``, measured as ``y``, was accepted: whether
+        ``y > y_ref``."""
         if not math.isfinite(y):
             raise BeamformError("measurement must be finite")
-        accepted = self.y_ref is None or y > self.y_ref + self.deadband_frac * abs(self.y_ref)
+        accepted = y > self.y_ref
         if accepted:
             self.ref_phases = proposal.copy()
             self.y_ref = y

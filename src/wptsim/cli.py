@@ -148,7 +148,6 @@ SCENARIO_DEFAULTS = {
     "chirp_sample_rate_hz": (ChirpParams.sample_rate_hz, _REAL),
     "speed_m_per_s": (Scenario.speed_m_per_s, _real(0.0)),  # node drift; 0 keeps it static
     "feedback_latency_s": (Scenario.feedback_latency_s, _REAL),
-    "deadband_frac": (Scenario.deadband_frac, _REAL),
 }
 
 SWEEP_AXES = (
@@ -310,7 +309,6 @@ def build_scenario(scn_cfg: dict, seed: int) -> Scenario:
         ),
         sigma_deg=scn_cfg["sigma_deg"],
         wake_threshold_dbm=scn_cfg["wake_threshold_dbm"],
-        deadband_frac=scn_cfg["deadband_frac"],
         cold_start_enabled=scn_cfg["cold_start_enabled"],
     )
 

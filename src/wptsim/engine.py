@@ -82,7 +82,6 @@ class Scenario:
     sync: SyncSettings = field(default_factory=SyncSettings)
     sigma_deg: float = 55.0           # cold-start perturbation bound, degrees
     wake_threshold_dbm: float = -20.0
-    deadband_frac: float = 0.001
     cold_start_enabled: bool = True   # off: node starts awake (bench mode)
 
     def __post_init__(self):
@@ -100,7 +99,7 @@ class Scenario:
                 isinstance(self.bound, numbers.Real) and 0.0 < self.bound <= 180.0):
             raise EngineError(
                 f"bound must be 'adaptive' or in (0, 180] degrees, not {self.bound!r}")
-        for name in ("deadband_frac", "feedback_latency_s", "speed_m_per_s"):
+        for name in ("feedback_latency_s", "speed_m_per_s"):
             v = getattr(self, name)
             if not (_is_finite(v) and v >= 0.0):
                 raise EngineError(f"{name} must be finite and >= 0, not {v!r}")
@@ -251,7 +250,7 @@ def run_scenario(scn: Scenario) -> Metrics:
     harvests, measures and decides each round in turn, starting the next
     block after the first accept (see :func:`_align`).  A round's proposal
     is accepted when its raw measurement beats the reference metric
-    ``y_ref`` by more than the dead band (:class:`OneBitAligner`).
+    ``y_ref`` (:class:`OneBitAligner`).
     """
     streams = _streams(scn.seed)
     static = _static_phases(scn, streams)
@@ -319,8 +318,7 @@ def run_scenario(scn: Scenario) -> Metrics:
         np.sum(np.full(scn.n_slaves, scn.tx_amplitude) ** 2))
 
     bounds = _bounds(scn)
-    aligner = OneBitAligner(scn.n_slaves, streams["proposals"],
-                            deadband_frac=scn.deadband_frac)
+    aligner = OneBitAligner(scn.n_slaves, streams["proposals"])
     # Round n reads row n; a static node's single row serves every round.
     to_node = np.broadcast_to(to_node, (scn.rounds, scn.n_slaves))
     to_leader = np.broadcast_to(to_leader, (scn.rounds,))
@@ -369,9 +367,7 @@ def _align(scn, node, aligner, bounds, to_node, to_leader, optimum, correlator,
     """
     rounds = scn.rounds
     offsets = aligner.offsets(bounds)
-    noise = [None] * rounds
-    if scn.noise_floor_dbm is not None:
-        noise = noise_rng.standard_normal((rounds, 2)).tolist()
+    noise = noise_rng.standard_normal((rounds, 2)).tolist()
     raw = np.empty(rounds)
     y_ref = np.empty(rounds)
     achieved = np.zeros(rounds)     # amplitude fraction of the optimum
@@ -431,14 +427,12 @@ def _measure(node, h, p_in, ret_coeff, correlator, z):
 
     The exact zero-lag correlation of the round's received chirp, drawn in
     closed form from :func:`_correlator`: one complex normal per round,
-    ``sigma * (z[0] + i z[1])`` for the round's standard normal pair ``z``,
-    which is None without receiver noise.
+    ``sigma * (z[0] + i z[1])`` for the round's standard normal pair ``z``;
+    without receiver noise ``sigma`` is 0 and the pair changes nothing.
     """
     gain, sigma = correlator
     y = amplitude_ratio(p_in) * h * ret_coeff * gain if node.awake else 0.0
-    if z is not None:
-        y += sigma * complex(z[0], z[1])
-    return float(abs(y))
+    return float(abs(y + sigma * complex(z[0], z[1])))
 
 
 # Voxels per heat-map block, to bound its (block, N) temporaries: the

@@ -38,7 +38,8 @@ def simulate_update_rule(
 ):
     """Monte-Carlo mean amplitude trajectory of the bare update rule.
 
-    Ideal unit-gain channel, no noise, no dead band; the cross-check
+    Ideal unit-gain channel and no noise, with the engine's accept rule
+    (keep a proposal iff it beats the reference); the cross-check
     against :func:`expected_amplitude_step`.
     ``bound`` is one phase bound for every round or a ``(rounds,)`` array of
     them.  Returns the mean reference amplitude for rounds 0..rounds

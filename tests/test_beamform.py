@@ -313,7 +313,7 @@ def _ideal_metric(phases):
 
 def test_aligner_improves_ideal_metric():
     rng = np.random.default_rng(1)
-    al = OneBitAligner(8, rng, deadband_frac=0.001)
+    al = OneBitAligner(8, rng)
     start = _ideal_metric(al.ref_phases)
     for _ in range(200):
         ph = propose(al, math.radians(25))
@@ -323,7 +323,7 @@ def test_aligner_improves_ideal_metric():
 
 def test_aligner_rejects_worse_proposals():
     rng = np.random.default_rng(2)
-    al = OneBitAligner(4, rng, deadband_frac=0.0)
+    al = OneBitAligner(4, rng)
     ph0 = propose(al, math.radians(30))
     al.record(10.0, ph0)
     ref_after = al.ref_phases.copy()
@@ -335,21 +335,25 @@ def test_aligner_rejects_worse_proposals():
         al.record(math.nan, propose(al, math.radians(30)))
 
 
-def test_aligner_deadband_blocks_marginal_gains():
+def test_aligner_accepts_only_strict_gains():
     rng = np.random.default_rng(3)
-    al = OneBitAligner(4, rng, deadband_frac=0.01)
+    al = OneBitAligner(4, rng)
     phi = math.radians(30)
+    assert al.record(0.0, propose(al, phi))         # the first is always kept
     al.record(100.0, propose(al, phi))
-    assert not al.record(100.5, propose(al, phi))   # within 1% dead band
-    assert al.record(102.0, propose(al, phi))       # beyond it
-    assert al.y_ref == 102.0
+    ref = al.ref_phases.copy()
+    assert not al.record(100.0, propose(al, phi))   # a tie keeps the reference
+    assert np.array_equal(al.ref_phases, ref) and al.y_ref == 100.0
+    gain = 100.0 * (1 + 1e-12)
+    assert al.record(gain, propose(al, phi))        # any rise is kept
+    assert al.y_ref == gain
 
 
 def test_aligner_deterministic_given_seed():
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(9)
-        al = OneBitAligner(6, rng, deadband_frac=0.001)
+        al = OneBitAligner(6, rng)
         for _ in range(50):
             ph = propose(al, math.radians(30))
             al.record(_ideal_metric(ph), ph)
@@ -364,8 +368,8 @@ def test_bulk_offsets_equal_per_round_uniform_draws(n):
     bounds = np.concatenate(([math.pi, math.radians(1.0)],
                              np.radians(np.linspace(180.0, 1.0, 97)),
                              compute_bound_schedule(24, horizon=300)))
-    bulk = OneBitAligner(n, np.random.default_rng(n), deadband_frac=0.001)
-    per_round = OneBitAligner(n, np.random.default_rng(n), deadband_frac=0.001)
+    bulk = OneBitAligner(n, np.random.default_rng(n))
+    per_round = OneBitAligner(n, np.random.default_rng(n))
     offsets = bulk.offsets(bounds)
     assert offsets.shape == (bounds.size, n)
     for phi, row in zip(bounds, offsets):
@@ -374,8 +378,8 @@ def test_bulk_offsets_equal_per_round_uniform_draws(n):
 
 def test_candidates_and_record_of_a_proposal_match_propose():
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-    block = OneBitAligner(4, rng_a, deadband_frac=0.0)
-    per_round = OneBitAligner(4, rng_b, deadband_frac=0.0)
+    block = OneBitAligner(4, rng_a)
+    per_round = OneBitAligner(4, rng_b)
     bounds = np.radians([40.0, 30.0, 20.0, 10.0, 5.0])
     offsets = block.offsets(bounds)
     for k, y in enumerate([1.0, 0.5, 0.7, 2.0, 1.5]):

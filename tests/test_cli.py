@@ -91,7 +91,7 @@ def test_config_defaults_match_dataclass_defaults():
                 continue
             assert getattr(obj, f.name) == want, f"{cls.__name__}.{f.name}"
             checked += 1
-    assert checked >= 20
+    assert checked >= 19
 
 
 def test_readme_table_gives_every_scenario_key_its_default():
@@ -107,6 +107,8 @@ def test_unknown_field_is_named_in_error():
     doc = {"scenario": {"slave_countt": 3}}
     with pytest.raises(ConfigError, match="slave_countt"):
         parse_config(doc)
+    with pytest.raises(ConfigError, match="unknown field 'deadband_frac' in 'scenario'"):
+        parse_config({"scenario": {"deadband_frac": 0.001}})
 
 
 def test_unknown_sweep_axis_rejected():
@@ -353,7 +355,6 @@ def test_nan_bound_exits_nonzero(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("sync_offset_range", -5),
                                         ("sync_residual_jitter", -1),
-                                        ("deadband_frac", math.nan),
                                         ("noise_floor_dbm", math.nan),
                                         # Two symbols of the default chirp or more
                                         # used to end in a silent sync failure.
@@ -405,7 +406,8 @@ def test_bad_number_exits_2_naming_the_field(tmp_path, capsys, key, value):
     # a NaN ring radius "position coordinates must be finite".
     ("bound_deg", "wide"),
     ("tx_power_dbm", "hot"),
-    ("deadband_frac", "x"),
+    # The dead band is gone: a config that still sets it is refused.
+    ("deadband_frac", 0.001),
     ("ring_radius_m", math.nan),
     ("ring_height_m", "high"),
     ("sigma_deg", None),
