@@ -226,6 +226,14 @@ def _bounds(scn: Scenario) -> np.ndarray:
     return compute_bound_schedule(scn.n_slaves, horizon=scn.rounds)
 
 
+def power_percentage(fractions: np.ndarray) -> float:
+    """Average power over the last quarter of the rounds (at least one), as
+    a fraction of the coherent optimum's: the mean of the squares of the
+    per-round amplitude fractions ``fractions``."""
+    window = max(1, fractions.size // 4)
+    return float(np.mean(fractions[-window:] ** 2))
+
+
 def _converged_at(y_ref: np.ndarray) -> int:
     """First round whose reference metric, which never falls, rose by under
     0.5% over the previous 20 rounds; ``len(y_ref)`` when none did."""
@@ -332,9 +340,7 @@ def run_scenario(scn: Scenario) -> Metrics:
                                     np.degrees(bounds).tolist()))
     metrics.rounds_to_converge = _converged_at(y_ref)
     metrics.final_phases = [float(p) for p in aligner.ref_phases]
-
-    window = max(1, scn.rounds // 4)
-    metrics.power_percentage = float(np.mean(achieved[-window:]) ** 2)
+    metrics.power_percentage = power_percentage(achieved)
 
     # --- optional incoherent baseline -------------------------------------
     if scn.baseline == "random_phase":
@@ -342,7 +348,7 @@ def run_scenario(scn: Scenario) -> Metrics:
         hb = np.abs(incident_field(to_node, phases, scn.tx_amplitude))
         btrace = np.divide(hb, optimum, out=np.zeros(scn.rounds), where=optimum > 0)
         metrics.baseline_trace = btrace.tolist()
-        metrics.baseline_power_percentage = float(np.mean(btrace[-window:] ** 2))
+        metrics.baseline_power_percentage = power_percentage(btrace)
 
     return metrics
 

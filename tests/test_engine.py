@@ -171,6 +171,19 @@ def test_power_percentage_cannot_beat_optimum():
     assert max(m.power_trace) <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("rounds", [1, 7, 40])
+def test_aligned_and_baseline_power_percentage_share_one_definition(rounds):
+    # Both are average power over the last quarter of the rounds: the mean of
+    # squared amplitude fractions, so criterion 9 divides power by power.
+    # The aligned value used to be the square of the mean amplitude.
+    m = run_scenario(bench_scenario(rounds=rounds, baseline="random_phase",
+                                    speed_m_per_s=0.5))
+    window = max(1, rounds // 4)
+    for value, trace in ((m.power_percentage, m.power_trace),
+                         (m.baseline_power_percentage, m.baseline_trace)):
+        assert value == float(np.mean(np.square(trace[-window:])))
+
+
 def test_stage_ordering_full_pipeline():
     scn = bench_scenario(rounds=20, sync=SyncSettings(enabled=True,
                                                       offset_range=300,
