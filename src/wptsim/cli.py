@@ -425,19 +425,33 @@ def cmd_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
     return 0
 
 
+def _read_run(path: str) -> tuple[str, float]:
+    """(sweep point as sorted JSON, power_percentage) of the run document at
+    ``path``; a ConfigError naming ``path`` when it is not one."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:       # not JSON, or not UTF-8
+        raise ConfigError(f"{path} is not JSON: {exc}") from None
+    try:
+        point, pct = doc["point"], doc["metrics"]["power_percentage"]
+    except (KeyError, IndexError, TypeError):
+        point = pct = None
+    if not (isinstance(point, dict) and isinstance(pct, (int, float))
+            and not isinstance(pct, bool)):
+        raise ConfigError(f"{path} is not a run document: it needs a 'point' mapping "
+                          f"and a number at metrics.power_percentage")
+    return json.dumps(point, sort_keys=True), float(pct)
+
+
 def collect_runs(out_dir: str) -> list:
-    rows = []
+    """(point, power_percentage) of every ``run_*.json`` in ``out_dir``."""
     try:
         names = sorted(os.listdir(out_dir))
     except OSError:
-        return rows
-    for name in names:
-        if not (name.startswith("run_") and name.endswith(".json")):
-            continue
-        with open(os.path.join(out_dir, name)) as fh:
-            doc = json.load(fh)
-        rows.append(doc)
-    return rows
+        return []
+    return [_read_run(os.path.join(out_dir, name)) for name in names
+            if name.startswith("run_") and name.endswith(".json")]
 
 
 def cmd_report(out_dir: str) -> int:
@@ -446,9 +460,8 @@ def cmd_report(out_dir: str) -> int:
         print(f"no runs found in {out_dir}", file=sys.stderr)
         return 1
     groups: dict = {}
-    for doc in runs:
-        key = json.dumps(doc["point"], sort_keys=True)
-        groups.setdefault(key, []).append(doc["metrics"]["power_percentage"])
+    for key, pct in runs:
+        groups.setdefault(key, []).append(pct)
     print(f"{'point':<40} {'n':>4} {'mean':>8} {'ci95':>8}")
     for key in sorted(groups):
         vals = np.asarray(groups[key])
@@ -481,7 +494,7 @@ def main(argv=None) -> int:
         if args.verb == "report":
             return cmd_report(args.out)
         cfg = load_config(args.config)
-        if args.seeds:
+        if args.seeds is not None:
             cfg["seeds"] = _distinct([_SEED(s, "--seeds") for s in args.seeds.split(",")],
                                      "--seeds")
         if args.verb == "run":

@@ -329,6 +329,24 @@ def test_sweep_and_report(tmp_path, capsys):
     assert len(data_rows) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "{}",                       # used to escape as KeyError: 'point'
+    "[1, 2]",                   # used to escape as a TypeError
+    "not json",                 # used to exit 2 naming no file
+    '{"point": {}, "metrics": {}}',
+    '{"point": [], "metrics": {"power_percentage": 0.5}}',
+    '{"point": {}, "metrics": {"power_percentage": "0.5"}}',
+])
+def test_report_refuses_a_file_that_is_not_a_run_document(tmp_path, capsys, text):
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_cfg(tmp_path, MINIMAL), "--out", str(out)]) == 0
+    (out / "run_bad.json").write_text(text)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert str(out / "run_bad.json") in captured.err and captured.out == ""
+
+
 def test_report_empty_dir(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -465,6 +483,16 @@ def test_bad_seeds_option_exits_2_naming_it(tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
                  "--seeds", "1,x"]) == 2
     assert "--seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_empty_seeds_option_exits_2_before_anything_is_written(tmp_path, capsys, verb):
+    # Used to run the config's seeds and exit 0.
+    cfg_path = write_cfg(tmp_path, dict(MINIMAL, sweep={"speed_m_per_s": [0.0]}))
+    assert main([verb, "--config", cfg_path, "--out", str(tmp_path / "o"),
+                 "--seeds", ""]) == 2
+    assert "--seeds must be a whole number >= 0, not ''" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("verb, doc, option, field", [
