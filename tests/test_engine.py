@@ -175,7 +175,6 @@ def test_power_percentage_cannot_beat_optimum():
 def test_aligned_and_baseline_power_percentage_share_one_definition(rounds):
     # Both are average power over the last quarter of the rounds: the mean of
     # squared amplitude fractions, so criterion 9 divides power by power.
-    # The aligned value used to be the square of the mean amplitude.
     m = run_scenario(bench_scenario(rounds=rounds, baseline="random_phase",
                                     speed_m_per_s=0.5))
     window = max(1, rounds // 4)
@@ -408,7 +407,7 @@ def test_alignment_keeps_a_proposal_iff_its_incident_field_rises(name, seed):
     # keep a proposal iff it beats the reference, with nothing in between.
     # Without noise the leader's metric rises strictly with the node's
     # incident power, so a loop over |incident_field| alone must reproduce
-    # the run.  A dead band of 0.1% read 0.999 against 1.000 on bench 3.
+    # the run.
     scn = build_scenario(parse_config(
         {"scenario": dict(SCENARIOS[name][0], noise_floor_dbm=None)})["scenario"], seed)
     m = run_scenario(scn)
