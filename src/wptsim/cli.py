@@ -25,6 +25,7 @@ from .engine import (
     Metrics,
     Scenario,
     SyncSettings,
+    document_json,
     heatmap,
     linear_positions,
     node_track,
@@ -357,7 +358,7 @@ def run_one(cfg: dict, scn_cfg: dict, seed: int, out_dir: str, tag: str,
     stem = f"run_{tag}seed{seed}"
     doc = {"point": point, "seed": seed, "metrics": metrics.as_dict()}
     with open(os.path.join(out_dir, stem + ".json"), "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=1))
+        fh.write(document_json(doc))
     if metrics.metric_trace:
         write_trace(metrics, os.path.join(out_dir, stem + "_trace.csv"))
     if cfg["heatmap"]["enabled"] and metrics.final_phases:
@@ -445,11 +446,12 @@ def _read_run(path: str) -> tuple[str, float]:
 
 
 def collect_runs(out_dir: str) -> list:
-    """(point, power_percentage) of every ``run_*.json`` in ``out_dir``."""
+    """(point, power_percentage) of every ``run_*.json`` in ``out_dir``; a
+    ConfigError naming ``out_dir`` when it cannot be listed."""
     try:
         names = sorted(os.listdir(out_dir))
-    except OSError:
-        return []
+    except OSError as exc:
+        raise ConfigError(f"cannot list run directory {out_dir}: {exc.strerror}") from None
     return [_read_run(os.path.join(out_dir, name)) for name in names
             if name.startswith("run_") and name.endswith(".json")]
 

@@ -173,7 +173,69 @@ class Metrics:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=1)
+        return document_json(self.as_dict())
+
+
+@lru_cache(maxsize=None)
+def _c_encoder(item_sep: str) -> json.JSONEncoder:
+    """json's C encoder, which joins the items of every list with ``item_sep``."""
+    return json.JSONEncoder(separators=(item_sep, ": "))
+
+
+def document_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte; the one
+    writer of metrics documents.  Dict keys must be strings.
+
+    json uses its C encoder only without ``indent``, so this writer walks
+    the dicts itself and has the C encoder write each list in one call,
+    its items joined by ``,`` and the next line's indent, then adds the
+    brackets.  A list of rows (lists or tuples) takes one call with the
+    rows' indent, and each ``],<nl>[`` between two rows is then rewritten:
+    only a separator holds a new line, since json escapes one in a string.
+    A list that one call cannot indent, because it holds a container that
+    is not a row of scalars, is written item by item, as is a list with a
+    bracket inside a string, which the check for containers cannot tell
+    from one.
+    """
+    out = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, nl: str, out: list) -> None:
+    """Append the text of ``obj``, whose own line starts with ``nl``."""
+    inner = nl + " "
+    if isinstance(obj, dict) and obj:
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"document keys must be str, not {key!r}")
+            out.append(sep + json.encoder.encode_basestring_ascii(key) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        if isinstance(obj[0], (list, tuple)):
+            row = inner + " "
+            text = _c_encoder("," + row).encode(obj)
+            if (all(isinstance(r, (list, tuple)) and r for r in obj)
+                    and text.count("[") == len(obj) + 1 and "{" not in text):
+                body = text[2:-2].replace("]," + row + "[", inner + "]," + inner + "[" + row)
+                out.append("[" + inner + "[" + row + body + inner + "]" + nl + "]")
+                return
+        else:
+            text = _c_encoder("," + inner).encode(obj)
+            if "[" not in text[1:-1] and "{" not in text:
+                out.append("[" + inner + text[1:-1] + nl + "]")
+                return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(_c_encoder(",").encode(obj))
 
 
 def node_track(scn: Scenario) -> np.ndarray:

@@ -353,6 +353,18 @@ def test_report_empty_dir(tmp_path, capsys):
     assert "no runs found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make", [None, "file"])
+def test_report_on_a_path_that_is_no_directory_exits_2_naming_it(tmp_path, capsys, make):
+    # Used to read as an empty directory: "no runs found", exit 1.
+    out = tmp_path / "missing"
+    if make == "file":
+        out.write_text("")
+    assert main(["report", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"cannot list run directory {out}" in captured.err
+    assert "no runs found" not in captured.err and captured.out == ""
+
+
 def test_malformed_config_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("scenario: [not, a, mapping\n")

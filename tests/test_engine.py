@@ -24,7 +24,7 @@ from wptsim.chirp import (
     p_ccs0,
     sample_noise_power,
 )
-from wptsim.cli import build_scenario, parse_config
+from wptsim.cli import apply_axis, build_scenario, parse_config, run_one
 from wptsim.engine import (
     EngineError,
     Scenario,
@@ -560,11 +560,31 @@ def test_metrics_json_is_valid():
     assert len(doc["final_phases"]) == 4
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_metrics_json_matches_asdict(name):
-    scn_cfg, seed, _ = SCENARIOS[name]
-    m = run_scenario(build_scenario(parse_config({"scenario": scn_cfg})["scenario"], seed))
-    assert m.to_json() == json.dumps(dataclasses.asdict(m), sort_keys=True, indent=1)
+# name -> (scenario config, seed, sweep point or None).  A case with a point
+# is the document cli.run_one writes, its scenario moved to that point.
+JSON_CASES = {name: (scn_cfg, seed, None) for name, (scn_cfg, seed, _) in SCENARIOS.items()}
+JSON_CASES.update({
+    "run_one": (SCENARIOS["bench_3"][0], 5, {}),
+    "run_one_sweep_point": (SCENARIOS["mobile_1mps"][0], 7, {"speed_m_per_s": 0.05}),
+    "sync_failed": (dict(SCENARIOS["readme_fast"][0], noise_floor_dbm=30.0), 3, None),
+    "one_round": (dict(SCENARIOS["bench_24"][0], rounds=1), 6, None),
+})
+
+
+@pytest.mark.parametrize("name", sorted(JSON_CASES))
+def test_metrics_json_matches_asdict(name, tmp_path):
+    scn_cfg, seed, point = JSON_CASES[name]
+    cfg = parse_config({"scenario": scn_cfg})
+    for axis, value in (point or {}).items():
+        cfg["scenario"] = apply_axis(cfg["scenario"], axis, value)
+    m = run_scenario(build_scenario(cfg["scenario"], seed))
+    if point is None:
+        assert m.to_json() == json.dumps(dataclasses.asdict(m), sort_keys=True, indent=1)
+        return
+    run_one(cfg, cfg["scenario"], seed, str(tmp_path), "", point)
+    want = {"point": point, "seed": seed, "metrics": dataclasses.asdict(m)}
+    assert ((tmp_path / f"run_seed{seed}.json").read_text()
+            == json.dumps(want, sort_keys=True, indent=1))
 
 
 def test_optimal_amplitude_is_sum_of_path_amplitudes():
