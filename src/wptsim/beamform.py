@@ -1,13 +1,13 @@
-"""One-bit phase alignment and its adaptive phase-bound schedule.
+"""Analysis of one-bit phase alignment: its adaptive phase-bound schedule.
 
-The alignment loop perturbs every slave's phase by a uniform draw within
-+/- Phi each round and keeps the new phases only when the raw power metric
-measured for them beats the one measured for the current phases.  The
-expected one-round amplitude gain has a closed form built on modified
-Bessel function ratios; optimizing that gain round by round yields the
-adaptive large-then-small phase-bound schedule.  The density evolution
-that the tests check this analysis against lives in ``tests/oracles.py``.
-"""
+The alignment walk, ``engine._align``, perturbs every slave's phase by a
+uniform draw within +/- Phi each round and keeps the new phases only when
+the raw power metric measured for them beats the one measured for the
+current phases.  The expected one-round amplitude gain of that rule has a
+closed form built on modified Bessel function ratios; optimizing that gain
+round by round yields the adaptive large-then-small phase-bound schedule.
+The density evolution that the tests check this analysis against lives in
+``tests/oracles.py``."""
 
 from __future__ import annotations
 
@@ -181,59 +181,3 @@ def _build_bound_schedule(n_slaves: int, horizon: int, y0: float | None):
     for arr in (coeffs, optima, table):
         arr.setflags(write=False)
     return table, optima, coeffs
-
-
-# ---------------------------------------------------------------------------
-# The alignment loop driver.
-
-class OneBitAligner:
-    """Keep-if-improved phase alignment on the raw power metric.
-
-    :meth:`offsets` draws every round's per-slave perturbations within the
-    round's phase bound at once; :meth:`candidates` turns a run of them into
-    proposals around the current reference phases; :meth:`record` feeds
-    back the metric measured for one proposal, accepts it when that value
-    beats ``y_ref``, the value measured when the reference last moved, and
-    keeps the reference otherwise: the rule ``y_ref' = max(y_ref, y)`` that
-    :func:`_step_over_grid` analyses.  So ``y_ref`` never falls.
-    """
-
-    def __init__(self, n_slaves: int, rng: np.random.Generator, *, init_phases=None):
-        if n_slaves < 1:
-            raise BeamformError("need at least one slave")
-        self.n_slaves = n_slaves
-        self.rng = rng
-        if init_phases is None:
-            self.ref_phases = rng.uniform(0.0, 2.0 * math.pi, n_slaves)
-        else:
-            self.ref_phases = np.asarray(init_phases, dtype=float) % (2.0 * math.pi)
-        # Metric measured for the current reference phases; none yet, so
-        # the first proposal is accepted.
-        self.y_ref = -math.inf
-
-    def offsets(self, bounds) -> np.ndarray:
-        """(R, N) perturbations of R rounds with phase bounds ``bounds``.
-
-        One draw of R * N uniforms, turned into offsets by
-        ``Generator.uniform``'s own arithmetic ``low + (high - low) * u``, so
-        row n equals the n-th of R calls of ``rng.uniform(-phi, phi, N)``.
-        """
-        phi = np.asarray(bounds, dtype=float)[:, None]
-        u = self.rng.random((phi.shape[0], self.n_slaves))
-        return -phi + (phi - -phi) * u
-
-    def candidates(self, delta) -> np.ndarray:
-        """The reference phases moved by ``delta``, wrapped to [0, 2 pi);
-        (k, N) offsets give k proposals.  Changes no state."""
-        return (self.ref_phases + delta) % (2.0 * math.pi)
-
-    def record(self, y: float, proposal: np.ndarray) -> bool:
-        """Whether ``proposal``, measured as ``y``, was accepted: whether
-        ``y > y_ref``."""
-        if not math.isfinite(y):
-            raise BeamformError("measurement must be finite")
-        accepted = y > self.y_ref
-        if accepted:
-            self.ref_phases = proposal.copy()
-            self.y_ref = y
-        return accepted

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import coldstart as cs
 from .backscatter import SHIFT_FREQ_HZ, BackscatterNode, amplitude_ratio, mixer
-from .beamform import OneBitAligner, compute_bound_schedule
+from .beamform import compute_bound_schedule
 from .channel import (
     DEFAULT_FREQ_HZ,
     DEFAULT_TX_GAIN_DBI,
@@ -309,18 +309,7 @@ def run_scenario(scn: Scenario) -> Metrics:
     """Run the pipeline (sync, cold start, alignment) and return its metrics.
 
     Each stage draws from its own stream of the seed (:func:`_streams`).
-    Alignment draws in bulk: after the aligner's initial phases, one draw of
-    rounds x N uniforms from the proposals stream gives every round's phase
-    offsets, and one draw of rounds x 2 standard normals from the noise
-    stream every round's receiver noise; each equals the per-round draws
-    bit for bit.  The rounds then run in speculative blocks of up to
-    ``BLOCK_ROUNDS`` (K = 8): every round up to the next accepted proposal
-    starts from the same reference phases, so one vectorized pass gives a
-    block's candidate phases and incident fields, and a scalar walk
-    harvests, measures and decides each round in turn, starting the next
-    block after the first accept (see :func:`_align`).  A round's proposal
-    is accepted when its raw measurement beats the reference metric
-    ``y_ref`` (:class:`OneBitAligner`).
+    Alignment is the one-bit walk of :func:`_align`.
     """
     streams = _streams(scn.seed)
     static = _static_phases(scn, streams)
@@ -388,20 +377,19 @@ def run_scenario(scn: Scenario) -> Metrics:
         np.sum(np.full(scn.n_slaves, scn.tx_amplitude) ** 2))
 
     bounds = _bounds(scn)
-    aligner = OneBitAligner(scn.n_slaves, streams["proposals"])
     # Round n reads row n; a static node's single row serves every round.
     to_node = np.broadcast_to(to_node, (scn.rounds, scn.n_slaves))
     to_leader = np.broadcast_to(to_leader, (scn.rounds,))
     optimum = np.broadcast_to(optimum, (scn.rounds,))
-    raw, y_ref, achieved = _align(scn, node, aligner, bounds, to_node, to_leader,
-                                  optimum, _correlator(scn, noise_power),
-                                  streams["noise"])
+    raw, y_ref, achieved, phases = _align(scn, node, bounds, to_node, to_leader, optimum,
+                                          _correlator(scn, noise_power),
+                                          streams["proposals"], streams["noise"])
 
     metrics.power_trace = achieved.tolist()
     metrics.metric_trace = list(zip(range(scn.rounds), raw.tolist(), y_ref.tolist(),
                                     np.degrees(bounds).tolist()))
     metrics.rounds_to_converge = _converged_at(y_ref)
-    metrics.final_phases = [float(p) for p in aligner.ref_phases]
+    metrics.final_phases = phases.tolist()
     metrics.power_percentage = power_percentage(achieved)
 
     # --- optional incoherent baseline -------------------------------------
@@ -421,28 +409,45 @@ def run_scenario(scn: Scenario) -> Metrics:
 BLOCK_ROUNDS = 8
 
 
-def _align(scn, node, aligner, bounds, to_node, to_leader, optimum, correlator,
+def _align(scn, node, bounds, to_node, to_leader, optimum, correlator, proposals_rng,
            noise_rng):
-    """(raw, y_ref, achieved) per round of the one-bit alignment loop, with
-    ``y_ref`` the aligner's reference metric after the round's decision.
+    """(raw, y_ref, achieved, phases) of the one-bit alignment walk: per
+    round the raw measurement, ``y_ref`` after the round's decision and the
+    achieved amplitude fraction, then the final reference phases.
 
-    The rounds run in speculative blocks from bulk draws, as
-    :func:`run_scenario` describes; the rest of a block after an accept is
-    discarded.  Each value equals the per-round loop's bit for bit: each
-    row's sum is the pairwise sum ``np.sum`` takes of that row alone, and
-    ``p_in`` and ``achieved`` read the same magnitudes of ``h`` that the
-    per-round loop read.
+    The walk's state is the reference phases, first drawn uniform on
+    [0, 2 pi), and ``y_ref``, the value measured when they last moved.
+    Round n proposes them moved by a uniform draw within +/- ``bounds[n]``,
+    wrapped to [0, 2 pi), and keeps the proposal iff its raw measurement
+    beats ``y_ref`` (-inf before round 0, which is always kept): the rule
+    ``y_ref' = max(y_ref, y)`` that :func:`beamform._step_over_grid`
+    analyses.  A measurement that is not finite raises :class:`EngineError`.
+
+    One ``uniform`` draw from ``proposals_rng`` gives every round's offsets
+    and one ``standard_normal`` draw from ``noise_rng`` every round's noise
+    pair, each equal to the per-round draws bit for bit.  The rounds run in
+    speculative blocks of up to ``BLOCK_ROUNDS``: every round up to the next
+    accept starts from the same reference phases, so one vectorized pass
+    gives a block's proposals and incident fields, and a scalar walk
+    harvests, measures and decides each round in turn; the rest of a block
+    after an accept is discarded.  Each value equals the per-round loop's
+    bit for bit: each row's sum is the pairwise sum ``np.sum`` takes of that
+    row alone, and ``p_in`` and ``achieved`` read the same magnitudes of
+    ``h`` that the per-round loop read.
     """
     rounds = scn.rounds
-    offsets = aligner.offsets(bounds)
+    ref_phases = proposals_rng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
+    phi = bounds[:, None]
+    offsets = proposals_rng.uniform(-phi, phi, (rounds, scn.n_slaves))
     noise = noise_rng.standard_normal((rounds, 2)).tolist()
+    ref_y = -math.inf
     raw = np.empty(rounds)
     y_ref = np.empty(rounds)
     achieved = np.zeros(rounds)     # amplitude fraction of the optimum
     n = 0
     while n < rounds:
         stop = min(n + BLOCK_ROUNDS, rounds)
-        proposals = aligner.candidates(offsets[n:stop])
+        proposals = (ref_phases + offsets[n:stop]) % (2.0 * math.pi)
         fields = incident_field(to_node[n:stop], proposals, scn.tx_amplitude)
         # numpy's vectorized |h| (np.abs of the block, or of one scalar) and
         # the scalar abs(h) can differ in the last bit: p_in has always read
@@ -452,15 +457,19 @@ def _align(scn, node, aligner, bounds, to_node, to_leader, optimum, correlator,
             p_in = float(mag ** 2)
             node.harvest_step(p_in, scn.round_time_s)
             y_raw = _measure(node, h, p_in, to_leader[n], correlator, noise[n])
+            if not math.isfinite(y_raw):
+                raise EngineError(f"round {n}: measurement must be finite, not {y_raw!r}")
             raw[n] = y_raw
-            accepted = aligner.record(y_raw, proposal)
-            y_ref[n] = aligner.y_ref
+            accepted = y_raw > ref_y
+            if accepted:
+                ref_phases, ref_y = proposal, y_raw
+            y_ref[n] = ref_y
             if optimum[n] > 0:
                 achieved[n] = abs(h) / optimum[n]
             n += 1
             if accepted:
                 break
-    return raw, y_ref, achieved
+    return raw, y_ref, achieved, ref_phases
 
 
 def _correlator(scn: Scenario, noise_power: float) -> tuple[complex, float]:

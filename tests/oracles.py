@@ -21,11 +21,11 @@ from wptsim.beamform import BeamformError, _step_over_grid, bessel_ratio, solve_
 from wptsim.channel import channel
 
 
-def propose(aligner, phi: float) -> np.ndarray:
-    """One round's proposal drawn alone: ``uniform(-phi, phi, N)`` from the
-    aligner's generator, around its reference phases.  R calls draw the
-    offsets that one ``aligner.offsets`` call over the same R bounds draws."""
-    return aligner.candidates(aligner.rng.uniform(-phi, phi, aligner.n_slaves))
+def propose(rng, ref, phi: float) -> np.ndarray:
+    """One round's proposal drawn alone: the reference phases ``ref`` moved
+    by ``rng.uniform(-phi, phi, N)``, wrapped to [0, 2 pi).  R calls draw the
+    offsets that ``engine._align``'s one draw over the same R bounds draws."""
+    return (ref + rng.uniform(-phi, phi, ref.size)) % (2.0 * math.pi)
 
 
 def simulate_update_rule(

@@ -9,15 +9,18 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import ive
 
+from wptsim import engine
+from wptsim.backscatter import BackscatterNode
 from wptsim.beamform import (
     _SERIES_MAX_X,
     BeamformError,
     _build_bound_schedule,
-    OneBitAligner,
     bessel_ratio,
     compute_bound_schedule,
     solve_concentration,
 )
+from wptsim.channel import Position
+from wptsim.engine import EngineError, Scenario, SyncSettings, ring_positions
 from oracles import (
     amplitude_distributions,
     amplitude_transition,
@@ -305,89 +308,77 @@ def test_expected_trajectory_monotone_under_schedule():
 
 
 # ---------------------------------------------------------------------------
-# Aligner.
+# The one-bit rule, as engine._align walks it.
 
-def _ideal_metric(phases):
-    return abs(np.exp(1j * phases).sum())
-
-
-def test_aligner_improves_ideal_metric():
-    rng = np.random.default_rng(1)
-    al = OneBitAligner(8, rng)
-    start = _ideal_metric(al.ref_phases)
-    for _ in range(200):
-        ph = propose(al, math.radians(25))
-        al.record(_ideal_metric(ph), ph)
-    assert _ideal_metric(al.ref_phases) > max(start, 0.9 * 8)
-
-
-def test_aligner_rejects_worse_proposals():
-    rng = np.random.default_rng(2)
-    al = OneBitAligner(4, rng)
-    ph0 = propose(al, math.radians(30))
-    al.record(10.0, ph0)
-    ref_after = al.ref_phases.copy()
-    assert not al.record(5.0, propose(al, math.radians(30)))  # clearly worse
-    assert al.y_ref == 10.0
-    assert np.array_equal(al.ref_phases, ref_after)
-    assert np.array_equal(ref_after, ph0)
-    with pytest.raises(BeamformError):
-        al.record(math.nan, propose(al, math.radians(30)))
+def _walk(measure, monkeypatch, n=4, rounds=5, bound=30.0):
+    """(``engine._align``'s result, its bounds) over ``rounds`` rounds of
+    unit links and an awake node, with ``measure`` in place of
+    ``engine._measure`` and the proposals stream seeded with 3."""
+    scn = Scenario(slave_positions=ring_positions(n, 1.0, 0.0),
+                   leader_position=Position(0.0, 0.0, 0.0),
+                   node_position=Position(0.0, 0.0, -0.1), rounds=rounds, bound=bound,
+                   sync=SyncSettings(enabled=False), cold_start_enabled=False)
+    node = BackscatterNode(dynamic_power_draw_w=0.0, awake=True)
+    bounds = engine._bounds(scn)
+    monkeypatch.setattr(engine, "_measure", measure)
+    out = engine._align(scn, node, bounds, np.ones((rounds, n), complex), np.ones(rounds),
+                        np.ones(rounds), (1.0, 0.0), np.random.default_rng(3),
+                        np.random.default_rng(0))
+    return out, bounds
 
 
-def test_aligner_accepts_only_strict_gains():
+def _scripted(values):
+    """A stand-in for ``engine._measure`` that returns ``values`` in turn."""
+    values = iter(values)
+    return lambda *args: next(values)
+
+
+def test_aligner_accepts_only_strict_gains(monkeypatch):
+    # Round 0 is kept at any value, a tie is rejected, any rise is kept, a
+    # rejected proposal leaves the reference phases where they were, and a
+    # measurement that is not finite is refused by name.
+    rise = 100.0 * (1 + 1e-12)
+    script = [0.0, 100.0, 100.0, rise, 5.0]
+    (raw, y_ref, _, phases), bounds = _walk(_scripted(script), monkeypatch)
+    assert raw.tolist() == script
+    assert y_ref.tolist() == [0.0, 100.0, 100.0, rise, rise]
     rng = np.random.default_rng(3)
-    al = OneBitAligner(4, rng)
-    phi = math.radians(30)
-    assert al.record(0.0, propose(al, phi))         # the first is always kept
-    al.record(100.0, propose(al, phi))
-    ref = al.ref_phases.copy()
-    assert not al.record(100.0, propose(al, phi))   # a tie keeps the reference
-    assert np.array_equal(al.ref_phases, ref) and al.y_ref == 100.0
-    gain = 100.0 * (1 + 1e-12)
-    assert al.record(gain, propose(al, phi))        # any rise is kept
-    assert al.y_ref == gain
+    ref_phases = rng.uniform(0.0, 2.0 * math.pi, 4)
+    for phi, keep in zip(bounds, [True, True, False, True, False]):
+        proposal = propose(rng, ref_phases, phi)
+        if keep:
+            ref_phases = proposal
+    assert phases.tolist() == ref_phases.tolist()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(EngineError, match="round 1: measurement must be finite"):
+            _walk(_scripted([1.0, bad]), monkeypatch)
 
 
-def test_aligner_deterministic_given_seed():
-    runs = []
-    for _ in range(2):
-        rng = np.random.default_rng(9)
-        al = OneBitAligner(6, rng)
-        for _ in range(50):
-            ph = propose(al, math.radians(30))
-            al.record(_ideal_metric(ph), ph)
-        runs.append(al.ref_phases.copy())
-    assert np.array_equal(runs[0], runs[1])
+def test_aligner_improves_ideal_metric(monkeypatch):
+    # With unit links and the noise-free metric |h|, 200 rounds at a
+    # 25-degree bound bring 8 slaves within 10% of coherence.
+    (_, y_ref, _, phases), _ = _walk(lambda node, h, *args: abs(h), monkeypatch,
+                                     n=8, rounds=200, bound=25.0)
+    start = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, 8)
+    amplitude = abs(np.exp(1j * phases).sum())
+    assert amplitude > max(abs(np.exp(1j * start).sum()), 0.9 * 8)
+    assert y_ref[-1] == pytest.approx(amplitude, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 3, 24])
 def test_bulk_offsets_equal_per_round_uniform_draws(n):
-    # One random((R, N)) draw through uniform's arithmetic gives the values
-    # of R calls of uniform(-phi, phi, N), bound by bound.
+    # engine._align draws every round's offsets in one uniform call with a
+    # (R, 1) column of bounds; row n must equal the n-th of R calls of
+    # uniform(-phi, phi, N), bound by bound.
     bounds = np.concatenate(([math.pi, math.radians(1.0)],
                              np.radians(np.linspace(180.0, 1.0, 97)),
                              compute_bound_schedule(24, horizon=300)))
-    bulk = OneBitAligner(n, np.random.default_rng(n))
-    per_round = OneBitAligner(n, np.random.default_rng(n))
-    offsets = bulk.offsets(bounds)
+    phi = bounds[:, None]
+    offsets = np.random.default_rng(n).uniform(-phi, phi, (bounds.size, n))
     assert offsets.shape == (bounds.size, n)
+    per_round = np.random.default_rng(n)
     for phi, row in zip(bounds, offsets):
-        assert row.tobytes() == per_round.rng.uniform(-phi, phi, n).tobytes()
-
-
-def test_candidates_and_record_of_a_proposal_match_propose():
-    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-    block = OneBitAligner(4, rng_a)
-    per_round = OneBitAligner(4, rng_b)
-    bounds = np.radians([40.0, 30.0, 20.0, 10.0, 5.0])
-    offsets = block.offsets(bounds)
-    for k, y in enumerate([1.0, 0.5, 0.7, 2.0, 1.5]):
-        proposal = block.candidates(offsets[k])
-        drawn = propose(per_round, bounds[k])
-        assert np.array_equal(proposal, drawn)
-        assert block.record(y, proposal) == per_round.record(y, drawn)
-        assert np.array_equal(block.ref_phases, per_round.ref_phases)
+        assert row.tobytes() == per_round.uniform(-phi, phi, n).tobytes()
 
 
 def test_simulate_update_rule_mean_never_decreases():

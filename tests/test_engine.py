@@ -13,7 +13,6 @@ from oracles import aligned_phases, propose, region_axis_ratio
 from test_golden import SCENARIOS, mismatches
 from wptsim import coldstart as cs, engine
 from wptsim.backscatter import SHIFT_FREQ_HZ, BackscatterNode, amplitude_ratio
-from wptsim.beamform import OneBitAligner
 from wptsim.channel import (
     SPEED_OF_LIGHT, ChannelError, MediumMap, Position, channel, incident_field,
 )
@@ -279,20 +278,19 @@ def test_closed_form_measurement_matches_samples_in_distribution(snr):
         assert abs(y.mean() - want) < 4.0 * y.std() / math.sqrt(draws)
 
 
+def _decisions(metric_trace) -> list:
+    """Each round's accept decision, read from the ``y_ref`` column: round 0
+    is always kept, and a later round is kept iff ``y_ref`` rose."""
+    y_ref = [row[2] for row in metric_trace]
+    return [True] + [new > old for old, new in zip(y_ref, y_ref[1:])]
+
+
 def _run_with(measure, scn, monkeypatch):
     """The metrics document of ``scn`` and every accept decision of its
-    aligner, with ``measure`` in place of ``engine._measure``."""
-    decisions = []
-
-    class Recording(OneBitAligner):
-        def record(self, y, proposal):
-            accepted = super().record(y, proposal)
-            decisions.append(accepted)
-            return accepted
-
-    monkeypatch.setattr(engine, "OneBitAligner", Recording)
+    alignment, with ``measure`` in place of ``engine._measure``."""
     monkeypatch.setattr(engine, "_measure", measure)
-    return json.loads(run_scenario(scn).to_json()), decisions
+    doc = json.loads(run_scenario(scn).to_json())
+    return doc, _decisions(doc["metric_trace"])
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -313,26 +311,29 @@ def test_closed_form_measurement_matches_samples_without_noise(name, monkeypatch
 # ---------------------------------------------------------------------------
 # The block alignment loop against the per-round loop it replaces.
 
-def _align_per_round(scn, node, aligner, bounds, to_node, to_leader, optimum, correlator,
-                     noise_rng):
-    """Oracle for ``engine._align``: the alignment loop one round at a time,
+def _align_per_round(scn, node, bounds, to_node, to_leader, optimum, correlator,
+                     proposals_rng, noise_rng):
+    """Oracle for ``engine._align``: the alignment walk one round at a time,
     with one proposal draw and one noise pair per round."""
+    ref_phases = proposals_rng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
+    ref_y = -math.inf
     raw = np.empty(scn.rounds)
     y_ref = np.empty(scn.rounds)
     achieved = np.zeros(scn.rounds)     # amplitude fraction of the optimum
     for n in range(scn.rounds):
-        phases = propose(aligner, bounds[n])
+        phases = propose(proposals_rng, ref_phases, bounds[n])
         h = scn.tx_amplitude * np.sum(to_node[n] * np.exp(1j * phases))
         p_in = float(np.abs(h) ** 2)
         node.harvest_step(p_in, scn.round_time_s)
         z = noise_rng.standard_normal(2)
         y_raw = engine._measure(node, h, p_in, to_leader[n], correlator, z)
         raw[n] = y_raw
-        aligner.record(y_raw, phases)
-        y_ref[n] = aligner.y_ref
+        if y_raw > ref_y:
+            ref_phases, ref_y = phases, y_raw
+        y_ref[n] = ref_y
         if optimum[n] > 0:
             achieved[n] = abs(h) / optimum[n]
-    return raw, y_ref, achieved
+    return raw, y_ref, achieved, ref_phases
 
 
 _B3, _B24 = SCENARIOS["bench_3"][0], SCENARIOS["bench_24"][0]
@@ -370,28 +371,19 @@ def test_block_cases_accept_at_both_ends_of_a_block_and_sleep(monkeypatch):
     # The byte-identity cases must cover an accept at a block's first round
     # (the next block starts one round later) and at its last round, and
     # rounds in which the node sleeps.
-    decisions, awake = [], []
+    awake = []
     measure = engine._measure
-
-    class Recording(OneBitAligner):
-        def record(self, y, proposal):
-            accepted = super().record(y, proposal)
-            decisions[-1].append(accepted)
-            return accepted
 
     def recording_measure(node, *args):
         awake[-1].append(node.awake)
         return measure(node, *args)
 
-    monkeypatch.setattr(engine, "OneBitAligner", Recording)
     monkeypatch.setattr(engine, "_measure", recording_measure)
     positions = set()
     for name in BLOCK_CASES:
-        decisions.append([])
         awake.append([])
-        run_scenario(_block_case(name))
         at = 0      # rounds since the block started
-        for accepted in decisions[-1]:
+        for accepted in _decisions(run_scenario(_block_case(name)).metric_trace):
             if accepted:
                 positions.add(at)
             at = 0 if accepted or at == engine.BLOCK_ROUNDS - 1 else at + 1
@@ -416,15 +408,16 @@ def test_alignment_keeps_a_proposal_iff_its_incident_field_rises(name, seed):
     links = channel(scn.slave_positions, scn.node_position, scn.medium, scn.freq_hz,
                     scn.tx_gain_dbi, static_phase_rad=static)
     optimum = optimal_amplitude(scn, links)
-    aligner = OneBitAligner(scn.n_slaves, streams["proposals"])
+    rng = streams["proposals"]
+    ref_phases = rng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
     best, achieved = -math.inf, []
     for phi in engine._bounds(scn):
-        phases = propose(aligner, phi)
+        phases = propose(rng, ref_phases, phi)
         mag = abs(incident_field(links, phases, scn.tx_amplitude))
         if mag > best:
-            best, aligner.ref_phases = mag, phases
+            best, ref_phases = mag, phases
         achieved.append(mag / optimum)
-    assert m.final_phases == aligner.ref_phases.tolist()
+    assert m.final_phases == ref_phases.tolist()
     assert np.allclose(m.power_trace, achieved, rtol=1e-12, atol=0.0)
 
 
@@ -504,7 +497,7 @@ def _converged_at_by_loop(trace):
 
 
 def _convergence_traces():
-    """Series that never fall, as the aligner's reference metric never does."""
+    """Series that never fall, as the alignment walk's y_ref never does."""
     rng = np.random.default_rng(11)
     yield "constant", np.full(40, 3.0)            # converges at round 20 exactly
     yield "short", np.full(20, 3.0)               # never has 20 rounds of history
