@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channel import dbm_to_watt
+
 
 class DspError(ValueError):
     pass
@@ -158,8 +160,7 @@ def sample_noise_power(noise_floor_dbm: float, bandwidth_hz: float,
     """Total sample-domain power, in W, of white noise whose power within
     ``bandwidth_hz`` equals the floor: a flat spectral density across the
     sampled band scales the floor by the oversampling ratio."""
-    floor_w = 10.0 ** (noise_floor_dbm / 10.0) * 1e-3
-    return floor_w * (sample_rate_hz / bandwidth_hz)
+    return dbm_to_watt(noise_floor_dbm) * (sample_rate_hz / bandwidth_hz)
 
 
 def awgn(n: int, rng: np.random.Generator, noise_floor_dbm: float, bandwidth_hz: float,

@@ -194,7 +194,9 @@ def _check_scenario(scn_cfg: dict, where: str = "") -> None:
         raise ConfigError(f"{where}scenario.chirp_bandwidth_hz, scenario.chirp_symbol_time_s"
                           f" or scenario.chirp_sample_rate_hz: {exc}") from None
     except ValueError as exc:
-        raise ConfigError(f"{where}scenario: {exc}") from None
+        # A message that opens with a config key is about that key.
+        sep = "." if str(exc).split(" ", 1)[0] in SCENARIO_DEFAULTS else ": "
+        raise ConfigError(f"{where}scenario{sep}{exc}") from None
     ends = np.array([scn.leader_position, *scn.slave_positions], dtype=float)
     nearest = float(np.linalg.norm(node_track(scn)[:, None] - ends, axis=-1).min())
     if nearest == 0.0:

@@ -62,6 +62,18 @@ class SyncSettings:
                     f"sync {name} must be a whole number >= 0, not {getattr(self, name)!r}")
 
 
+# Ranges of a scenario's power levels, antenna gain and carrier frequency.
+# Each is wider than any radio link reaches, and narrow enough that every
+# power, field and measurement a run derives from them stays finite: a
+# power of 3,083 dBm or more already overflows its conversion to watts.
+POWER_RANGE_DBM = (-200.0, 200.0)       # 1e-23 W to 1e17 W
+TX_GAIN_RANGE_DBI = (-100.0, 100.0)
+FREQ_RANGE_HZ = (3e3, 3e12)             # the ITU's radio spectrum, 3 kHz to 3 THz
+_RANGES = {"tx_power_dbm": POWER_RANGE_DBM, "noise_floor_dbm": POWER_RANGE_DBM,
+           "wake_threshold_dbm": POWER_RANGE_DBM, "tx_gain_dbi": TX_GAIN_RANGE_DBI,
+           "freq_hz": FREQ_RANGE_HZ}
+
+
 @dataclass
 class Scenario:
     slave_positions: list
@@ -103,14 +115,12 @@ class Scenario:
             v = getattr(self, name)
             if not (_is_finite(v) and v >= 0.0):
                 raise EngineError(f"{name} must be finite and >= 0, not {v!r}")
-        if self.noise_floor_dbm is not None and not _is_finite(self.noise_floor_dbm):
-            raise EngineError(
-                f"noise_floor_dbm must be None or finite, not {self.noise_floor_dbm!r}")
-        for name in ("tx_power_dbm", "tx_gain_dbi", "wake_threshold_dbm"):
-            if not _is_finite(getattr(self, name)):
-                raise EngineError(f"{name} must be finite, not {getattr(self, name)!r}")
-        if not (_is_finite(self.freq_hz) and self.freq_hz > 0.0):
-            raise EngineError(f"freq_hz must be finite and > 0, not {self.freq_hz!r}")
+        for name, (low, high) in _RANGES.items():
+            v = getattr(self, name)
+            if v is None and name == "noise_floor_dbm":
+                continue        # no receiver noise
+            if not (_is_finite(v) and low <= v <= high):
+                raise EngineError(f"{name} must lie in [{low:g}, {high:g}], not {v!r}")
         if not (_is_finite(self.sigma_deg) and 0.0 <= self.sigma_deg < 180.0):
             raise EngineError(
                 f"sigma_deg must lie in [0, 180) degrees, not {self.sigma_deg!r}")

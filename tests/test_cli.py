@@ -461,6 +461,29 @@ def test_bad_scenario_value_exits_2_naming_the_field(tmp_path, capsys, key, valu
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    # Each used to write config.yaml, then die with an OverflowError
+    # traceback and exit 1...
+    ("tx_power_dbm", 4000),
+    ("noise_floor_dbm", 4000),
+    ("wake_threshold_dbm", 4000),
+    ("tx_gain_dbi", 7000),
+    # ...or print a numpy overflow warning and "measurement must be
+    # finite", naming no field.
+    ("freq_hz", 1.0e-300),
+])
+def test_overflowing_power_or_frequency_exits_2_naming_the_field(tmp_path, capsys, key,
+                                                                  value):
+    doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], cold_start_enabled=True,
+                                      **{key: value}))
+    cfg_path = write_cfg(tmp_path, doc)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"scenario.{key}" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("verb, doc", [
     ("run", dict(MINIMAL, scenario=dict(MINIMAL["scenario"], chirp_bandwidth_hz=2.0e6))),
     ("sweep", dict(MINIMAL, sweep={"chirp_bandwidth_hz": [10e3, 2.0e6]})),

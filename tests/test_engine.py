@@ -97,6 +97,18 @@ def test_scenario_accepts_valid_baseline_and_bound(kw):
     ({"speed_m_per_s": -1.0}, "speed_m_per_s"),
     ({"speed_m_per_s": math.nan}, "speed_m_per_s"),
     ({"speed_m_per_s": math.inf}, "speed_m_per_s"),
+    # Each used to overflow: an OverflowError in the conversion to watts or
+    # in the channel, or a measurement that is not finite.
+    ({"tx_power_dbm": 4000.0}, "tx_power_dbm"),
+    ({"noise_floor_dbm": 4000.0}, "noise_floor_dbm"),
+    ({"wake_threshold_dbm": 4000.0}, "wake_threshold_dbm"),
+    ({"tx_gain_dbi": 7000.0}, "tx_gain_dbi"),
+    ({"freq_hz": 1.0e-300}, "freq_hz"),
+    ({"tx_power_dbm": 200.5}, "tx_power_dbm"),
+    ({"noise_floor_dbm": -200.5}, "noise_floor_dbm"),
+    ({"tx_gain_dbi": -100.5}, "tx_gain_dbi"),
+    ({"freq_hz": 2999.0}, "freq_hz"),
+    ({"freq_hz": 3.1e12}, "freq_hz"),
 ])
 def test_scenario_rejects_bad_numbers(kw, field_name):
     with pytest.raises(EngineError, match=field_name):
@@ -108,7 +120,12 @@ def test_scenario_rejects_bad_numbers(kw, field_name):
                                 {"sigma_deg": 0.0},
                                 {"sync": SyncSettings(offset_range=2 * FAST_CHIRP.n_samples - 1)},
                                 # Sync that does not run draws no offset.
-                                {"sync": SyncSettings(enabled=False, offset_range=10**6)}])
+                                {"sync": SyncSettings(enabled=False, offset_range=10**6)},
+                                # The ends of the power, gain and frequency ranges.
+                                {"tx_power_dbm": 200.0}, {"tx_power_dbm": -200.0},
+                                {"noise_floor_dbm": 200.0}, {"wake_threshold_dbm": -200.0},
+                                {"tx_gain_dbi": 100.0}, {"tx_gain_dbi": -100.0},
+                                {"freq_hz": 3e3}, {"freq_hz": 3e12}])
 def test_scenario_accepts_valid_numbers(kw):
     bench_scenario(**kw)
 
