@@ -413,9 +413,10 @@ def run_scenario(scn: Scenario) -> Metrics:
     return metrics
 
 
-# Rounds per speculative block of the alignment loop (see _align).  The
-# criterion-4 bench scenarios use 4.5 rounds of each block on average: 6.3
-# with 3 slaves, 3.5 with 24, whose proposals are accepted more often.
+# Rounds per speculative block of the alignment walk (see _align).  Over
+# criterion 4's 200 bench scenarios a block runs 4.74 rounds on average,
+# total rounds over blocks drawn: 6.70 with 3 slaves, 3.66 with 24, whose
+# proposals are accepted more often.
 BLOCK_ROUNDS = 8
 
 
