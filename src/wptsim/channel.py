@@ -6,9 +6,12 @@ embedded in tissue is described as an ordered list of medium segments
 a link is one complex number, gain times e^{j phase}.  :func:`channel` is
 the one model every stage uses; it broadcasts over arrays of positions, so
 a whole table of links (rounds x slaves, or grid points x slaves) is one
-complex array.  :func:`incident_field` is the one field sum that every stage
-reads: cold start, alignment, the baseline and, through
-``coldstart.field_power``, the heat map.
+complex array.  It is two halves: :func:`link_geometry`, the gains and
+geometric phases, which no seed enters, and :func:`link_coefficients`,
+which adds a seed's static phases; the engine computes the first once per
+geometry and reuses it for every seed.  :func:`incident_field` is the one
+field sum that every stage reads: cold start, alignment, the baseline and,
+through ``coldstart.field_power``, the heat map.
 """
 
 from __future__ import annotations
@@ -171,25 +174,21 @@ def one_way_segments(distance_m, medium: MediumMap, inbound: bool):
     return [muscle, MediumSegment(SegmentKind.SKIN_OUT), air]
 
 
-def channel(
+def link_geometry(
     tx,
     rx,
     medium: MediumMap = MediumMap(),
     freq_hz: float = DEFAULT_FREQ_HZ,
     tx_gain_dbi: float = DEFAULT_TX_GAIN_DBI,
-    static_phase_rad=0.0,
     inbound: bool = True,
-) -> np.ndarray:
-    """Complex channel coefficients between transmit and receive positions.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(gain, phase_rad) of the links between transmit and receive positions:
+    the half of :func:`channel` that no seed enters, as read-only arrays.
 
     ``tx`` and ``rx`` are positions, lists of them or (..., 3) coordinate
-    arrays; they broadcast against each other, and ``static_phase_rad``
-    against the link shape.  The loss and the geometric phase are the
-    :func:`compose_budget` of :func:`one_way_segments` over the array of
-    link distances.  ``static_phase_rad`` models the unknown per-link
-    hardware/propagation phase offset; the scenario draws it once per link
-    from its seed, so the result is deterministic for a given scenario.
-    Each is ``gain * exp(1j * phase)``; one pair of positions gives a scalar.
+    arrays; they broadcast against each other.  The loss and the geometric
+    phase are the :func:`compose_budget` of :func:`one_way_segments` over the
+    array of link distances; one pair of positions gives 0-d arrays.
     """
     tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
     # Raw coordinate arrays skip Position's check; NaN would pass every
@@ -201,9 +200,40 @@ def channel(
     if (d == 0.0).any():
         raise ChannelError("tx and rx positions must be distinct")
     budget = compose_budget(one_way_segments(d, medium, inbound), freq_hz)
-    gain = 10.0 ** (-budget.total_loss_db / 20.0) * 10.0 ** (tx_gain_dbi / 20.0)
-    phase = (budget.phase_rad + static_phase_rad) % (2.0 * math.pi)
+    gain = np.asarray(10.0 ** (-budget.total_loss_db / 20.0) * 10.0 ** (tx_gain_dbi / 20.0))
+    phase = np.asarray(budget.phase_rad)
+    gain.flags.writeable = phase.flags.writeable = False
+    return gain, phase
+
+
+def link_coefficients(gain, phase_rad, static_phase_rad=0.0):
+    """``gain * exp(1j * phase)`` with ``phase = (phase_rad + static_phase_rad)
+    mod 2 pi``: the half of :func:`channel` that the seed enters through
+    ``static_phase_rad``, which broadcasts against the links' shape."""
+    phase = (phase_rad + static_phase_rad) % (2.0 * math.pi)
     return gain * np.exp(1j * phase)
+
+
+def channel(
+    tx,
+    rx,
+    medium: MediumMap = MediumMap(),
+    freq_hz: float = DEFAULT_FREQ_HZ,
+    tx_gain_dbi: float = DEFAULT_TX_GAIN_DBI,
+    static_phase_rad=0.0,
+    inbound: bool = True,
+) -> np.ndarray:
+    """Complex channel coefficients between transmit and receive positions:
+    the :func:`link_coefficients` of the :func:`link_geometry` of ``tx`` and
+    ``rx``.
+
+    ``static_phase_rad`` models the unknown per-link hardware/propagation
+    phase offset; the scenario draws it once per link from its seed, so the
+    result is deterministic for a given scenario.  Each is
+    ``gain * exp(1j * phase)``; one pair of positions gives a scalar.
+    """
+    return link_coefficients(*link_geometry(tx, rx, medium, freq_hz, tx_gain_dbi, inbound),
+                             static_phase_rad)
 
 
 def incident_field(coeffs, phases, amplitude: float):

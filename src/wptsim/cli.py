@@ -182,6 +182,13 @@ def _read_section(raw, table: dict, section: str) -> dict:
             for key, (default, read) in table.items()}
 
 
+# Dataclass fields, as Scenario's and SyncSettings' errors name them, that
+# a config key of another name sets.
+_CONFIG_KEYS = {"slave_positions": "slave_count", "bound": "bound_deg",
+                "offset_range": "sync_offset_range", "sync.offset_range": "sync_offset_range",
+                "residual_jitter": "sync_residual_jitter"}
+
+
 def _check_scenario(scn_cfg: dict, where: str = "") -> None:
     """Build ``scn_cfg`` once, so that a value its dataclasses refuse, a node
     on the leader or on a slave, or a muscle depth that reaches past one of
@@ -194,9 +201,13 @@ def _check_scenario(scn_cfg: dict, where: str = "") -> None:
         raise ConfigError(f"{where}scenario.chirp_bandwidth_hz, scenario.chirp_symbol_time_s"
                           f" or scenario.chirp_sample_rate_hz: {exc}") from None
     except ValueError as exc:
-        # A message that opens with a config key is about that key.
-        sep = "." if str(exc).split(" ", 1)[0] in SCENARIO_DEFAULTS else ": "
-        raise ConfigError(f"{where}scenario{sep}{exc}") from None
+        # A message that opens with a config key, or with the dataclass field
+        # that a key sets, is about that key.
+        first, _, rest = str(exc).partition(" ")
+        key = _CONFIG_KEYS.get(first, first)
+        if key in SCENARIO_DEFAULTS:
+            raise ConfigError(f"{where}scenario.{key} {rest}") from None
+        raise ConfigError(f"{where}scenario: {exc}") from None
     ends = np.array([scn.leader_position, *scn.slave_positions], dtype=float)
     nearest = float(np.linalg.norm(node_track(scn)[:, None] - ends, axis=-1).min())
     if nearest == 0.0:

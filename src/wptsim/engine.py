@@ -25,13 +25,15 @@ from .channel import (
     SPEED_OF_LIGHT,
     MediumMap,
     Position,
-    channel,
     dbm_to_watt,
     incident_field,
+    link_coefficients,
+    link_geometry,
 )
 from .chirp import ChirpParams, generate_sweep, sample_noise_power
-# The run path no longer calls awgn or p_ccs0; perfbench/tracer.py patches
-# both names in this namespace, so they stay importable from here.
+# The run path no longer calls channel, awgn or p_ccs0; perfbench/tracer.py
+# patches these names in this namespace, so they stay importable from here.
+from .channel import channel  # noqa: F401
 from .chirp import awgn, p_ccs0  # noqa: F401
 from .sync import COARSE_CAPTURE_SYMBOLS, SyncError, run_sync
 
@@ -59,7 +61,7 @@ class SyncSettings:
         for name in ("offset_range", "residual_jitter"):
             if not _is_whole(getattr(self, name), 0):
                 raise EngineError(
-                    f"sync {name} must be a whole number >= 0, not {getattr(self, name)!r}")
+                    f"{name} must be a whole number >= 0, not {getattr(self, name)!r}")
 
 
 # Ranges of a scenario's power levels, antenna gain and carrier frequency.
@@ -98,7 +100,7 @@ class Scenario:
 
     def __post_init__(self):
         if len(self.slave_positions) < 1:
-            raise EngineError("need at least one slave")
+            raise EngineError("slave_positions needs at least one slave")
         if not _is_whole(self.rounds, 1):
             raise EngineError(f"rounds must be a whole number >= 1, not {self.rounds!r}")
         if not _is_whole(self.seed, 0):
@@ -128,7 +130,7 @@ class Scenario:
         # inside its capture.
         limit = (COARSE_CAPTURE_SYMBOLS - 1) * self.chirp.n_samples
         if self.sync.enabled and self.n_slaves >= 2 and self.sync.offset_range >= limit:
-            raise EngineError(f"sync offset_range must be below {limit} samples, two "
+            raise EngineError(f"sync.offset_range must be below {limit} samples, two "
                               f"symbols of the chirp, not {self.sync.offset_range!r}")
 
     @property
@@ -269,13 +271,31 @@ def node_track(scn: Scenario) -> np.ndarray:
 _STREAM_NAMES = ("static_phases", "sync", "cold_start", "proposals", "noise", "baseline")
 
 
+class _Streams(dict):
+    """Name of ``_STREAM_NAMES`` -> generator, each built on its first use."""
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self.seed = seed
+
+    def __missing__(self, name: str) -> np.random.Generator:
+        if name not in _STREAM_NAMES:
+            raise KeyError(name)
+        # The child that SeedSequence(seed).spawn(len(_STREAM_NAMES)) gives
+        # at the name's position, built alone.
+        child = np.random.SeedSequence(self.seed, spawn_key=(_STREAM_NAMES.index(name),))
+        rng = self[name] = np.random.default_rng(child)
+        return rng
+
+
 def _streams(seed: int) -> dict:
-    """One generator per name of ``_STREAM_NAMES``, spawned from ``seed``.
+    """One generator per name of ``_STREAM_NAMES``, spawned from ``seed``;
+    each is built when a stage first draws from it, so a run builds only
+    the generators it draws from.
 
     This is the only place that turns a seed into random draws.
     """
-    children = np.random.SeedSequence(seed).spawn(len(_STREAM_NAMES))
-    return {name: np.random.default_rng(c) for name, c in zip(_STREAM_NAMES, children)}
+    return _Streams(seed)
 
 
 def _static_phases(scn: Scenario, streams: dict) -> np.ndarray:
@@ -315,6 +335,51 @@ def _converged_at(y_ref: np.ndarray) -> int:
     return int(hits[0]) + 20 if hits.size else len(y_ref)
 
 
+# Geometries whose seed-free link tables a process keeps, least recently
+# used first out.  A sweep point or a bench size is one geometry, whatever
+# its seeds; an entry holds two float tables of the node's track, (K, N) and
+# (K,), about 115 KB at 300 rounds of a moving node and 24 slaves.
+LINK_CACHE_SIZE = 16
+_link_cache: dict = {}      # geometry key -> _Links, least recently used first
+
+
+class _Links:
+    """The seed-free half of a scenario's link tables, each a read-only
+    (gain, phase) pair of :func:`channel.link_geometry`: slave -> node over
+    the node's track, node -> leader, and, on first use, cold start's
+    slave -> leader in air."""
+
+    def __init__(self, scn: Scenario):
+        track = node_track(scn)
+        self.to_node = link_geometry(scn.slave_positions, track[:, None, :], scn.medium,
+                                     scn.freq_hz, scn.tx_gain_dbi)
+        self.to_leader = link_geometry(track, scn.leader_position, scn.medium, scn.freq_hz,
+                                       tx_gain_dbi=0.0, inbound=False)
+        self._slave_to_leader = None
+
+    def slave_to_leader(self, scn: Scenario) -> tuple:
+        if self._slave_to_leader is None:
+            self._slave_to_leader = link_geometry(scn.slave_positions, scn.leader_position,
+                                                   MediumMap(), scn.freq_hz, scn.tx_gain_dbi)
+        return self._slave_to_leader
+
+
+def _seed_free_links(scn: Scenario) -> _Links:
+    """The :class:`_Links` of ``scn``'s geometry, from the per-process cache
+    of ``LINK_CACHE_SIZE`` geometries.  The key holds everything they depend
+    on, and no seed: the positions, medium, frequency, antenna gain, and the
+    node's speed, rounds and round time, which fix its track."""
+    key = (tuple(scn.slave_positions), scn.leader_position, scn.node_position, scn.medium,
+           scn.freq_hz, scn.tx_gain_dbi, scn.speed_m_per_s, scn.rounds, scn.round_time_s)
+    links = _link_cache.pop(key, None)
+    if links is None:
+        links = _Links(scn)
+        if len(_link_cache) >= LINK_CACHE_SIZE:
+            del _link_cache[next(iter(_link_cache))]
+    _link_cache[key] = links
+    return links
+
+
 def run_scenario(scn: Scenario) -> Metrics:
     """Run the pipeline (sync, cold start, alignment) and return its metrics.
 
@@ -347,11 +412,9 @@ def run_scenario(scn: Scenario) -> Metrics:
 
     # One (K, N) table of slave -> node links serves every stage: row k
     # holds the links of the node at row k of its track; cold start sees row 0.
-    track = node_track(scn)
-    to_node = channel(scn.slave_positions, track[:, None, :], scn.medium,
-                      scn.freq_hz, scn.tx_gain_dbi, static_phase_rad=static)
-    to_leader = channel(track, scn.leader_position, scn.medium, scn.freq_hz,
-                        tx_gain_dbi=0.0, inbound=False)
+    links = _seed_free_links(scn)
+    to_node = link_coefficients(*links.to_node, static_phase_rad=static)
+    to_leader = link_coefficients(*links.to_leader)
     optimum = optimal_amplitude(scn, to_node)
 
     # --- stage 2: cold start ----------------------------------------------
@@ -360,8 +423,8 @@ def run_scenario(scn: Scenario) -> Metrics:
         node = BackscatterNode(wake_threshold_dbm=scn.wake_threshold_dbm)
         runner = cs.ColdStartRunner(
             node,
-            leader_channels=channel(scn.slave_positions, scn.leader_position, MediumMap(),
-                                    scn.freq_hz, scn.tx_gain_dbi, static_phase_rad=static),
+            leader_channels=link_coefficients(*links.slave_to_leader(scn),
+                                              static_phase_rad=static),
             node_channels=to_node[0],
             tx_amplitude=scn.tx_amplitude,
             sigma_deg=scn.sigma_deg,
@@ -395,12 +458,12 @@ def run_scenario(scn: Scenario) -> Metrics:
                                           _correlator(scn, noise_power),
                                           streams["proposals"], streams["noise"])
 
-    metrics.power_trace = achieved.tolist()
-    metrics.metric_trace = list(zip(range(scn.rounds), raw.tolist(), y_ref.tolist(),
+    metrics.power_trace = achieved
+    metrics.metric_trace = list(zip(range(scn.rounds), raw, y_ref,
                                     np.degrees(bounds).tolist()))
-    metrics.rounds_to_converge = _converged_at(y_ref)
+    metrics.rounds_to_converge = _converged_at(np.asarray(y_ref))
     metrics.final_phases = phases.tolist()
-    metrics.power_percentage = power_percentage(achieved)
+    metrics.power_percentage = power_percentage(np.asarray(achieved))
 
     # --- optional incoherent baseline -------------------------------------
     if scn.baseline == "random_phase":
@@ -422,8 +485,8 @@ BLOCK_ROUNDS = 8
 
 def _align(scn, node, bounds, to_node, to_leader, optimum, correlator, proposals_rng,
            noise_rng):
-    """(raw, y_ref, achieved, phases) of the one-bit alignment walk: per
-    round the raw measurement, ``y_ref`` after the round's decision and the
+    """(raw, y_ref, achieved, phases) of the one-bit alignment walk: lists of
+    each round's raw measurement, ``y_ref`` after the round's decision and
     achieved amplitude fraction, then the final reference phases.
 
     The walk's state is the reference phases, first drawn uniform on
@@ -444,39 +507,40 @@ def _align(scn, node, bounds, to_node, to_leader, optimum, correlator, proposals
     after an accept is discarded.  Each value equals the per-round loop's
     bit for bit: each row's sum is the pairwise sum ``np.sum`` takes of that
     row alone, and ``p_in`` and ``achieved`` read the same magnitudes of
-    ``h`` that the per-round loop read.
+    ``h`` that the per-round loop read.  The walk reads every number as a
+    Python float or complex (``tolist``), whose arithmetic rounds as numpy's
+    scalars do; each :func:`_measure` call is one round.
     """
     rounds = scn.rounds
     ref_phases = proposals_rng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
     phi = bounds[:, None]
     offsets = proposals_rng.uniform(-phi, phi, (rounds, scn.n_slaves))
     noise = noise_rng.standard_normal((rounds, 2)).tolist()
+    to_leader, optimum = to_leader.tolist(), optimum.tolist()
+    amplitude, round_time_s = scn.tx_amplitude, scn.round_time_s
     ref_y = -math.inf
-    raw = np.empty(rounds)
-    y_ref = np.empty(rounds)
-    achieved = np.zeros(rounds)     # amplitude fraction of the optimum
+    raw, y_ref, achieved = [], [], []
     n = 0
     while n < rounds:
         stop = min(n + BLOCK_ROUNDS, rounds)
         proposals = (ref_phases + offsets[n:stop]) % (2.0 * math.pi)
-        fields = incident_field(to_node[n:stop], proposals, scn.tx_amplitude)
-        # numpy's vectorized |h| (np.abs of the block, or of one scalar) and
-        # the scalar abs(h) can differ in the last bit: p_in has always read
-        # the first and the achieved fraction the second.  The square stays
-        # a scalar power too, which can differ from the array square.
-        for proposal, h, mag in zip(proposals, fields, np.abs(fields)):
-            p_in = float(mag ** 2)
-            node.harvest_step(p_in, scn.round_time_s)
+        fields = incident_field(to_node[n:stop], proposals, amplitude)
+        # numpy's vectorized |h| (np.abs of the block) and the scalar abs(h)
+        # can differ in the last bit: p_in has always read the first and the
+        # achieved fraction the second.  The square is the scalar power
+        # ``mag ** 2``, which can differ from ``mag * mag``.
+        for k, (h, mag) in enumerate(zip(fields.tolist(), np.abs(fields).tolist())):
+            p_in = mag ** 2
+            node.harvest_step(p_in, round_time_s)
             y_raw = _measure(node, h, p_in, to_leader[n], correlator, noise[n])
             if not math.isfinite(y_raw):
                 raise EngineError(f"round {n}: measurement must be finite, not {y_raw!r}")
-            raw[n] = y_raw
+            raw.append(y_raw)
             accepted = y_raw > ref_y
             if accepted:
-                ref_phases, ref_y = proposal, y_raw
-            y_ref[n] = ref_y
-            if optimum[n] > 0:
-                achieved[n] = abs(h) / optimum[n]
+                ref_phases, ref_y = proposals[k], y_raw
+            y_ref.append(ref_y)
+            achieved.append(abs(h) / optimum[n] if optimum[n] > 0 else 0.0)
             n += 1
             if accepted:
                 break

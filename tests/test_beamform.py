@@ -340,8 +340,8 @@ def test_aligner_accepts_only_strict_gains(monkeypatch):
     rise = 100.0 * (1 + 1e-12)
     script = [0.0, 100.0, 100.0, rise, 5.0]
     (raw, y_ref, _, phases), bounds = _walk(_scripted(script), monkeypatch)
-    assert raw.tolist() == script
-    assert y_ref.tolist() == [0.0, 100.0, 100.0, rise, rise]
+    assert raw == script
+    assert y_ref == [0.0, 100.0, 100.0, rise, rise]
     rng = np.random.default_rng(3)
     ref_phases = rng.uniform(0.0, 2.0 * math.pi, 4)
     for phi, keep in zip(bounds, [True, True, False, True, False]):

@@ -452,12 +452,28 @@ def test_bad_number_exits_2_naming_the_field(tmp_path, capsys, key, value):
     ("chirp_bandwidth_hz", 2.0e6),
     # A node on the leader used to blame muscle_depth_m, even at depth 0.
     ("node_position_m", [0, 0, 0]),
+    # Each used to name the dataclass's field, "bound", "sync offset_range"
+    # or "sync residual_jitter", or no field at all.
+    ("bound_deg", 200),
+    ("slave_count", 0),
+    ("sync_residual_jitter", -1),
 ])
 def test_bad_scenario_value_exits_2_naming_the_field(tmp_path, capsys, key, value):
     doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], **{key: value}))
     cfg_path = write_cfg(tmp_path, doc)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unsyncable_offset_range_exits_2_naming_the_field(tmp_path, capsys):
+    # An offset range of two symbols or more, which only sync reads, used to
+    # print "scenario: sync offset_range must be ...".
+    doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], sync_enabled=True,
+                                      sync_offset_range=20000))
+    cfg_path = write_cfg(tmp_path, doc)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert "scenario.sync_offset_range must be below" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -14,7 +14,7 @@ from test_golden import SCENARIOS, mismatches
 from wptsim import coldstart as cs, engine
 from wptsim.backscatter import SHIFT_FREQ_HZ, BackscatterNode, amplitude_ratio
 from wptsim.channel import (
-    SPEED_OF_LIGHT, ChannelError, MediumMap, Position, channel, incident_field,
+    SPEED_OF_LIGHT, ChannelError, MediumMap, Position, channel, incident_field, link_geometry,
 )
 from wptsim.chirp import (
     ChirpParams,
@@ -221,19 +221,95 @@ def test_undetected_preamble_sets_sync_failed():
 
 
 def test_run_computes_each_link_table_once(monkeypatch):
+    # The seed-free half of every link table is computed once per geometry
+    # and process: a second seed of the geometry computes none, and writes
+    # the document that a run from an empty cache writes.
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return channel(*args, **kwargs)
+        return link_geometry(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "channel", counted)
+    monkeypatch.setattr(engine, "link_geometry", counted)
+    monkeypatch.setattr(engine, "_link_cache", {})
     scn = bench_scenario(rounds=40, baseline="random_phase", cold_start_enabled=True,
                          wake_threshold_dbm=-35.0, speed_m_per_s=0.625)
     m = run_scenario(scn)
     assert m.cold_start_success and len(m.baseline_trace) == 40
     # slave -> node over every round, node -> leader, slave -> leader.
     assert len(calls) == 3
+    second = dataclasses.replace(scn, seed=1)
+    warm = run_scenario(second)
+    assert len(calls) == 3
+    assert warm.stage_log == ["cold_start", "alignment"]
+    monkeypatch.setattr(engine, "_link_cache", {})
+    assert run_scenario(second).to_json() == warm.to_json()
+    assert len(calls) == 6
+
+
+def _fresh_links(scn):
+    """The (gain, phase) pairs of ``engine._Links``, computed with no cache."""
+    track = engine.node_track(scn)
+    return [link_geometry(scn.slave_positions, track[:, None, :], scn.medium, scn.freq_hz,
+                          scn.tx_gain_dbi),
+            link_geometry(track, scn.leader_position, scn.medium, scn.freq_hz,
+                          tx_gain_dbi=0.0, inbound=False),
+            link_geometry(scn.slave_positions, scn.leader_position, MediumMap(), scn.freq_hz,
+                          scn.tx_gain_dbi)]
+
+
+@pytest.mark.parametrize("kw", [
+    {"slave_positions": ring_positions(4, radius_m=1.5, height_m=0.0)},
+    {"leader_position": Position(0.3, 0.2, 0.0)},
+    {"node_position": Position(0.0, 0.05, -0.1)},
+    {"medium": MediumMap(muscle_depth_m=0.02)},
+    {"freq_hz": 868e6},
+    {"tx_gain_dbi": 6.0},
+    {"speed_m_per_s": 0.5},
+    {"speed_m_per_s": 0.25, "rounds": 30},
+    {"speed_m_per_s": 0.25, "feedback_latency_s": 2e-3},
+])
+def test_link_cache_key_holds_the_geometry(kw, monkeypatch):
+    # A scenario that changes anything its links depend on gets its own
+    # tables, equal to uncached ones; a new seed shares them, read-only.
+    monkeypatch.setattr(engine, "_link_cache", {})
+    base = bench_scenario(speed_m_per_s=0.25)
+    scn = dataclasses.replace(base, **kw)
+    links = engine._seed_free_links(scn)
+    assert links is not engine._seed_free_links(base)
+    assert engine._seed_free_links(dataclasses.replace(scn, seed=9)) is links
+    cached = [links.to_node, links.to_leader, links.slave_to_leader(scn)]
+    for (gain, phase), (want_gain, want_phase) in zip(cached, _fresh_links(scn)):
+        assert gain.tobytes() == want_gain.tobytes() and gain.shape == want_gain.shape
+        assert phase.tobytes() == want_phase.tobytes() and phase.shape == want_phase.shape
+        for table in (gain, phase):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[...] = 0.0
+
+
+def test_link_cache_keeps_its_size_and_drops_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(engine, "_link_cache", {})
+    size = engine.LINK_CACHE_SIZE
+    scns = [bench_scenario(rounds=r) for r in range(1, size + 3)]
+    first = engine._seed_free_links(scns[0])
+    for scn in scns[1:size]:
+        engine._seed_free_links(scn)
+    assert len(engine._link_cache) == size
+    assert engine._seed_free_links(scns[0]) is first      # now the most recent
+    second = engine._seed_free_links(scns[1])
+    for scn in scns[size:]:
+        engine._seed_free_links(scn)
+        assert len(engine._link_cache) == size
+    # scns[2] and scns[3] were the least recently used, and went.
+    assert engine._seed_free_links(scns[0]) is first
+    assert engine._seed_free_links(scns[1]) is second
+    assert len(engine._link_cache) == size
+    calls = []
+    monkeypatch.setattr(engine, "link_geometry",
+                        lambda *a, **k: calls.append(1) or link_geometry(*a, **k))
+    engine._seed_free_links(scns[2])
+    assert len(calls) == 2 and len(engine._link_cache) == size
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +407,8 @@ def test_closed_form_measurement_matches_samples_without_noise(name, monkeypatch
 def _align_per_round(scn, node, bounds, to_node, to_leader, optimum, correlator,
                      proposals_rng, noise_rng):
     """Oracle for ``engine._align``: the alignment walk one round at a time,
-    with one proposal draw and one noise pair per round."""
+    with one proposal draw and one noise pair per round, on numpy's arrays
+    and scalars."""
     ref_phases = proposals_rng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
     ref_y = -math.inf
     raw = np.empty(scn.rounds)
@@ -350,7 +427,7 @@ def _align_per_round(scn, node, bounds, to_node, to_leader, optimum, correlator,
         y_ref[n] = ref_y
         if optimum[n] > 0:
             achieved[n] = abs(h) / optimum[n]
-    return raw, y_ref, achieved, ref_phases
+    return raw.tolist(), y_ref.tolist(), achieved.tolist(), ref_phases
 
 
 _B3, _B24 = SCENARIOS["bench_3"][0], SCENARIOS["bench_24"][0]
@@ -368,6 +445,12 @@ BLOCK_CASES = {
     "moving": SCENARIOS["mobile_1mps"][:2],
     # Cold start on: the node browns out and sleeps through alignment rounds.
     "readme_cold_start": (dict(SCENARIOS["readme_fast"][0], sync_enabled=False), 0),
+    # Runs of the same-outputs corpus whose documents move when the walk
+    # squares |h| as mag * mag instead of mag ** 2.
+    "n2_nofloor_seed12": (dict(_B3, slave_count=2, noise_floor_dbm=None), 12),
+    "n24_nofloor_seed19": (dict(_B24, noise_floor_dbm=None), 19),
+    "n24_bound1_seed3": (dict(_B24, bound_deg=1.0), 3),
+    "n3_speed1_seed2": (dict(_B3, speed_m_per_s=1.0), 2),
 }
 
 
@@ -480,6 +563,33 @@ def test_sync_draws_leave_later_stages_unchanged():
     assert off.stage_log == ["cold_start", "alignment"]
     for name in ("power_trace", "metric_trace", "final_phases", "baseline_trace"):
         assert getattr(on, name) == getattr(off, name), name
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123456789, 2 ** 31 - 1])
+def test_streams_are_the_seeds_spawned_children(seed):
+    # Each stream, built alone and in any order, draws what the child at its
+    # name's position of SeedSequence(seed).spawn draws.
+    children = np.random.SeedSequence(seed).spawn(len(engine._STREAM_NAMES))
+    streams = engine._streams(seed)
+    assert len(streams) == 0
+    for name, child in reversed(list(zip(engine._STREAM_NAMES, children))):
+        want = np.random.default_rng(child).random(5)
+        assert streams[name].random(5).tobytes() == want.tobytes()
+    assert sorted(streams) == sorted(engine._STREAM_NAMES)
+    with pytest.raises(KeyError):
+        streams["sink"]
+
+
+def test_a_bench_run_builds_only_the_streams_it_draws_from(monkeypatch):
+    streams, built = engine._streams, []
+
+    def recording(seed):
+        built.append(streams(seed))
+        return built[-1]
+
+    monkeypatch.setattr(engine, "_streams", recording)
+    run_scenario(bench_scenario())
+    assert sorted(built[0]) == ["noise", "proposals", "static_phases"]
 
 
 def test_cold_start_failure_skips_alignment():
