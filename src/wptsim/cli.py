@@ -185,8 +185,7 @@ def _read_section(raw, table: dict, section: str) -> dict:
 # Dataclass fields, as Scenario's and SyncSettings' errors name them, that
 # a config key of another name sets.
 _CONFIG_KEYS = {"slave_positions": "slave_count", "bound": "bound_deg",
-                "offset_range": "sync_offset_range", "sync.offset_range": "sync_offset_range",
-                "residual_jitter": "sync_residual_jitter"}
+                "offset_range": "sync_offset_range", "residual_jitter": "sync_residual_jitter"}
 
 
 def _check_scenario(scn_cfg: dict, where: str = "") -> None:

@@ -130,7 +130,7 @@ class Scenario:
         # inside its capture.
         limit = (COARSE_CAPTURE_SYMBOLS - 1) * self.chirp.n_samples
         if self.sync.enabled and self.n_slaves >= 2 and self.sync.offset_range >= limit:
-            raise EngineError(f"sync.offset_range must be below {limit} samples, two "
+            raise EngineError(f"offset_range must be below {limit} samples, two "
                               f"symbols of the chirp, not {self.sync.offset_range!r}")
 
     @property
@@ -256,12 +256,18 @@ def node_track(scn: Scenario) -> np.ndarray:
     Round n sits at time n * round_time_s on the straight line of
     ``scn.trajectory``.  Cold start sees row 0.
     """
-    trajectory = scn.trajectory
-    if not trajectory:
-        return np.asarray([scn.node_position], dtype=float)
-    (_, start), (end_s, end) = trajectory
-    start, end = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
-    a = np.arange(scn.rounds)[:, None] * scn.round_time_s / end_s
+    return _track(scn.node_position, scn.speed_m_per_s, scn.rounds, scn.round_time_s)
+
+
+def _track(node: Position, speed_m_per_s: float, rounds: int, round_time_s: float):
+    """:func:`node_track` of a node that starts at ``node`` and drifts along
+    +x at ``speed_m_per_s``, rounds ``round_time_s`` apart."""
+    if speed_m_per_s == 0.0:
+        return np.asarray([node], dtype=float)
+    end_s = rounds * round_time_s
+    start = np.asarray(node, dtype=float)
+    end = np.asarray(Position(node.x + speed_m_per_s * end_s, node.y, node.z), dtype=float)
+    a = np.arange(rounds)[:, None] * round_time_s / end_s
     return start + a * (end - start)
 
 
@@ -271,36 +277,21 @@ def node_track(scn: Scenario) -> np.ndarray:
 _STREAM_NAMES = ("static_phases", "sync", "cold_start", "proposals", "noise", "baseline")
 
 
-class _Streams(dict):
-    """Name of ``_STREAM_NAMES`` -> generator, each built on its first use."""
-
-    def __init__(self, seed: int):
-        super().__init__()
-        self.seed = seed
-
-    def __missing__(self, name: str) -> np.random.Generator:
-        if name not in _STREAM_NAMES:
-            raise KeyError(name)
-        # The child that SeedSequence(seed).spawn(len(_STREAM_NAMES)) gives
-        # at the name's position, built alone.
-        child = np.random.SeedSequence(self.seed, spawn_key=(_STREAM_NAMES.index(name),))
-        rng = self[name] = np.random.default_rng(child)
-        return rng
-
-
-def _streams(seed: int) -> dict:
-    """One generator per name of ``_STREAM_NAMES``, spawned from ``seed``;
-    each is built when a stage first draws from it, so a run builds only
-    the generators it draws from.
+def _stream(seed: int, name: str) -> np.random.Generator:
+    """The generator of ``name`` for ``seed``: the child that
+    ``SeedSequence(seed).spawn(len(_STREAM_NAMES))`` gives at the name's
+    position, built alone, so that a run builds only the generators it
+    draws from.
 
     This is the only place that turns a seed into random draws.
     """
-    return _Streams(seed)
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(_STREAM_NAMES.index(name),)))
 
 
-def _static_phases(scn: Scenario, streams: dict) -> np.ndarray:
+def _static_phases(scn: Scenario) -> np.ndarray:
     """The unknown static phase of each slave link, from its own stream."""
-    return streams["static_phases"].uniform(0.0, 2.0 * math.pi, scn.n_slaves)
+    return _stream(scn.seed, "static_phases").uniform(0.0, 2.0 * math.pi, scn.n_slaves)
 
 
 def optimal_amplitude(scn: Scenario, node_coeffs) -> np.ndarray:
@@ -335,59 +326,39 @@ def _converged_at(y_ref: np.ndarray) -> int:
     return int(hits[0]) + 20 if hits.size else len(y_ref)
 
 
-# Geometries whose seed-free link tables a process keeps, least recently
-# used first out.  A sweep point or a bench size is one geometry, whatever
-# its seeds; an entry holds two float tables of the node's track, (K, N) and
-# (K,), about 115 KB at 300 rounds of a moving node and 24 slaves.
-LINK_CACHE_SIZE = 16
-_link_cache: dict = {}      # geometry key -> _Links, least recently used first
+# Geometries whose seed-free link tables a process keeps, per table
+# function.  Runs of one geometry, seed after seed, need one; bench_set
+# alternates two (3 and 24 slaves).  A static node's entry takes a few
+# hundred bytes; a moving node's holds float tables of its track, (K, N)
+# and (K,): 120 KB at 300 rounds and 24 slaves, 8 MB at 20,000 rounds.
+LINK_CACHE_SIZE = 2
 
 
-class _Links:
-    """The seed-free half of a scenario's link tables, each a read-only
-    (gain, phase) pair of :func:`channel.link_geometry`: slave -> node over
-    the node's track, node -> leader, and, on first use, cold start's
-    slave -> leader in air."""
-
-    def __init__(self, scn: Scenario):
-        track = node_track(scn)
-        self.to_node = link_geometry(scn.slave_positions, track[:, None, :], scn.medium,
-                                     scn.freq_hz, scn.tx_gain_dbi)
-        self.to_leader = link_geometry(track, scn.leader_position, scn.medium, scn.freq_hz,
-                                       tx_gain_dbi=0.0, inbound=False)
-        self._slave_to_leader = None
-
-    def slave_to_leader(self, scn: Scenario) -> tuple:
-        if self._slave_to_leader is None:
-            self._slave_to_leader = link_geometry(scn.slave_positions, scn.leader_position,
-                                                   MediumMap(), scn.freq_hz, scn.tx_gain_dbi)
-        return self._slave_to_leader
+@lru_cache(maxsize=LINK_CACHE_SIZE)
+def _track_links(slaves: tuple, leader: Position, node: Position, medium: MediumMap,
+                 freq_hz: float, tx_gain_dbi: float, speed_m_per_s: float, rounds: int,
+                 round_time_s: float) -> tuple:
+    """The read-only (gain, phase) pairs of :func:`channel.link_geometry`,
+    slave -> node over the node's :func:`_track` and node -> leader, which
+    no seed enters: a run looks them up by everything they depend on."""
+    track = _track(node, speed_m_per_s, rounds, round_time_s)
+    return (link_geometry(slaves, track[:, None, :], medium, freq_hz, tx_gain_dbi),
+            link_geometry(track, leader, medium, freq_hz, tx_gain_dbi=0.0, inbound=False))
 
 
-def _seed_free_links(scn: Scenario) -> _Links:
-    """The :class:`_Links` of ``scn``'s geometry, from the per-process cache
-    of ``LINK_CACHE_SIZE`` geometries.  The key holds everything they depend
-    on, and no seed: the positions, medium, frequency, antenna gain, and the
-    node's speed, rounds and round time, which fix its track."""
-    key = (tuple(scn.slave_positions), scn.leader_position, scn.node_position, scn.medium,
-           scn.freq_hz, scn.tx_gain_dbi, scn.speed_m_per_s, scn.rounds, scn.round_time_s)
-    links = _link_cache.pop(key, None)
-    if links is None:
-        links = _Links(scn)
-        if len(_link_cache) >= LINK_CACHE_SIZE:
-            del _link_cache[next(iter(_link_cache))]
-    _link_cache[key] = links
-    return links
+@lru_cache(maxsize=LINK_CACHE_SIZE)
+def _air_links(slaves: tuple, leader: Position, freq_hz: float, tx_gain_dbi: float) -> tuple:
+    """Cold start's slave -> leader (gain, phase) in air, as :func:`_track_links`."""
+    return link_geometry(slaves, leader, MediumMap(), freq_hz, tx_gain_dbi)
 
 
 def run_scenario(scn: Scenario) -> Metrics:
     """Run the pipeline (sync, cold start, alignment) and return its metrics.
 
-    Each stage draws from its own stream of the seed (:func:`_streams`).
+    Each stage draws from its own stream of the seed (:func:`_stream`).
     Alignment is the one-bit walk of :func:`_align`.
     """
-    streams = _streams(scn.seed)
-    static = _static_phases(scn, streams)
+    static = _static_phases(scn)
     metrics = Metrics()
     noise_power = 0.0
     if scn.noise_floor_dbm is not None:
@@ -397,10 +368,11 @@ def run_scenario(scn: Scenario) -> Metrics:
     # --- stage 1: chirp synchronization -----------------------------------
     if scn.sync.enabled and scn.n_slaves >= 2:
         metrics.stage_log.append("sync")
-        offsets = streams["sync"].integers(0, scn.sync.offset_range + 1, scn.n_slaves)
+        rng = _stream(scn.seed, "sync")
+        offsets = rng.integers(0, scn.sync.offset_range + 1, scn.n_slaves)
         try:
             res = run_sync(
-                offsets, scn.chirp, streams["sync"],
+                offsets, scn.chirp, rng,
                 noise_power=noise_power,
                 residual_jitter=scn.sync.residual_jitter,
             )
@@ -412,9 +384,12 @@ def run_scenario(scn: Scenario) -> Metrics:
 
     # One (K, N) table of slave -> node links serves every stage: row k
     # holds the links of the node at row k of its track; cold start sees row 0.
-    links = _seed_free_links(scn)
-    to_node = link_coefficients(*links.to_node, static_phase_rad=static)
-    to_leader = link_coefficients(*links.to_leader)
+    slaves = tuple(scn.slave_positions)
+    node_links, leader_links = _track_links(
+        slaves, scn.leader_position, scn.node_position, scn.medium, scn.freq_hz,
+        scn.tx_gain_dbi, scn.speed_m_per_s, scn.rounds, scn.round_time_s)
+    to_node = link_coefficients(*node_links, static_phase_rad=static)
+    to_leader = link_coefficients(*leader_links)
     optimum = optimal_amplitude(scn, to_node)
 
     # --- stage 2: cold start ----------------------------------------------
@@ -423,12 +398,13 @@ def run_scenario(scn: Scenario) -> Metrics:
         node = BackscatterNode(wake_threshold_dbm=scn.wake_threshold_dbm)
         runner = cs.ColdStartRunner(
             node,
-            leader_channels=link_coefficients(*links.slave_to_leader(scn),
-                                              static_phase_rad=static),
+            leader_channels=link_coefficients(
+                *_air_links(slaves, scn.leader_position, scn.freq_hz, scn.tx_gain_dbi),
+                static_phase_rad=static),
             node_channels=to_node[0],
             tx_amplitude=scn.tx_amplitude,
             sigma_deg=scn.sigma_deg,
-            rng=streams["cold_start"],
+            rng=_stream(scn.seed, "cold_start"),
         )
         cs_res = runner.run()
         metrics.cold_start_success = cs_res.success
@@ -456,7 +432,8 @@ def run_scenario(scn: Scenario) -> Metrics:
     optimum = np.broadcast_to(optimum, (scn.rounds,))
     raw, y_ref, achieved, phases = _align(scn, node, bounds, to_node, to_leader, optimum,
                                           _correlator(scn, noise_power),
-                                          streams["proposals"], streams["noise"])
+                                          _stream(scn.seed, "proposals"),
+                                          _stream(scn.seed, "noise"))
 
     metrics.power_trace = achieved
     metrics.metric_trace = list(zip(range(scn.rounds), raw, y_ref,
@@ -467,7 +444,8 @@ def run_scenario(scn: Scenario) -> Metrics:
 
     # --- optional incoherent baseline -------------------------------------
     if scn.baseline == "random_phase":
-        phases = streams["baseline"].uniform(0.0, 2.0 * math.pi, (scn.rounds, scn.n_slaves))
+        phases = _stream(scn.seed, "baseline").uniform(0.0, 2.0 * math.pi,
+                                                       (scn.rounds, scn.n_slaves))
         hb = np.abs(incident_field(to_node, phases, scn.tx_amplitude))
         btrace = np.divide(hb, optimum, out=np.zeros(scn.rounds), where=optimum > 0)
         metrics.baseline_trace = btrace.tolist()
@@ -599,7 +577,7 @@ def heatmap(scn: Scenario, phases, grid_points: np.ndarray) -> np.ndarray:
     if phases.shape != (scn.n_slaves,):
         raise EngineError(f"need {scn.n_slaves} phases, not shape {phases.shape}")
     slaves = np.asarray(scn.slave_positions, dtype=float)
-    static = _static_phases(scn, _streams(scn.seed))
+    static = _static_phases(scn)
     power = np.empty(grid_points.shape[0])
     for lo in range(0, len(power), HEATMAP_BLOCK_VOXELS):
         block = slice(lo, lo + HEATMAP_BLOCK_VOXELS)

@@ -66,7 +66,7 @@ def simulate_update_rule(
 
 def aligned_phases(scn: engine.Scenario) -> np.ndarray:
     """Conjugate phases focusing the array on the node position."""
-    static = engine._static_phases(scn, engine._streams(scn.seed))
+    static = engine._static_phases(scn)
     links = channel(scn.slave_positions, scn.node_position, scn.medium, scn.freq_hz,
                     scn.tx_gain_dbi, static_phase_rad=static)
     return cs.leader_focused_phases(links)

@@ -131,8 +131,7 @@ def _readme_round_zero(seed: int, leader_m: list):
     at the node of the README scenario with its leader at ``leader_m``."""
     cfg = parse_config({"scenario": {"leader_position_m": leader_m}})["scenario"]
     scn = build_scenario(cfg, seed)
-    streams = engine._streams(seed)
-    static = engine._static_phases(scn, streams)
+    static = engine._static_phases(scn)
     to_node = channel(scn.slave_positions, scn.node_position, scn.medium, scn.freq_hz,
                       scn.tx_gain_dbi, static_phase_rad=static)
     to_leader = channel(scn.slave_positions, scn.leader_position, MediumMap(), scn.freq_hz,
@@ -140,7 +139,7 @@ def _readme_round_zero(seed: int, leader_m: list):
     field = incident_field(to_node, cs.leader_focused_phases(to_leader), scn.tx_amplitude)
     runner = cs.ColdStartRunner(BackscatterNode(wake_threshold_dbm=scn.wake_threshold_dbm),
                                 to_leader, to_node, scn.tx_amplitude, scn.sigma_deg,
-                                streams["cold_start"])
+                                engine._stream(seed, "cold_start"))
     return field, engine.optimal_amplitude(scn, to_node), runner
 
 

@@ -220,42 +220,46 @@ def test_undetected_preamble_sets_sync_failed():
     assert m.power_trace == []
 
 
+def _clear_link_caches():
+    engine._track_links.cache_clear()
+    engine._air_links.cache_clear()
+
+
+def _recorded_link_geometry(monkeypatch) -> list:
+    """The tables that each ``link_geometry`` call of the engine returns."""
+    tables = []
+
+    def recording(*args, **kwargs):
+        tables.append(link_geometry(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(engine, "link_geometry", recording)
+    return tables
+
+
 def test_run_computes_each_link_table_once(monkeypatch):
     # The seed-free half of every link table is computed once per geometry
-    # and process: a second seed of the geometry computes none, and writes
-    # the document that a run from an empty cache writes.
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return link_geometry(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "link_geometry", counted)
-    monkeypatch.setattr(engine, "_link_cache", {})
+    # and process, read-only: a second seed of the geometry computes none,
+    # and writes the document that a run from an empty cache writes.
+    tables = _recorded_link_geometry(monkeypatch)
+    _clear_link_caches()
     scn = bench_scenario(rounds=40, baseline="random_phase", cold_start_enabled=True,
                          wake_threshold_dbm=-35.0, speed_m_per_s=0.625)
     m = run_scenario(scn)
     assert m.cold_start_success and len(m.baseline_trace) == 40
     # slave -> node over every round, node -> leader, slave -> leader.
-    assert len(calls) == 3
+    assert len(tables) == 3
+    for table in (t for pair in tables for t in pair):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[...] = 0.0
     second = dataclasses.replace(scn, seed=1)
     warm = run_scenario(second)
-    assert len(calls) == 3
+    assert len(tables) == 3
     assert warm.stage_log == ["cold_start", "alignment"]
-    monkeypatch.setattr(engine, "_link_cache", {})
+    _clear_link_caches()
     assert run_scenario(second).to_json() == warm.to_json()
-    assert len(calls) == 6
-
-
-def _fresh_links(scn):
-    """The (gain, phase) pairs of ``engine._Links``, computed with no cache."""
-    track = engine.node_track(scn)
-    return [link_geometry(scn.slave_positions, track[:, None, :], scn.medium, scn.freq_hz,
-                          scn.tx_gain_dbi),
-            link_geometry(track, scn.leader_position, scn.medium, scn.freq_hz,
-                          tx_gain_dbi=0.0, inbound=False),
-            link_geometry(scn.slave_positions, scn.leader_position, MediumMap(), scn.freq_hz,
-                          scn.tx_gain_dbi)]
+    assert len(tables) == 6
 
 
 @pytest.mark.parametrize("kw", [
@@ -269,47 +273,28 @@ def _fresh_links(scn):
     {"speed_m_per_s": 0.25, "rounds": 30},
     {"speed_m_per_s": 0.25, "feedback_latency_s": 2e-3},
 ])
-def test_link_cache_key_holds_the_geometry(kw, monkeypatch):
+def test_link_cache_key_holds_the_geometry(kw):
     # A scenario that changes anything its links depend on gets its own
-    # tables, equal to uncached ones; a new seed shares them, read-only.
-    monkeypatch.setattr(engine, "_link_cache", {})
-    base = bench_scenario(speed_m_per_s=0.25)
-    scn = dataclasses.replace(base, **kw)
-    links = engine._seed_free_links(scn)
-    assert links is not engine._seed_free_links(base)
-    assert engine._seed_free_links(dataclasses.replace(scn, seed=9)) is links
-    cached = [links.to_node, links.to_leader, links.slave_to_leader(scn)]
-    for (gain, phase), (want_gain, want_phase) in zip(cached, _fresh_links(scn)):
-        assert gain.tobytes() == want_gain.tobytes() and gain.shape == want_gain.shape
-        assert phase.tobytes() == want_phase.tobytes() and phase.shape == want_phase.shape
-        for table in (gain, phase):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[...] = 0.0
+    # tables: run after it, the base scenario writes what it writes from an
+    # empty cache.
+    base = bench_scenario(rounds=40, speed_m_per_s=0.25, cold_start_enabled=True,
+                          wake_threshold_dbm=-35.0)
+    _clear_link_caches()
+    want = run_scenario(base).to_json()
+    _clear_link_caches()
+    run_scenario(dataclasses.replace(base, seed=9, **kw))
+    assert run_scenario(base).to_json() == want
+    assert engine._track_links.cache_info().misses == 2
 
 
-def test_link_cache_keeps_its_size_and_drops_the_least_recently_used(monkeypatch):
-    monkeypatch.setattr(engine, "_link_cache", {})
-    size = engine.LINK_CACHE_SIZE
-    scns = [bench_scenario(rounds=r) for r in range(1, size + 3)]
-    first = engine._seed_free_links(scns[0])
-    for scn in scns[1:size]:
-        engine._seed_free_links(scn)
-    assert len(engine._link_cache) == size
-    assert engine._seed_free_links(scns[0]) is first      # now the most recent
-    second = engine._seed_free_links(scns[1])
-    for scn in scns[size:]:
-        engine._seed_free_links(scn)
-        assert len(engine._link_cache) == size
-    # scns[2] and scns[3] were the least recently used, and went.
-    assert engine._seed_free_links(scns[0]) is first
-    assert engine._seed_free_links(scns[1]) is second
-    assert len(engine._link_cache) == size
-    calls = []
-    monkeypatch.setattr(engine, "link_geometry",
-                        lambda *a, **k: calls.append(1) or link_geometry(*a, **k))
-    engine._seed_free_links(scns[2])
-    assert len(calls) == 2 and len(engine._link_cache) == size
+def test_link_caches_hold_at_most_their_size():
+    _clear_link_caches()
+    for k in range(engine.LINK_CACHE_SIZE + 2):
+        run_scenario(bench_scenario(freq_hz=900e6 + k * 1e6, cold_start_enabled=True))
+    for cached in (engine._track_links, engine._air_links):
+        info = cached.cache_info()
+        assert info.maxsize == engine.LINK_CACHE_SIZE
+        assert info.currsize == engine.LINK_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +488,11 @@ def test_alignment_keeps_a_proposal_iff_its_incident_field_rises(name, seed):
     scn = build_scenario(parse_config(
         {"scenario": dict(SCENARIOS[name][0], noise_floor_dbm=None)})["scenario"], seed)
     m = run_scenario(scn)
-    streams = engine._streams(scn.seed)
-    static = engine._static_phases(scn, streams)
+    static = engine._static_phases(scn)
     links = channel(scn.slave_positions, scn.node_position, scn.medium, scn.freq_hz,
                     scn.tx_gain_dbi, static_phase_rad=static)
     optimum = optimal_amplitude(scn, links)
-    rng = streams["proposals"]
+    rng = engine._stream(scn.seed, "proposals")
     ref_phases = rng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
     best, achieved = -math.inf, []
     for phi in engine._bounds(scn):
@@ -570,26 +554,23 @@ def test_streams_are_the_seeds_spawned_children(seed):
     # Each stream, built alone and in any order, draws what the child at its
     # name's position of SeedSequence(seed).spawn draws.
     children = np.random.SeedSequence(seed).spawn(len(engine._STREAM_NAMES))
-    streams = engine._streams(seed)
-    assert len(streams) == 0
     for name, child in reversed(list(zip(engine._STREAM_NAMES, children))):
         want = np.random.default_rng(child).random(5)
-        assert streams[name].random(5).tobytes() == want.tobytes()
-    assert sorted(streams) == sorted(engine._STREAM_NAMES)
-    with pytest.raises(KeyError):
-        streams["sink"]
+        assert engine._stream(seed, name).random(5).tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        engine._stream(seed, "sink")
 
 
 def test_a_bench_run_builds_only_the_streams_it_draws_from(monkeypatch):
-    streams, built = engine._streams, []
+    stream, built = engine._stream, []
 
-    def recording(seed):
-        built.append(streams(seed))
-        return built[-1]
+    def recording(seed, name):
+        built.append(name)
+        return stream(seed, name)
 
-    monkeypatch.setattr(engine, "_streams", recording)
+    monkeypatch.setattr(engine, "_stream", recording)
     run_scenario(bench_scenario())
-    assert sorted(built[0]) == ["noise", "proposals", "static_phases"]
+    assert built == ["static_phases", "proposals", "noise"]
 
 
 def test_cold_start_failure_skips_alignment():
@@ -709,7 +690,7 @@ def test_metrics_json_matches_asdict(name, tmp_path):
 
 def test_optimal_amplitude_is_sum_of_path_amplitudes():
     scn = bench_scenario()
-    static = engine._static_phases(scn, engine._streams(scn.seed))
+    static = engine._static_phases(scn)
     to_node = channel(scn.slave_positions, engine.node_track(scn)[:, None, :], scn.medium,
                       scn.freq_hz, scn.tx_gain_dbi, static_phase_rad=static)
     got = optimal_amplitude(scn, to_node[0])
@@ -770,7 +751,7 @@ def _unblocked_heatmap(scn, phases, grid):
     """The whole grid as one field matrix: the reference for the blocks."""
     m = cs.field_matrix(
         scn.slave_positions, grid, scn.freq_hz, scn.tx_gain_dbi,
-        static_phases=engine._static_phases(scn, engine._streams(scn.seed)),
+        static_phases=engine._static_phases(scn),
         tx_amplitude=scn.tx_amplitude)
     return cs.field_power(m, np.asarray(phases))
 
@@ -803,7 +784,7 @@ def test_heatmap_at_the_node_is_the_node_field_in_air():
     assert np.allclose(grid[at_node], scn.node_position, rtol=0.0, atol=1e-15)
     to_node = channel(scn.slave_positions, scn.node_position, scn.medium, scn.freq_hz,
                       scn.tx_gain_dbi,
-                      static_phase_rad=engine._static_phases(scn, engine._streams(scn.seed)))
+                      static_phase_rad=engine._static_phases(scn))
     node_power = abs(incident_field(to_node, np.asarray(phases), scn.tx_amplitude)) ** 2
     assert heatmap(scn, phases, grid)[at_node] == pytest.approx(node_power, rel=1e-12)
 
