@@ -225,8 +225,10 @@ def _clear_link_caches():
     engine._air_links.cache_clear()
 
 
-def _recorded_link_geometry(monkeypatch) -> list:
-    """The tables that each ``link_geometry`` call of the engine returns."""
+def test_run_computes_each_link_table_once(monkeypatch):
+    # The seed-free half of every link table is computed once per geometry
+    # and process, read-only: a second seed of the geometry computes none,
+    # and writes the document that a run from an empty cache writes.
     tables = []
 
     def recording(*args, **kwargs):
@@ -234,14 +236,6 @@ def _recorded_link_geometry(monkeypatch) -> list:
         return tables[-1]
 
     monkeypatch.setattr(engine, "link_geometry", recording)
-    return tables
-
-
-def test_run_computes_each_link_table_once(monkeypatch):
-    # The seed-free half of every link table is computed once per geometry
-    # and process, read-only: a second seed of the geometry computes none,
-    # and writes the document that a run from an empty cache writes.
-    tables = _recorded_link_geometry(monkeypatch)
     _clear_link_caches()
     scn = bench_scenario(rounds=40, baseline="random_phase", cold_start_enabled=True,
                          wake_threshold_dbm=-35.0, speed_m_per_s=0.625)
