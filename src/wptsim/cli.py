@@ -28,7 +28,6 @@ from .engine import (
     document_json,
     heatmap,
     linear_positions,
-    node_track,
     ring_positions,
     run_scenario,
 )
@@ -190,9 +189,9 @@ _CONFIG_KEYS = {"slave_positions": "slave_count", "bound": "bound_deg",
 
 def _check_scenario(scn_cfg: dict, where: str = "") -> None:
     """Build ``scn_cfg`` once, so that a value its dataclasses refuse, a node
-    on the leader or on a slave, or a muscle depth that reaches past one of
-    the node's links, fails before anything is written; ``where`` prefixes
-    the error."""
+    on the leader or on a slave, a slave on the leader when cold start runs,
+    or a muscle depth that reaches past one of the node's links, fails
+    before anything is written; ``where`` prefixes the error."""
     try:
         scn = build_scenario(scn_cfg, 0)
     except DspError as exc:
@@ -208,10 +207,14 @@ def _check_scenario(scn_cfg: dict, where: str = "") -> None:
             raise ConfigError(f"{where}scenario.{key} {rest}") from None
         raise ConfigError(f"{where}scenario: {exc}") from None
     ends = np.array([scn.leader_position, *scn.slave_positions], dtype=float)
-    nearest = float(np.linalg.norm(node_track(scn)[:, None] - ends, axis=-1).min())
+    nearest = float(np.linalg.norm(scn.trajectory[:, None] - ends, axis=-1).min())
     if nearest == 0.0:
         raise ConfigError(f"{where}scenario.node_position_m puts the node on the leader "
                           f"or on a slave")
+    # Only cold start reads the slave -> leader links.
+    if scn.cold_start_enabled and np.linalg.norm(ends[1:] - ends[0], axis=-1).min() == 0.0:
+        raise ConfigError(f"{where}scenario.leader_position_m must be apart from every "
+                          f"slave when cold start runs")
     depth = scn.medium.muscle_depth_m
     if depth >= nearest:
         raise ConfigError(f"{where}scenario.muscle_depth_m ({depth:g}) must be smaller than "
@@ -357,7 +360,7 @@ def write_trace(metrics: Metrics, path) -> None:
 
 def write_heatmap(scn: Scenario, metrics: Metrics, hm_cfg: dict, path) -> None:
     """Field power on a cube centred on the node's last tracked position."""
-    grid = cs.cube_grid(Position(*node_track(scn)[-1]), hm_cfg["cube_m"], hm_cfg["voxel_m"])
+    grid = cs.cube_grid(Position(*scn.trajectory[-1]), hm_cfg["cube_m"], hm_cfg["voxel_m"])
     power = heatmap(scn, metrics.final_phases, grid)
     cs.export_heatmap(grid, power, path)
 
@@ -416,10 +419,10 @@ def sweep_jobs(cfg: dict, out_dir: str) -> list:
 
 
 def cmd_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
+    work = sweep_jobs(cfg, out_dir)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.yaml"), "w") as fh:
         fh.write(serialize_config(cfg))
-    work = sweep_jobs(cfg, out_dir)
     jobs = min(jobs, len(work))
     if jobs > 1:
         with Pool(jobs) as pool:

@@ -76,6 +76,12 @@ _RANGES = {"tx_power_dbm": POWER_RANGE_DBM, "noise_floor_dbm": POWER_RANGE_DBM,
            "freq_hz": FREQ_RANGE_HZ}
 
 
+def _check_range(name: str, v, low: float, high: float) -> None:
+    """Refuse ``v``, naming ``name``, unless it is a finite number in [low, high]."""
+    if not (_is_finite(v) and low <= v <= high):
+        raise EngineError(f"{name} must be in [{low:g}, {high:g}], not {v!r}")
+
+
 @dataclass
 class Scenario:
     slave_positions: list
@@ -118,11 +124,8 @@ class Scenario:
             if not (_is_finite(v) and v >= 0.0):
                 raise EngineError(f"{name} must be finite and >= 0, not {v!r}")
         for name, (low, high) in _RANGES.items():
-            v = getattr(self, name)
-            if v is None and name == "noise_floor_dbm":
-                continue        # no receiver noise
-            if not (_is_finite(v) and low <= v <= high):
-                raise EngineError(f"{name} must lie in [{low:g}, {high:g}], not {v!r}")
+            if not (name == "noise_floor_dbm" and self.noise_floor_dbm is None):
+                _check_range(name, getattr(self, name), low, high)
         if not (_is_finite(self.sigma_deg) and 0.0 <= self.sigma_deg < 180.0):
             raise EngineError(
                 f"sigma_deg must lie in [0, 180) degrees, not {self.sigma_deg!r}")
@@ -146,16 +149,13 @@ class Scenario:
         return math.sqrt(dbm_to_watt(self.tx_power_dbm))
 
     @property
-    def trajectory(self) -> list:
-        """[(time_s, Position), ...] of the node's motion: empty when it is
-        static, else its start and the point ``speed_m_per_s`` reaches at
-        the end of the last round, ``rounds * round_time_s``."""
-        if self.speed_m_per_s == 0.0:
-            return []
-        start = self.node_position
-        end_s = self.rounds * self.round_time_s
-        return [(0.0, start),
-                (end_s, Position(start.x + self.speed_m_per_s * end_s, start.y, start.z))]
+    def trajectory(self) -> np.ndarray:
+        """(K, 3) node position per alignment round; a static node has one row.
+
+        Round n sits at time n * round_time_s on the node's drift along +x
+        at ``speed_m_per_s`` from ``node_position``.  Cold start sees row 0.
+        """
+        return _track(self.node_position, self.speed_m_per_s, self.rounds, self.round_time_s)
 
 
 @dataclass
@@ -250,18 +250,9 @@ def _write(obj, nl: str, out: list) -> None:
         out.append(_c_encoder(",").encode(obj))
 
 
-def node_track(scn: Scenario) -> np.ndarray:
-    """(K, 3) node position per alignment round; a static node has one row.
-
-    Round n sits at time n * round_time_s on the straight line of
-    ``scn.trajectory``.  Cold start sees row 0.
-    """
-    return _track(scn.node_position, scn.speed_m_per_s, scn.rounds, scn.round_time_s)
-
-
 def _track(node: Position, speed_m_per_s: float, rounds: int, round_time_s: float):
-    """:func:`node_track` of a node that starts at ``node`` and drifts along
-    +x at ``speed_m_per_s``, rounds ``round_time_s`` apart."""
+    """:attr:`Scenario.trajectory` of a node that starts at ``node`` and
+    drifts along +x at ``speed_m_per_s``, rounds ``round_time_s`` apart."""
     if speed_m_per_s == 0.0:
         return np.asarray([node], dtype=float)
     end_s = rounds * round_time_s
@@ -430,10 +421,10 @@ def run_scenario(scn: Scenario) -> Metrics:
     to_node = np.broadcast_to(to_node, (scn.rounds, scn.n_slaves))
     to_leader = np.broadcast_to(to_leader, (scn.rounds,))
     optimum = np.broadcast_to(optimum, (scn.rounds,))
-    raw, y_ref, achieved, phases = _align(scn, node, bounds, to_node, to_leader, optimum,
-                                          _correlator(scn, noise_power),
-                                          _stream(scn.seed, "proposals"),
-                                          _stream(scn.seed, "noise"))
+    correlator = _correlator(scn.chirp, noise_power)
+    raw, y_ref, achieved, phases = _align(
+        scn, node, bounds, to_node, to_leader, optimum, correlator,
+        _stream(scn.seed, "proposals"), _stream(scn.seed, "noise") if correlator[1] else None)
 
     metrics.power_trace = achieved
     metrics.metric_trace = list(zip(range(scn.rounds), raw, y_ref,
@@ -477,7 +468,10 @@ def _align(scn, node, bounds, to_node, to_leader, optimum, correlator, proposals
 
     One ``uniform`` draw from ``proposals_rng`` gives every round's offsets
     and one ``standard_normal`` draw from ``noise_rng`` every round's noise
-    pair, each equal to the per-round draws bit for bit.  The rounds run in
+    pair ``z``, each equal to the per-round draws bit for bit.  The pairs
+    become one table of the rounds' noise, ``sigma * (z0 + i z1)`` with
+    ``(gain, sigma) = correlator``; a run without receiver noise passes no
+    ``noise_rng`` and every round's noise is 0.  The rounds run in
     speculative blocks of up to ``BLOCK_ROUNDS``: every round up to the next
     accept starts from the same reference phases, so one vectorized pass
     gives a block's proposals and incident fields, and a scalar walk
@@ -493,7 +487,11 @@ def _align(scn, node, bounds, to_node, to_leader, optimum, correlator, proposals
     ref_phases = proposals_rng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
     phi = bounds[:, None]
     offsets = proposals_rng.uniform(-phi, phi, (rounds, scn.n_slaves))
-    noise = noise_rng.standard_normal((rounds, 2)).tolist()
+    gain, sigma = correlator
+    noise = [0j] * rounds
+    if noise_rng is not None:
+        z = noise_rng.standard_normal((rounds, 2))
+        noise = (sigma * (z[:, 0] + 1j * z[:, 1])).tolist()
     to_leader, optimum = to_leader.tolist(), optimum.tolist()
     amplitude, round_time_s = scn.tx_amplitude, scn.round_time_s
     ref_y = -math.inf
@@ -510,7 +508,7 @@ def _align(scn, node, bounds, to_node, to_leader, optimum, correlator, proposals
         for k, (h, mag) in enumerate(zip(fields.tolist(), np.abs(fields).tolist())):
             p_in = mag ** 2
             node.harvest_step(p_in, round_time_s)
-            y_raw = _measure(node, h, p_in, to_leader[n], correlator, noise[n])
+            y_raw = _measure(node, h, p_in, to_leader[n], gain, noise[n])
             if not math.isfinite(y_raw):
                 raise EngineError(f"round {n}: measurement must be finite, not {y_raw!r}")
             raw.append(y_raw)
@@ -525,8 +523,11 @@ def _align(scn, node, bounds, to_node, to_leader, optimum, correlator, proposals
     return raw, y_ref, achieved, ref_phases
 
 
-def _correlator(scn: Scenario, noise_power: float) -> tuple[complex, float]:
-    """(gain, sigma) of the leader's zero-lag correlator, once per run.
+@lru_cache(maxsize=16)
+def _correlator(chirp: ChirpParams, noise_power: float) -> tuple[complex, float]:
+    """(gain, sigma) of the leader's zero-lag correlator, which depend on the
+    chirp and the noise only, so that a run does not rebuild its reference
+    symbol.
 
     Each round the leader receives ``ret * a * h * ref * mixer`` plus white
     noise and correlates it at lag 0 against the reference shifted to the
@@ -536,33 +537,23 @@ def _correlator(scn: Scenario, noise_power: float) -> tuple[complex, float]:
     ``sigma = sqrt(noise_power / 2) * ||shifted||``, with ``noise_power``
     the receiver noise in the sample domain.
     """
-    gain, norm = _correlator_shape(scn.chirp)
-    return gain, math.sqrt(noise_power / 2.0) * norm
-
-
-@lru_cache(maxsize=16)
-def _correlator_shape(chirp: ChirpParams) -> tuple[complex, float]:
-    """(gain, ||shifted||) of :func:`_correlator`, which depend on the chirp
-    only, so that a run does not rebuild its reference symbol."""
     ref = generate_sweep(chirp, 1)
     fs = chirp.sample_rate_hz
     t = np.arange(chirp.n_samples) / fs
     shifted = ref * np.exp(1j * 2.0 * np.pi * SHIFT_FREQ_HZ * t)
     gain = complex(np.vdot(shifted, ref * mixer(ref.size, fs)))
-    return gain, float(np.linalg.norm(shifted))
+    return gain, math.sqrt(noise_power / 2.0) * float(np.linalg.norm(shifted))
 
 
-def _measure(node, h, p_in, ret_coeff, correlator, z):
+def _measure(node, h, p_in, ret_coeff, gain, noise):
     """One backscatter power-metric measurement at the leader.
 
-    The exact zero-lag correlation of the round's received chirp, drawn in
-    closed form from :func:`_correlator`: one complex normal per round,
-    ``sigma * (z[0] + i z[1])`` for the round's standard normal pair ``z``;
-    without receiver noise ``sigma`` is 0 and the pair changes nothing.
+    The exact zero-lag correlation of the round's received chirp, in closed
+    form from :func:`_correlator`'s ``gain``, plus the round's complex
+    ``noise``: one draw of its circular normal, 0 without receiver noise.
     """
-    gain, sigma = correlator
     y = amplitude_ratio(p_in) * h * ret_coeff * gain if node.awake else 0.0
-    return float(abs(y + sigma * complex(z[0], z[1])))
+    return float(abs(y + noise))
 
 
 # Voxels per heat-map block, to bound its (block, N) temporaries: the
@@ -602,6 +593,7 @@ def ring_positions(n: int, radius_m: float, height_m: float) -> list:
 
 def linear_positions(n: int, freq_hz: float = DEFAULT_FREQ_HZ) -> list:
     """Co-located half-wavelength linear array along x at the origin."""
+    _check_range("freq_hz", freq_hz, *FREQ_RANGE_HZ)
     spacing_m = SPEED_OF_LIGHT / freq_hz / 2.0
     x0 = -(n - 1) * spacing_m / 2.0
     return [Position(x0 + i * spacing_m, 0.0, 0.0) for i in range(n)]

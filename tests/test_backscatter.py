@@ -38,6 +38,8 @@ def test_curve_is_passive(p_w):
 def test_curve_validation():
     with pytest.raises(BackscatterError):
         backscatter.reflected_power_w(-1.0)
+    with pytest.raises(BackscatterError):
+        BackscatterNode().harvest_step(-1.0)
 
 
 def test_amplitude_ratio_consistent_with_power():

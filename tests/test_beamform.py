@@ -115,6 +115,12 @@ def test_concentration_solver_inverts_ratio(t):
     assert bessel_ratio(1, eta) == pytest.approx(t, abs=1e-7)
 
 
+@pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
+def test_concentration_solver_refuses_a_mean_resultant_outside_0_1(t):
+    with pytest.raises(BeamformError):
+        solve_concentration(t)
+
+
 def test_uniform_cos_moment():
     assert uniform_cos_moment(0.0) == 1.0
     phi = 0.7

@@ -36,6 +36,8 @@ def test_muscle_loss_slope():
     assert muscle_loss(0.02) == pytest.approx(9.2, abs=1e-9)
     assert muscle_loss(0.06) == pytest.approx(27.6, abs=1e-9)
     assert muscle_loss(0.0) == 0.0
+    with pytest.raises(ChannelError, match="muscle depth"):
+        muscle_loss(-0.01)
 
 
 def test_boundary_losses_are_asymmetric():
@@ -58,6 +60,8 @@ def test_compose_budget_is_additive():
     b = compose_budget(segs)
     assert b.total_loss_db == pytest.approx(air_loss(1.0) + 3.0 + 9.2)
     assert b.path_length_m == pytest.approx(1.02)
+    with pytest.raises(ChannelError, match="non-empty"):
+        compose_budget([])
 
 
 def test_budget_phase_matches_path_length():

@@ -32,6 +32,9 @@ def test_params_validation():
         ChirpParams(sample_rate_hz=50e3)  # below Nyquist for 40 kHz band
     with pytest.raises(DspError):
         ChirpParams(symbol_time_s=1e-3, sample_rate_hz=1000.5)
+    # Above twice the band, but 100.0005 samples per symbol.
+    with pytest.raises(DspError, match="positive integer"):
+        ChirpParams(symbol_time_s=1e-3, sample_rate_hz=100000.5)
     # A zero bandwidth used to divide by zero in the noise power, a NaN one
     # to fail as "signal contains non-finite samples", and a NaN symbol time
     # as "cannot convert float NaN to integer".
@@ -82,6 +85,17 @@ def test_shifted_sweeps_beat_at_slope_times_offset():
 def test_fluctuation_rate_flat_envelope_is_zero():
     p = ChirpParams()
     assert fluctuation_rate(np.abs(generate_sweep(p, 1)), p.sample_rate_hz) == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generate_sweep(ChirpParams(), 0),
+    lambda: ccs_correlate(np.ones(3, complex), np.ones(4, complex)),
+    lambda: p_ccs0(np.ones(3, complex), np.ones(4, complex)),
+], ids=["generate_sweep", "ccs_correlate", "p_ccs0"])
+def test_too_short_a_signal_is_refused(call):
+    # No symbol, or a capture shorter than the reference it is correlated with.
+    with pytest.raises(DspError):
+        call()
 
 
 @pytest.mark.parametrize("env", [np.array([]), np.array([1.0, np.nan, 1.0])])

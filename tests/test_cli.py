@@ -32,7 +32,7 @@ from wptsim.cli import (
     sweep_jobs,
     write_trace,
 )
-from wptsim.engine import Scenario, SyncSettings, node_track, run_scenario
+from wptsim.engine import Scenario, SyncSettings, run_scenario
 
 MINIMAL = {
     "scenario": {
@@ -170,7 +170,7 @@ def test_moving_run_heatmap_holds_the_last_tracked_position(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
     grid = np.loadtxt(out / "run_seed1_heatmap.csv", delimiter=",", skiprows=1)[:, :3]
-    last = node_track(build_scenario(parse_config(doc)["scenario"], 1))[-1]
+    last = build_scenario(parse_config(doc)["scenario"], 1).trajectory[-1]
     assert last[0] > 0.2
     assert np.linalg.norm(grid - last, axis=1).min() <= 0.1 * math.sqrt(3) / 2
 
@@ -457,9 +457,12 @@ def test_bad_number_exits_2_naming_the_field(tmp_path, capsys, key, value):
     ("bound_deg", 200),
     ("slave_count", 0),
     ("sync_residual_jitter", -1),
+    ("slave_layout", "grid"),
 ])
 def test_bad_scenario_value_exits_2_naming_the_field(tmp_path, capsys, key, value):
     doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], **{key: value}))
+    with pytest.raises(ConfigError, match=key):
+        parse_config(doc)
     cfg_path = write_cfg(tmp_path, doc)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
@@ -659,6 +662,14 @@ _EXPLICIT = {"slave_layout": "explicit",
     ("scenario.slave_positions_m[2]",
      dict(_EXPLICIT, slave_positions_m=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 2.0]])),
     ("scenario.slave_positions_m", dict(_EXPLICIT, slave_positions_m={"a": 1})),
+    # A slave on the leader used to write config.yaml, then fail in cold
+    # start's slave -> leader link with an error naming no field.
+    ("scenario.leader_position_m",
+     dict(_EXPLICIT, cold_start_enabled=True,
+          slave_positions_m=[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])),
+    # A linear layout spaced its slaves by c / f / 2 before the frequency's
+    # range was checked: "position coordinates must be finite".
+    ("scenario.freq_hz", {"slave_layout": "linear", "slave_count": 24, "freq_hz": 1.0e-300}),
 ])
 def test_bad_position_exits_2_naming_the_field(tmp_path, capsys, field, scenario):
     doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], **scenario))
@@ -667,6 +678,31 @@ def test_bad_position_exits_2_naming_the_field(tmp_path, capsys, field, scenario
     cfg_path = write_cfg(tmp_path, doc)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert field + " must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("verb, doc, field", [
+    ("run", [MINIMAL], "config root"),
+    ("run", dict(MINIMAL, scenario=[1, 2]), "'scenario' must be a mapping"),
+    ("run", dict(MINIMAL, heatmap="on"), "'heatmap' must be a mapping"),
+    ("run", dict(MINIMAL, scenario={"slave_layout": "explicit"}),
+     "scenario.slave_positions_m"),
+    ("sweep", dict(MINIMAL, sweep=[0.0, 1.0]), "'sweep' must be a mapping"),
+    ("sweep", dict(MINIMAL, sweep={"speed_m_per_s": []}), "sweep.speed_m_per_s"),
+    ("sweep", dict(MINIMAL, scenario=dict(MINIMAL["scenario"], **_EXPLICIT),
+                   sweep={"slave_count": [2]}), "sweep.slave_count"),
+    # Used to write config.yaml before it was refused.
+    ("sweep", MINIMAL, "'sweep' section"),
+])
+def test_bad_config_shape_exits_2_before_anything_is_written(tmp_path, capsys, verb, doc,
+                                                              field):
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        sweep_jobs(parse_config(doc), str(out))
+    cfg_path = write_cfg(tmp_path, doc)
+    assert main([verb, "--config", cfg_path, "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_explicit_positions_are_accepted():

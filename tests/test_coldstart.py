@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,12 @@ def test_field_matrix_rejects_coincident_point():
     slaves = [Position(0, 0, 1.0)]
     with pytest.raises(ChannelError):
         cs.field_matrix(slaves, np.array([[0, 0, 1.0]]))
+
+
+@pytest.mark.parametrize("points", [np.zeros(3), np.zeros((2, 2)), np.zeros((1, 3, 1))])
+def test_field_matrix_rejects_points_that_are_not_rows_of_three(points):
+    with pytest.raises(ChannelError, match=re.escape("(V, 3)")):
+        cs.field_matrix([Position(0, 0, 1.0)], points)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

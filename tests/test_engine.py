@@ -294,13 +294,13 @@ def test_link_caches_hold_at_most_their_size():
 # ---------------------------------------------------------------------------
 # The closed-form measurement against the sample-level chain it replaces.
 
-def _measure_by_samples(scn, node, h, p_in, ret_coeff, correlator, z, rng=None):
+def _measure_by_samples(scn, node, h, p_in, ret_coeff, gain, noise, rng=None):
     """Sample-level oracle for ``engine._measure`` in scenario ``scn``
     (bound with ``partial`` to take ``_measure``'s place): the node reflects
     the incident chirp, the leader adds white noise drawn sample by sample
     from ``rng`` and correlates at lag 0 against the reference shifted to
-    the node's sideband.  ``correlator`` and the closed form's normal pair
-    ``z`` are ignored; everything is rebuilt from the samples."""
+    the node's sideband.  The closed form's ``gain`` and complex ``noise``
+    are ignored; everything is rebuilt from the samples."""
     fs = scn.chirp.sample_rate_hz
     ref_sym = generate_sweep(scn.chirp, 1)
     t = np.arange(scn.chirp.n_samples) / fs
@@ -328,8 +328,7 @@ def test_closed_form_measurement_matches_samples_in_distribution(snr):
     p_in = abs(h) ** 2
     noise_power = sample_noise_power(scn.noise_floor_dbm, scn.chirp.bandwidth_hz,
                                      scn.chirp.sample_rate_hz)
-    correlator = engine._correlator(scn, noise_power)
-    gain, sigma = correlator
+    gain, sigma = engine._correlator(scn.chirp, noise_power)
     nu = 0.0
     ret = 1e-3 * np.exp(-1.1j)
     if snr is not None:
@@ -338,8 +337,8 @@ def test_closed_form_measurement_matches_samples_in_distribution(snr):
         ret = nu / (amplitude_ratio(p_in) * abs(h) * abs(gain)) \
             * np.exp(-1.1j)
     rng_closed, rng_samples = np.random.default_rng(1), np.random.default_rng(2)
-    closed = np.array([engine._measure(node, h, p_in, ret, correlator,
-                                       rng_closed.standard_normal(2))
+    closed = np.array([engine._measure(node, h, p_in, ret, gain,
+                                       sigma * complex(*rng_closed.standard_normal(2)))
                        for _ in range(draws)])
     samples = np.array([_measure_by_samples(scn, node, h, p_in, ret, None, None, rng_samples)
                         for _ in range(draws)])
@@ -367,8 +366,8 @@ def _run_with(measure, scn, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_closed_form_measurement_matches_samples_without_noise(name, monkeypatch):
-    # Without receiver noise the closed form adds 0 times its normal pair and
-    # the samples add no noise, so the two runs must agree to rounding.
+    # Without receiver noise the closed form adds 0 and the samples add no
+    # noise, so the two runs must agree to rounding.
     scn_cfg, seed, _ = SCENARIOS[name]
     scn = build_scenario(parse_config(
         {"scenario": dict(scn_cfg, noise_floor_dbm=None)})["scenario"], seed)
@@ -386,8 +385,10 @@ def test_closed_form_measurement_matches_samples_without_noise(name, monkeypatch
 def _align_per_round(scn, node, bounds, to_node, to_leader, optimum, correlator,
                      proposals_rng, noise_rng):
     """Oracle for ``engine._align``: the alignment walk one round at a time,
-    with one proposal draw and one noise pair per round, on numpy's arrays
-    and scalars."""
+    with one proposal draw and one noise pair ``z`` per round, on numpy's
+    arrays and scalars; the round's noise is ``sigma * complex(z0, z1)`` in
+    CPython's arithmetic, and 0 when no ``noise_rng`` is passed."""
+    gain, sigma = correlator
     ref_phases = proposals_rng.uniform(0.0, 2.0 * math.pi, scn.n_slaves)
     ref_y = -math.inf
     raw = np.empty(scn.rounds)
@@ -398,8 +399,11 @@ def _align_per_round(scn, node, bounds, to_node, to_leader, optimum, correlator,
         h = scn.tx_amplitude * np.sum(to_node[n] * np.exp(1j * phases))
         p_in = float(np.abs(h) ** 2)
         node.harvest_step(p_in, scn.round_time_s)
-        z = noise_rng.standard_normal(2)
-        y_raw = engine._measure(node, h, p_in, to_leader[n], correlator, z)
+        noise = 0j
+        if noise_rng is not None:
+            z = noise_rng.standard_normal(2)
+            noise = sigma * complex(z[0], z[1])
+        y_raw = engine._measure(node, h, p_in, to_leader[n], gain, noise)
         raw[n] = y_raw
         if y_raw > ref_y:
             ref_phases, ref_y = phases, y_raw
@@ -505,6 +509,12 @@ def test_bulk_normals_equal_per_round_pairs():
     rng = np.random.default_rng(11)
     per_round = np.array([rng.standard_normal(2) for _ in range(rounds)])
     assert bulk.tobytes() == per_round.tobytes()
+    # The walk's noise table, in numpy's complex arithmetic, holds the
+    # per-round sigma * complex(z0, z1) of CPython's, bit for bit.
+    for sigma in (1e-300, 3.7e-9, 0.7071067811865476, 1.0, 6.02e23):
+        table = np.array((sigma * (bulk[:, 0] + 1j * bulk[:, 1])).tolist())
+        want = np.array([sigma * complex(z[0], z[1]) for z in per_round.tolist()])
+        assert table.tobytes() == want.tobytes(), sigma
 
 
 @pytest.mark.parametrize("n", [1, 3, 24])
@@ -565,6 +575,10 @@ def test_a_bench_run_builds_only_the_streams_it_draws_from(monkeypatch):
     monkeypatch.setattr(engine, "_stream", recording)
     run_scenario(bench_scenario())
     assert built == ["static_phases", "proposals", "noise"]
+    # Without receiver noise the walk's noise is 0 and nothing draws it.
+    built.clear()
+    run_scenario(bench_scenario(noise_floor_dbm=None))
+    assert built == ["static_phases", "proposals"]
 
 
 def test_cold_start_failure_skips_alignment():
@@ -685,7 +699,7 @@ def test_metrics_json_matches_asdict(name, tmp_path):
 def test_optimal_amplitude_is_sum_of_path_amplitudes():
     scn = bench_scenario()
     static = engine._static_phases(scn)
-    to_node = channel(scn.slave_positions, engine.node_track(scn)[:, None, :], scn.medium,
+    to_node = channel(scn.slave_positions, scn.trajectory[:, None, :], scn.medium,
                       scn.freq_hz, scn.tx_gain_dbi, static_phase_rad=static)
     got = optimal_amplitude(scn, to_node[0])
     # The coherent optimum only depends on per-link gains, not phases.
@@ -698,7 +712,7 @@ def test_optimal_amplitude_is_sum_of_path_amplitudes():
 def test_node_track_drifts_along_x_at_speed(speed, rounds):
     scn = bench_scenario(rounds=rounds, speed_m_per_s=speed,
                          node_position=Position(0.3, -0.2, -0.1))
-    track = engine.node_track(scn)
+    track = scn.trajectory
     assert track.shape == (rounds, 3)
     n = np.arange(rounds)
     np.testing.assert_allclose(track[:, 0], 0.3 + speed * n * scn.round_time_s,
@@ -708,16 +722,16 @@ def test_node_track_drifts_along_x_at_speed(speed, rounds):
 
 def test_static_node_track_has_one_row():
     scn = bench_scenario(rounds=40)
-    assert scn.trajectory == []
-    assert engine.node_track(scn).tolist() == [[0.0, 0.0, -0.1]]
+    assert scn.trajectory.tolist() == [[0.0, 0.0, -0.1]]
 
 
 def test_mobile_run_tracks_trajectory():
-    # 0.625 m/s over 40 rounds of 2 ms ends 0.05 m along +x.
+    # 0.625 m/s over 40 rounds of 2 ms reaches 0.05 m along +x, so round 39,
+    # 78 ms in, sits 0.04875 m along.
     scn = bench_scenario(rounds=40, speed_m_per_s=0.625)
-    (_, start), (end_s, end) = scn.trajectory
-    assert start == scn.node_position and end_s == 40 * scn.round_time_s
-    assert end.x == pytest.approx(0.05, rel=1e-12)
+    track = scn.trajectory
+    assert len(track) == 40 and (track[0] == scn.node_position).all()
+    assert track[-1, 0] == pytest.approx(0.04875, rel=1e-12)
     m = run_scenario(scn)
     assert len(m.power_trace) == 40
 
