@@ -118,36 +118,52 @@ def _hann(n: int) -> np.ndarray:
     return w
 
 
-def fluctuation_rate(env: np.ndarray, sample_rate_hz: float) -> float:
+def median(x: np.ndarray) -> np.ndarray:
+    """Median along the last axis of finite ``x``, bit for bit as
+    ``np.median`` computes it, without importing ``numpy.ma`` as
+    ``np.median`` does: the middle value that ``np.partition`` puts in
+    place, or for an even length the mean of the two middle values."""
+    half = x.shape[-1] // 2
+    if x.shape[-1] % 2:
+        return np.partition(x, half, axis=-1)[..., half]
+    part = np.partition(x, (half - 1, half), axis=-1)
+    return (part[..., half - 1] + part[..., half]) / 2.0
+
+
+def fluctuation_rate(env: np.ndarray, sample_rate_hz: float) -> float | list:
     """Dominant nonzero-frequency peak of a real envelope, in Hz.
 
     ``env`` holds magnitude samples taken at ``sample_rate_hz``, or their
-    :func:`block_mean` at the decimated rate.  The envelope is mean-removed
-    and Hann-windowed before the FFT.  A flat envelope returns 0 Hz (the
-    synchronized case), as does a spectrum whose strongest bin does not
-    stand ``ENVELOPE_PEAK_RATIO`` times above the median (a noisy but beat-free
-    envelope).
+    :func:`block_mean` at the decimated rate: one envelope, whose rate is
+    returned as a float, or a (rows, points) stack of them, whose rates are
+    returned as a list of floats, each equal to that row's own rate bit for
+    bit.  The envelope is mean-removed and Hann-windowed before the FFT.  A
+    flat envelope returns 0 Hz (the synchronized case), as does a spectrum
+    whose strongest bin does not stand ``ENVELOPE_PEAK_RATIO`` times above
+    the median (a noisy but beat-free envelope).
     """
     env = np.asarray(env, dtype=float)
     if env.size == 0:
         raise DspError("envelope must be non-empty")
+    if env.ndim > 2:
+        raise DspError("envelope must be one envelope or a (rows, points) stack")
     if not np.all(np.isfinite(env)):
         raise DspError("envelope contains non-finite samples")
-    mean = env.mean()
-    x = env - mean
+    rows = np.atleast_2d(env)
+    mean = rows.mean(axis=1, keepdims=True)
+    x = rows - mean
     # Flat envelope: no fluctuation to measure.
-    if np.max(np.abs(x)) <= 1e-9 * max(mean, 1e-300):
-        return 0.0
-    x = x * _hann(x.size)
-    spec = np.abs(np.fft.rfft(x))
-    spec[0] = 0.0
-    peak = int(np.argmax(spec))
-    if spec[peak] <= 0.0:
-        return 0.0
-    floor = float(np.median(spec))
-    if floor > 0 and spec[peak] < ENVELOPE_PEAK_RATIO * floor:
-        return 0.0
-    return peak * sample_rate_hz / x.size
+    flat = np.max(np.abs(x), axis=1) <= 1e-9 * np.maximum(mean[:, 0], 1e-300)
+    spec = np.abs(np.fft.rfft(x * _hann(x.shape[1]), axis=1))
+    spec[:, 0] = 0.0
+    peak = np.argmax(spec, axis=1)
+    top = spec.max(axis=1)
+    floor = median(spec)
+    # A beat-free envelope's strongest bin does not stand out of the median.
+    weak = (floor > 0) & (top < ENVELOPE_PEAK_RATIO * floor)
+    beat = ~flat & (top > 0.0) & ~weak
+    rates = np.where(beat, peak * sample_rate_hz / x.shape[1], 0.0).tolist()
+    return rates if env.ndim == 2 else rates[0]
 
 
 def fluctuation_bin_hz(n_samples: int, sample_rate_hz: float) -> float:

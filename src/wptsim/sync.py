@@ -10,6 +10,9 @@ Coarse sync builds its noisy captures sample by sample.  Fine sync never
 does: the leader reads the envelope averaged over blocks of
 ``ENVELOPE_DECIMATE`` samples, so :class:`FineSyncEnvelope` draws each
 block from the exact mean and variance of the noisy sample magnitudes.
+The walk speculates along its own path in blocks of rounds: one envelope
+draw and one :func:`fluctuation_rate` call give a block's rates, and the
+rounds then take them one by one, equal bit for bit to one round at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .chirp import (
     fluctuation_rate,
     generate_sweep,
     lag_magnitudes,
+    median,
 )
 
 
@@ -46,6 +50,11 @@ COARSE_CAPTURE_SYMBOLS = 3
 ENVELOPE_DECIMATE = 64
 # Symbols of the continuous sweep each fine round captures.
 FINE_WINDOW_SYMBOLS = 64
+# Most rounds of one speculative block of the fine walk (see _fine_walk).
+# The block length moves no output.  On the readme_fast chirp at -70 dBm
+# with 24 slaves and a warm table, run_sync took 42.1, 23.0, 15.1 and
+# 14.0 ms per run with blocks of 1, 3, 8 and 16 rounds (2-vCPU Xeon VM).
+FINE_BLOCK_ROUNDS = 8
 
 
 def fine_sync_pad(residual_jitter: int) -> int:
@@ -63,37 +72,67 @@ def coarse_sync(slave_rx: np.ndarray, ref: np.ndarray) -> int:
     """
     mags = lag_magnitudes(slave_rx, ref)
     lag = int(np.argmax(mags))
-    floor = float(np.median(mags))
+    floor = float(median(mags))
     if floor > 0 and mags[lag] < COARSE_PEAK_RATIO * floor:
         raise SyncError("no chirp preamble detected above threshold")
     return lag
 
 
-def _fine_walk(period: int, offset: int, rate_at, stop_hz: float, pad: int,
+def _block_path(offset: int, step: int, n: int, pad: int) -> list:
+    """The offsets that the next ``n`` or fewer rounds of the walk visit
+    from ``offset`` if it keeps stepping by ``step``, cut where it most
+    likely stops or turns: up to 0 when it heads for 0, and one step on
+    when it heads away from 0, where its rate grows and it turns, unless
+    that step leaves [-pad, pad]."""
+    if offset == 0:
+        k = 1
+    elif (offset > 0) != (step > 0):
+        k = abs(offset) + 1
+    else:
+        k = 2 if abs(offset) < pad else 1
+    return [offset + j * step for j in range(min(k, n))]
+
+
+def _fine_walk(period: int, offset: int, rates_at, stop_hz: float, pad: int,
                transcript: list) -> tuple:
     """(final offset, rounds) of one slave's greedy one-sample walk.
 
-    Each round the leader reads ``rate_at(offset)``, the beat rate of the
-    superposed envelope, and sends two bits: "stop" once the rate is below
+    Each round the leader reads the beat rate of the superposed envelope at
+    the walk's offset, and sends two bits: "stop" once the rate is below
     ``stop_hz`` (one FFT bin), else "add" or "sub" one sample.  The first
     step subtracts; the walk turns around when the rate grew.  It gets
     ``|offset| + 8`` rounds, raises :class:`SyncError` once the offset
     leaves [-pad, pad], and appends (period, round, offset, rate_hz,
     command) to ``transcript`` each round.
+
+    The walk runs in speculative blocks along its own path.  It asks
+    ``rates_at`` for the rates at the offsets of :func:`_block_path`, at
+    most ``FINE_BLOCK_ROUNDS`` of them, and ``rates_at`` returns the rates
+    of a non-empty prefix of them, in order.  The rounds then read those
+    rates one by one, and the rates after a stop or a turn are dropped.  So
+    as long as a round's rate does not depend on which block asked for it,
+    the rounds are the same for every block length.
     """
     step, last_hz = -1, None
-    for rounds in range(1, abs(offset) + 9):
+    budget = abs(offset) + 8
+    rounds = 0
+    while rounds < budget:
         if abs(offset) > pad:
             raise SyncError("fine sync walked outside the modeled window")
-        rate_hz = rate_at(offset)
-        if rate_hz < stop_hz:
-            transcript.append((period, rounds, offset, rate_hz, "stop"))
-            break
-        if last_hz is not None and rate_hz > last_hz:
-            step = -step
-        last_hz = rate_hz
-        transcript.append((period, rounds, offset, rate_hz, "add" if step > 0 else "sub"))
-        offset += step
+        path = _block_path(offset, step, min(FINE_BLOCK_ROUNDS, budget - rounds), pad)
+        for rate_hz in rates_at(path):
+            rounds += 1
+            if rate_hz < stop_hz:
+                transcript.append((period, rounds, offset, rate_hz, "stop"))
+                return offset, rounds
+            turned = last_hz is not None and rate_hz > last_hz
+            if turned:
+                step = -step
+            last_hz = rate_hz
+            transcript.append((period, rounds, offset, rate_hz, "add" if step > 0 else "sub"))
+            offset += step
+            if turned:
+                break
     return offset, rounds
 
 
@@ -213,6 +252,17 @@ def rician_moments(nu: np.ndarray, sigma: float) -> tuple:
     return mean, var
 
 
+# Samples of one step of building a table row.  The steps give the whole
+# row's bytes: each block depends on its own samples alone, and
+# rician_moments gives a sample the same bits in any call (its power-series
+# loop runs until the call's slowest sample converges, and the terms it
+# then adds to a converged sample are below half an ulp).  Built whole, a
+# README-chirp row keeps some 20 MB of temporaries alive; glibc handed that
+# memory back after every row, and a cold run_sync took 5x the page faults
+# and a quarter more time.  Steps of 2^17 samples keep them near 8 MB.
+_BUILD_SAMPLES = 1 << 17
+
+
 class FineSyncEnvelope:
     """The leader's decimated envelope of two superposed sweeps in fine sync.
 
@@ -222,17 +272,20 @@ class FineSyncEnvelope:
     sum of the two sweeps, its magnitude, then its mean over each block of
     ``ENVELOPE_DECIMATE`` samples.  With noise, each sample magnitude is
     Rician; the instance keeps the block mean of the Rician means and the
-    block std sqrt(sum of variances) / ``ENVELOPE_DECIMATE``, and every
-    round draws one normal per block around them.
+    block std sqrt(sum of variances) / ``ENVELOPE_DECIMATE``, and a round
+    adds one normal per block around them.
 
-    The table holds only these read-only, seed-free arrays, so
-    :func:`run_sync` takes one instance per process and key from
-    :func:`fine_sync_envelope`: every run with that chirp, jitter and
-    noise power reuses the offsets earlier runs built.  It fills lazily
-    and holds at most 2 * pad + 1 offsets, each two float64 arrays of
-    window / ``ENVELOPE_DECIMATE`` blocks, beside the extended sweep: about
-    0.9 MB for the 512-sample chirp at jitter 20, and up to 36 MB plus the
-    8.7 MB sweep for the README chirp at jitter 60.
+    The table is two (2 * pad + 1, blocks) arrays, the block means and the
+    block stds (none without noise), with row pad + r for offset r.  They
+    are allocated empty and each row is filled the first time an offset is
+    read, so a run touches only the rows its walk reads.  Rows are handed
+    out read-only or copied, and hold no random draw, so :func:`run_sync`
+    takes one instance per process and key from :func:`fine_sync_envelope`:
+    every run with that chirp, jitter and noise power reuses the rows
+    earlier runs built.  Filled in full, the table is two float64 arrays of
+    (2 * pad + 1) * window / ``ENVELOPE_DECIMATE`` values beside the
+    extended sweep: about 0.9 MB for the 512-sample chirp at jitter 20, and
+    36 MB plus the 8.7 MB sweep for the README chirp at jitter 60.
     """
 
     def __init__(self, params: ChirpParams, pad: int, noise_power: float = 0.0):
@@ -243,38 +296,74 @@ class FineSyncEnvelope:
         self._ext = generate_sweep(params, n_ext)
         self._base = self._ext[pad : pad + self.window]
         self._sigma = math.sqrt(noise_power / 2.0)
-        self._blocks = {}            # offset -> (block mean, block std or None)
+        shape = (2 * pad + 1, self.window // ENVELOPE_DECIMATE)
+        self._mean = np.empty(shape)
+        self._std = np.empty(shape) if self._sigma > 0.0 else None
+        self._built = [False] * shape[0]
+
+    @property
+    def noisy(self) -> bool:
+        """Whether a round adds noise, one normal per block."""
+        return self._std is not None
+
+    @property
+    def n_blocks(self) -> int:
+        """Envelope blocks per round, and normals per noisy round."""
+        return self._mean.shape[1]
+
+    def _shifted(self, offset: int) -> np.ndarray:
+        """The target slave's sweep at ``offset``, over the window."""
+        if abs(offset) > self.pad:
+            raise ValueError(f"offset {offset} lies outside [-{self.pad}, {self.pad}]")
+        return self._ext[self.pad - offset : self.pad - offset + self.window]
 
     def samples(self, offset: int) -> np.ndarray:
         """The noise-free superposed sweeps at ``offset``, sample by sample."""
-        if abs(offset) > self.pad:
-            raise ValueError(f"offset {offset} lies outside [-{self.pad}, {self.pad}]")
-        shifted = self._ext[self.pad - offset : self.pad - offset + self.window]
-        return self._base + shifted
+        return self._base + self._shifted(offset)
 
-    def blocks(self, offset: int) -> tuple:
-        """(mean, std) of each envelope block at ``offset``, both read-only;
-        std is None without noise, when the mean is the envelope itself."""
-        if offset not in self._blocks:
-            nu = np.abs(self.samples(offset))
-            if self._sigma == 0.0:
-                mean, std = block_mean(nu, ENVELOPE_DECIMATE), None
+    def _row(self, offset: int) -> int:
+        """The table row of ``offset``, filled first if it is not yet."""
+        row = offset + self.pad
+        if 0 <= row < len(self._built) and self._built[row]:
+            return row
+        shifted = self._shifted(offset)
+        for start in range(0, self.window, _BUILD_SAMPLES):
+            span = slice(start, start + _BUILD_SAMPLES)
+            blocks = slice(start // ENVELOPE_DECIMATE,
+                           (start + _BUILD_SAMPLES) // ENVELOPE_DECIMATE)
+            nu = np.abs(self._base[span] + shifted[span])
+            if self._std is None:
+                self._mean[row, blocks] = block_mean(nu, ENVELOPE_DECIMATE)
             else:
                 mean, var = rician_moments(nu, self._sigma)
-                mean = block_mean(mean, ENVELOPE_DECIMATE)
-                std = np.sqrt(block_mean(var, ENVELOPE_DECIMATE) / ENVELOPE_DECIMATE)
-                std.setflags(write=False)
-            mean.setflags(write=False)
-            self._blocks[offset] = (mean, std)
-        return self._blocks[offset]
+                self._mean[row, blocks] = block_mean(mean, ENVELOPE_DECIMATE)
+                self._std[row, blocks] = np.sqrt(block_mean(var, ENVELOPE_DECIMATE)
+                                                 / ENVELOPE_DECIMATE)
+        self._built[row] = True
+        return row
 
-    def draw(self, offset: int, rng: np.random.Generator) -> np.ndarray:
-        """One round's decimated envelope at ``offset``; without noise, the
-        table's own read-only mean."""
-        mean, std = self.blocks(offset)
-        if std is None:
-            return mean
-        return mean + std * rng.standard_normal(mean.size)
+    def blocks(self, offset: int) -> tuple:
+        """(mean, std) of each envelope block at ``offset``, both read-only
+        views of the table; std is None without noise, when the mean is the
+        envelope itself."""
+        row = self._row(offset)
+        mean = self._mean[row]
+        mean.setflags(write=False)
+        if self._std is None:
+            return mean, None
+        std = self._std[row]
+        std.setflags(write=False)
+        return mean, std
+
+    def draw(self, offsets, normals) -> np.ndarray:
+        """The decimated envelopes at ``offsets``, one row each: the mean
+        row plus the std row times the matching row of ``normals``, a
+        (len(offsets), blocks) array.  Without noise ``normals`` is None and
+        the rows are copies of the mean rows."""
+        rows = [self._row(offset) for offset in offsets]
+        if self._std is None:
+            return self._mean[rows]
+        return self._mean[rows] + self._std[rows] * normals
 
 
 @lru_cache(maxsize=1)
@@ -283,6 +372,31 @@ def fine_sync_envelope(params: ChirpParams, pad: int, noise_power: float) -> Fin
     entry bounds the memory at one table; a process that changes chirp,
     jitter or noise power builds a new table for the new key."""
     return FineSyncEnvelope(params, pad, noise_power)
+
+
+class _NormalRows:
+    """Fine sync's noise stream as rows of one normal per envelope block.
+
+    A block asks for the rows of its rounds; rows that a stop or a turn left
+    unread stay for the rounds after it, so round r reads the stream's r-th
+    row whatever the block length.  A run draws at most
+    ``FINE_BLOCK_ROUNDS`` - 1 rows that no round reads.
+    """
+
+    def __init__(self, rng: np.random.Generator, n_blocks: int):
+        self._rng = rng
+        self._rows = np.empty((0, n_blocks))
+        self._first = 0             # the round that reads self._rows[0]
+
+    def take(self, first: int, k: int) -> np.ndarray:
+        """Rows ``first`` .. ``first`` + k - 1 of the stream, drawing the
+        ones not drawn yet in one call; rows before ``first`` are dropped."""
+        rows = self._rows[first - self._first:]
+        if len(rows) < k:
+            fresh = self._rng.standard_normal((k - len(rows), rows.shape[1]))
+            rows = np.concatenate([rows, fresh])
+        self._rows, self._first = rows, first
+        return rows[:k]
 
 
 @dataclass
@@ -349,14 +463,21 @@ def run_sync(
     rx = fine_sync_envelope(params, fine_sync_pad(residual_jitter), noise_power)
     stop_hz = fluctuation_bin_hz(rx.window, params.sample_rate_hz)
 
-    # Offsets below are relative to the first slave.
+    # Offsets below are relative to the first slave.  Round r of the run
+    # reads row r of the noise stream, whichever block asked for it.
     rel = [r - residuals[0] for r in residuals]
+    normals = _NormalRows(rng, rx.n_blocks) if rx.noisy else None
+
+    def rates_at(offsets):
+        # Each round so far read one row of normals and wrote one line of
+        # the transcript.
+        rows = None if normals is None else normals.take(len(transcript), len(offsets))
+        return fluctuation_rate(rx.draw(offsets, rows), rx.envelope_rate_hz)
+
     rounds_per_period = []
     transcript = []
     for i in range(1, n_slaves):
-        rel[i], rounds = _fine_walk(
-            i, rel[i], lambda r: fluctuation_rate(rx.draw(r, rng), rx.envelope_rate_hz),
-            stop_hz, rx.pad, transcript)
+        rel[i], rounds = _fine_walk(i, rel[i], rates_at, stop_hz, rx.pad, transcript)
         rounds_per_period.append(rounds)
 
     return SyncResult(rel, rounds_per_period, transcript)

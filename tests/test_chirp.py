@@ -14,6 +14,7 @@ from wptsim.chirp import (
     fluctuation_rate,
     generate_sweep,
     lag_magnitudes,
+    median,
     p_ccs0,
 )
 from oracles import energy
@@ -102,6 +103,58 @@ def test_too_short_a_signal_is_refused(call):
 def test_fluctuation_rate_rejects_empty_or_non_finite_envelope(env):
     with pytest.raises(DspError):
         fluctuation_rate(env, 8e3)
+
+
+@pytest.mark.parametrize("env", [np.ones((0, 4)), np.array([[1.0, 2.0], [1.0, np.inf]]),
+                                 np.ones((2, 2, 4))], ids=["no_rows", "inf_in_a_row", "3d"])
+def test_fluctuation_rate_rejects_a_bad_stack_of_envelopes(env):
+    with pytest.raises(DspError):
+        fluctuation_rate(env, 8e3)
+
+
+def _envelope_rows(n: int, rng) -> np.ndarray:
+    """Flat, beating, noisy and sparse envelopes of ``n`` points."""
+    t = np.arange(n)
+    rows = [np.full(n, 1.5), np.zeros(n)]
+    for f in (0.01, 0.1, 0.37):
+        rows.append(1.0 + 0.3 * np.cos(2 * np.pi * f * t) + 0.05 * rng.standard_normal(n))
+    rows.append(1.0 + rng.standard_normal(n))
+    rows.append(np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.5))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 512, 513, 8192])
+def test_fluctuation_rate_of_rows_is_each_rows_own_rate(n):
+    # The fine walk takes a block's rates in one call on a (rows, points)
+    # stack: 512 points per row for the readme_fast chirp, 8192 for the
+    # README chirp.  numpy's row-batched rfft and partition must give each
+    # row what it gives that row alone.
+    rows = _envelope_rows(n, np.random.default_rng(n))
+    rates = fluctuation_rate(rows, 8e3)
+    alone = [fluctuation_rate(row, 8e3) for row in rows]
+    assert type(rates) is list and all(type(r) is float for r in rates + alone)
+    assert rates == alone
+    assert fluctuation_rate(rows[::-1], 8e3) == alone[::-1]
+    if n >= 512:
+        assert len(set(alone)) > 2      # some rows beat, some do not
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 257, 512, 4097])
+def test_median_is_numpys_median_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    cases = [rng.standard_normal(n),                        # distinct values
+             rng.integers(0, 3, n).astype(float),            # ties
+             np.zeros(n),                                     # all zero
+             np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.3),   # many zeros
+             np.full(n, 2.5)]
+    for x in cases:
+        assert median(x).tobytes() == np.float64(np.median(x)).tobytes()
+    rows = np.array(cases)
+    assert median(rows).tobytes() == np.array([np.median(x) for x in cases]).tobytes()
+    # It partitions a copy.
+    before = rows.copy()
+    median(rows)
+    np.testing.assert_array_equal(rows, before)
 
 
 def test_block_mean_drops_partial_block():

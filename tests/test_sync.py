@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -65,9 +68,9 @@ def _fine_sync_by_samples(true_offsets, params, rng, noise_power=0.0,
     rel = [r - residuals[0] for r in residuals]
     rounds_per_period, transcript = [], []
     for i in range(1, len(rel)):
-        rel[i], rounds = _fine_walk(i, rel[i],
-                                    lambda r: _rate_by_samples(rx, r, noise_power, rng),
-                                    stop_hz, rx.pad, transcript)
+        rel[i], rounds = _fine_walk(
+            i, rel[i], lambda offsets: [_rate_by_samples(rx, offsets[0], noise_power, rng)],
+            stop_hz, rx.pad, transcript)
         rounds_per_period.append(rounds)
     return SyncResult(rel, rounds_per_period, transcript)
 
@@ -90,10 +93,11 @@ def test_coarse_sync_rejects_pure_noise():
 
 def _scripted_walk(rates, offset=5, stop_hz=1.0, pad=50):
     """(final offset, rounds, transcript) of a walk that reads ``rates`` in
-    turn, whatever its offset."""
+    turn, one per block, whatever its offset."""
     rates = iter(rates)
     transcript = []
-    offset, rounds = _fine_walk(2, offset, lambda r: next(rates), stop_hz, pad, transcript)
+    offset, rounds = _fine_walk(2, offset, lambda offsets: [next(rates)], stop_hz, pad,
+                                transcript)
     return offset, rounds, transcript
 
 
@@ -244,7 +248,8 @@ def test_block_noise_model_matches_sample_oracle(oracle_stops):
     # The cases span P(stop) from 0 through intermediate values to 1.
     assert {0, _STOP_DRAWS} <= set(oracle_stops.values())
     assert any(0 < k < _STOP_DRAWS for k in oracle_stops.values())
-    zs = _block_model_z(oracle_stops, lambda rx, r, rng: rx.draw(r, rng))
+    zs = _block_model_z(oracle_stops, lambda rx, r, rng: rx.draw(
+        [r], rng.standard_normal((1, rx.n_blocks)))[0])
     assert max(zs) < 3.3, zs
 
 
@@ -304,49 +309,122 @@ def test_rician_moments_match_monte_carlo(ratio):
     assert abs(samples.var() - var[0]) < 5.0 * var[0] * math.sqrt(2.0 / n)
 
 
-def test_fine_sync_draws_one_block_vector_per_round(monkeypatch):
-    """Fine sync calls fluctuation_rate once per round, through the sync
-    namespace, and draws at most one normal per envelope block per round."""
-    per_round = [0]                  # normals drawn by fine sync, per round
-    in_coarse = [False]
-    real_rate, real_awgn = sync.fluctuation_rate, sync.awgn_power
+def _per_round_sync(true_offsets, params, rng, noise_power, residual_jitter) -> SyncResult:
+    """:func:`run_sync` as it ran one round at a time: each round reads its
+    offset's table row, draws one normal per block and takes one envelope's
+    beat rate."""
+    residuals = sync._coarse_residuals([int(o) for o in true_offsets], params, rng,
+                                       noise_power, residual_jitter)
+    rx = fine_sync_envelope(params, fine_sync_pad(residual_jitter), noise_power)
+    stop_hz = fluctuation_bin_hz(rx.window, params.sample_rate_hz)
 
-    def counting_rate(*args, **kwargs):
-        per_round.append(0)
-        return real_rate(*args, **kwargs)
+    def rate_at(offsets):
+        mean, std = rx.blocks(offsets[0])
+        env = mean if std is None else mean + std * rng.standard_normal(mean.size)
+        return [fluctuation_rate(env, rx.envelope_rate_hz)]
 
-    def coarse_awgn(*args, **kwargs):
-        in_coarse[0] = True
-        try:
-            return real_awgn(*args, **kwargs)
-        finally:
-            in_coarse[0] = False
+    rel = [r - residuals[0] for r in residuals]
+    rounds_per_period, transcript = [], []
+    for i in range(1, len(rel)):
+        rel[i], rounds = _fine_walk(i, rel[i], rate_at, stop_hz, rx.pad, transcript)
+        rounds_per_period.append(rounds)
+    return SyncResult(rel, rounds_per_period, transcript)
 
-    class CountingGenerator:
-        def __init__(self, rng):
-            self._rng = rng
 
-        def standard_normal(self, size=None):
-            if not in_coarse[0]:
-                per_round[-1] += int(np.prod(size))
-            return self._rng.standard_normal(size)
+class _RowCountingGenerator:
+    """A generator that counts the normal rows drawn as (rows, blocks)
+    arrays, which only fine sync draws."""
 
-        def integers(self, *args, **kwargs):
-            return self._rng.integers(*args, **kwargs)
+    def __init__(self, rng):
+        self._rng = rng
+        self.rows = 0
+
+    def standard_normal(self, size=None):
+        if isinstance(size, tuple) and len(size) == 2:
+            self.rows += size[0]
+        return self._rng.standard_normal(size)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("jitter", [0, 20, 60])
+@pytest.mark.parametrize("noise_power, noisy_coarse", [
+    (0.0, True), (_noise_power_at(-70.0, README_FAST_CHIRP), True), (4.0, True),
+    (16.0, False)], ids=["noise_off", "minus_70_dbm", "power_4", "fine_only_power_16"])
+def test_block_walk_writes_the_per_round_sync_result(noise_power, noisy_coarse, jitter,
+                                                     monkeypatch):
+    """Every block length gives the per-round walk's residuals, rounds and
+    transcript bit for bit, and leaves at most FINE_BLOCK_ROUNDS - 1 rows of
+    normals unread per run (none without noise).
+
+    At power 4.0 coarse sync fails seeds 8 and 10.  At power 16 it would
+    fail them all, so there coarse sync runs noise-free; the fine walk's
+    noise then decides stops short of 0 and turns, and a block drops the
+    rates after them."""
+    if not noisy_coarse:
+        coarse = sync._coarse_residuals
+        monkeypatch.setattr(sync, "_coarse_residuals",
+                            lambda offsets, params, rng, noise_power, jitter:
+                            coarse(offsets, params, rng, 0.0, jitter))
+    fine_sync_envelope.cache_clear()
+    rates = [0]                     # beat rates computed, read or dropped
+    real_rate = sync.fluctuation_rate
+
+    def counting_rate(env, sample_rate_hz):
+        out = real_rate(env, sample_rate_hz)
+        rates[0] += len(out)
+        return out
 
     monkeypatch.setattr(sync, "fluctuation_rate", counting_rate)
-    monkeypatch.setattr(sync, "awgn_power", coarse_awgn)
-    params = README_FAST_CHIRP
-    offsets = np.random.default_rng(8).integers(0, 501, 5)
-    res = run_sync(offsets, params, CountingGenerator(np.random.default_rng(8)),
-                   noise_power=_noise_power_at(-70.0, params), residual_jitter=20)
+    dropped = {}
+    for seed in range(12):
+        offsets = np.random.default_rng(seed).integers(0, 501, 6)
+        try:
+            ref = _per_round_sync(offsets, README_FAST_CHIRP, np.random.default_rng(seed),
+                                  noise_power, jitter)
+        except SyncError as exc:
+            ref = str(exc)
+        for cap in (1, 3, 8, 16):
+            monkeypatch.setattr(sync, "FINE_BLOCK_ROUNDS", cap)
+            rng = _RowCountingGenerator(np.random.default_rng(seed))
+            rates[0] = 0
+            try:
+                res = run_sync(offsets, README_FAST_CHIRP, rng, noise_power=noise_power,
+                               residual_jitter=jitter)
+            except SyncError as exc:
+                assert str(exc) == ref
+                continue
+            assert res == ref, (seed, cap)
+            rounds = sum(res.rounds_per_period)
+            unread = rng.rows - (rounds if noise_power else 0)
+            assert 0 <= unread <= cap - 1, (seed, cap, unread)
+            dropped[cap] = dropped.get(cap, 0) + rates[0] - rounds
+    # Blocks of more than one round drop the rates after a turn or a stop;
+    # the next rounds read those rates' normals.
+    assert dropped[1] == 0, dropped
+    if not noisy_coarse and jitter:
+        assert dropped[3] > 0 and dropped[8] > 0 and dropped[16] > 0, dropped
 
-    rounds = sum(res.rounds_per_period)
-    assert rounds == len(res.transcript) > 0
-    # One entry per fluctuation_rate call, then what followed the last one.
-    assert len(per_round) == rounds + 1 and per_round[-1] == 0
-    blocks = -(-params.n_samples * 64 // ENVELOPE_DECIMATE)
-    assert all(0 < n <= blocks for n in per_round[:-1])
+
+def test_run_sync_leaves_numpy_ma_unimported():
+    # np.median imports numpy.ma on its first call, about 2 MB of resident
+    # memory; coarse and fine sync take their medians with chirp.median.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sync.__file__)))
+    code = """
+import sys
+import numpy as np
+from wptsim.chirp import ChirpParams
+from wptsim.sync import run_sync
+params = ChirpParams(bandwidth_hz=10e3, symbol_time_s=1e-3, sample_rate_hz=512e3)
+res = run_sync([10, 250, 480], params, np.random.default_rng(0),
+               noise_power=5.12e-9, residual_jitter=20)
+assert sum(res.rounds_per_period) > 0
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["False"]
 
 
 # The fine-sync table is shared by every run_sync call of a process with the
@@ -360,11 +438,41 @@ def test_table_arrays_are_read_only(noise_power):
             continue
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
-    env = rx.draw(3, np.random.default_rng(0))
-    assert (env is rx.blocks(3)[0]) == (noise_power == 0.0)
-    if noise_power == 0.0:
-        with pytest.raises(ValueError, match="read-only"):
-            env += 1.0
+    # A drawn envelope is the caller's own; writing it leaves the table be.
+    normals = np.random.default_rng(0).standard_normal((2, rx.n_blocks))
+    env = rx.draw([3, 2], normals if rx.noisy else None)
+    mean, std = rx.blocks(3)
+    expect = mean if std is None else mean + std * normals[0]
+    np.testing.assert_array_equal(env[0], expect)
+    env += 1.0
+    np.testing.assert_array_equal(rx.blocks(3)[0], mean)
+    assert rx.noisy == (noise_power > 0.0)
+
+
+def _built_offsets(rx: FineSyncEnvelope) -> set:
+    return {row - rx.pad for row, built in enumerate(rx._built) if built}
+
+
+@pytest.mark.parametrize("floor_dbm", [None, -70.0, 20.0])
+def test_table_rows_built_in_steps_are_the_whole_windows_rows(floor_dbm):
+    """A README-chirp row is built in four steps; its bytes are those of the
+    whole window's moments.  The beat's nulls put some samples of the -70 dBm
+    rows in the power-series region of rician_moments, whose loop runs until
+    the slowest sample of its call converges; at +20 dBm every sample is
+    there."""
+    noise = 0.0 if floor_dbm is None else _noise_power_at(floor_dbm, README_CHIRP)
+    rx = FineSyncEnvelope(README_CHIRP, fine_sync_pad(2), noise)
+    assert rx.window == 4 * sync._BUILD_SAMPLES
+    for offset in (-20, -3, 0, 1, 7):
+        nu = np.abs(rx.samples(offset))
+        if noise:
+            mean, var = rician_moments(nu, rx._sigma)
+            whole = [block_mean(mean, ENVELOPE_DECIMATE),
+                     np.sqrt(block_mean(var, ENVELOPE_DECIMATE) / ENVELOPE_DECIMATE)]
+        else:
+            whole = [block_mean(nu, ENVELOPE_DECIMATE), None]
+        for got, expect in zip(rx.blocks(offset), whole):
+            assert (got is None and expect is None) or got.tobytes() == expect.tobytes()
 
 
 def _sync_runs(seeds, noise_power, jitter=20) -> dict:
@@ -403,7 +511,7 @@ def test_run_sync_reads_the_shared_table():
     res = _sync_runs([4], noise)[4]
     rx = fine_sync_envelope(README_FAST_CHIRP, fine_sync_pad(20), noise)
     assert fine_sync_envelope.cache_info().hits == 1
-    assert {off for _, _, off, _, _ in res.transcript} == set(rx._blocks)
+    assert {off for _, _, off, _, _ in res.transcript} == _built_offsets(rx)
 
 
 def test_each_sync_setting_gets_its_own_table():
@@ -428,10 +536,10 @@ def test_table_never_holds_more_than_the_modeled_offsets():
     fine_sync_envelope.cache_clear()
     _sync_runs(range(20), 4.0, jitter)
     rx = fine_sync_envelope(README_FAST_CHIRP, pad, 4.0)
-    assert 0 < len(rx._blocks) <= 2 * pad + 1
+    assert 0 < len(_built_offsets(rx)) <= 2 * pad + 1
     for offset in range(-pad, pad + 1):
         rx.blocks(offset)
     for offset in (-pad - 1, pad + 1, 10 * pad):
         with pytest.raises(ValueError, match="outside"):
             rx.blocks(offset)
-    assert sorted(rx._blocks) == list(range(-pad, pad + 1))
+    assert sorted(_built_offsets(rx)) == list(range(-pad, pad + 1))
