@@ -516,7 +516,9 @@ def main(argv=None) -> int:
                                      "--seeds")
         if args.verb == "run":
             return cmd_run(cfg, args.out)
-        return cmd_sweep(cfg, args.out, max(1, args.jobs))
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be a whole number >= 1, not {args.jobs}")
+        return cmd_sweep(cfg, args.out, args.jobs)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,7 +43,8 @@ class EngineError(ValueError):
 
 
 def _is_finite(x) -> bool:
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+    """A finite real number, numpy's included; a bool is none."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _is_whole(x, low: int) -> bool:
@@ -114,9 +115,8 @@ class Scenario:
         if self.baseline not in ("none", "random_phase"):
             raise EngineError(
                 f"baseline must be 'none' or 'random_phase', not {self.baseline!r}")
-        # NaN fails the range test too.
         if self.bound != "adaptive" and not (
-                isinstance(self.bound, numbers.Real) and 0.0 < self.bound <= 180.0):
+                _is_finite(self.bound) and 0.0 < self.bound <= 180.0):
             raise EngineError(
                 f"bound must be 'adaptive' or in (0, 180] degrees, not {self.bound!r}")
         for name in ("feedback_latency_s", "speed_m_per_s"):
@@ -188,66 +188,26 @@ class Metrics:
         return document_json(self.as_dict())
 
 
-@lru_cache(maxsize=None)
-def _c_encoder(item_sep: str) -> json.JSONEncoder:
-    """json's C encoder, which joins the items of every list with ``item_sep``."""
-    return json.JSONEncoder(separators=(item_sep, ": "))
+# json's C encoder, which writes a value on one line, its dict keys sorted.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(", ", ": "))
 
 
-def document_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte; the one
-    writer of metrics documents.  Dict keys must be strings.
-
-    json uses its C encoder only without ``indent``, so this writer walks
-    the dicts itself and has the C encoder write each list in one call,
-    its items joined by ``,`` and the next line's indent, then adds the
-    brackets.  A list of rows (lists or tuples) takes one call with the
-    rows' indent, and each ``],<nl>[`` between two rows is then rewritten:
-    only a separator holds a new line, since json escapes one in a string.
-    A list that one call cannot indent, because it holds a container that
-    is not a row of scalars, is written item by item, as is a list with a
-    bracket inside a string, which the check for containers cannot tell
-    from one.
+def document_json(obj, nl: str = "\n") -> str:
+    """The one writer of metrics documents.  A non-empty dict puts each key,
+    sorted, on its own line, one space deeper than the dict's own line,
+    whose break and indent ``nl`` holds; any other value, each list
+    included, is one line of ``_ENCODER``.  The keys of those dicts must be
+    strings; a dict inside a list keeps json's own key rules.
     """
-    out = []
-    _write(obj, "\n", out)
-    return "".join(out)
-
-
-def _write(obj, nl: str, out: list) -> None:
-    """Append the text of ``obj``, whose own line starts with ``nl``."""
+    if not (isinstance(obj, dict) and obj):
+        return _ENCODER.encode(obj)
     inner = nl + " "
-    if isinstance(obj, dict) and obj:
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"document keys must be str, not {key!r}")
-            out.append(sep + json.encoder.encode_basestring_ascii(key) + ": ")
-            _write(value, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        if isinstance(obj[0], (list, tuple)):
-            row = inner + " "
-            text = _c_encoder("," + row).encode(obj)
-            if (all(isinstance(r, (list, tuple)) and r for r in obj)
-                    and text.count("[") == len(obj) + 1 and "{" not in text):
-                body = text[2:-2].replace("]," + row + "[", inner + "]," + inner + "[" + row)
-                out.append("[" + inner + "[" + row + body + inner + "]" + nl + "]")
-                return
-        else:
-            text = _c_encoder("," + inner).encode(obj)
-            if "[" not in text[1:-1] and "{" not in text:
-                out.append("[" + inner + text[1:-1] + nl + "]")
-                return
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    else:
-        out.append(_c_encoder(",").encode(obj))
+    lines = []
+    for key, value in sorted(obj.items()):
+        if not isinstance(key, str):
+            raise TypeError(f"document keys must be str, not {key!r}")
+        lines.append(inner + _ENCODER.encode(key) + ": " + document_json(value, inner))
+    return "{" + ",".join(lines) + nl + "}"
 
 
 def _track(node: Position, speed_m_per_s: float, rounds: int, round_time_s: float):

@@ -8,6 +8,7 @@ the shape of a heat map's 3 dB region (criterion 8).  They are what import
 scipy; the simulator itself needs only numpy and pyyaml.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,6 +20,28 @@ from scipy.special import betainc, erf
 from wptsim import coldstart as cs, engine
 from wptsim.beamform import BeamformError, _step_over_grid, bessel_ratio, solve_concentration
 from wptsim.channel import channel
+
+
+def document_text(obj) -> str:
+    """A metrics document's text, built line by line from ``json.dumps``.
+
+    A non-empty dict is ``{``, then one ``<indent>"key": <value>`` line per
+    sorted key, each but the last ending in ``,``, then ``}`` at the dict's
+    own indent, one space deeper per level.  Any other value is
+    ``json.dumps(value, sort_keys=True)``, one line.
+    """
+    def lines(value, depth: int) -> list:
+        if not (isinstance(value, dict) and value):
+            return [json.dumps(value, sort_keys=True)]
+        out = ["{"]
+        keys = sorted(value)
+        for i, key in enumerate(keys):
+            sub = lines(value[key], depth + 1)
+            sub[0] = " " * (depth + 1) + json.dumps(key) + ": " + sub[0]
+            out += sub[:-1] + [sub[-1] + ("," if i < len(keys) - 1 else "")]
+        return out + [" " * depth + "}"]
+
+    return "\n".join(lines(obj, 0))
 
 
 def propose(rng, ref, phi: float) -> np.ndarray:

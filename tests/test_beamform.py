@@ -339,6 +339,7 @@ def _scripted(values):
     return lambda *args: next(values)
 
 
+@pytest.mark.newest_python
 def test_aligner_accepts_only_strict_gains(monkeypatch):
     # Round 0 is kept at any value, a tie is rejected, any rise is kept, a
     # rejected proposal leaves the reference phases where they were, and a

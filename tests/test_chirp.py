@@ -123,6 +123,7 @@ def _envelope_rows(n: int, rng) -> np.ndarray:
     return np.array(rows)
 
 
+@pytest.mark.newest_python
 @pytest.mark.parametrize("n", [1, 2, 7, 512, 513, 8192])
 def test_fluctuation_rate_of_rows_is_each_rows_own_rate(n):
     # The fine walk takes a block's rates in one call on a (rows, points)
@@ -139,6 +140,7 @@ def test_fluctuation_rate_of_rows_is_each_rows_own_rate(n):
         assert len(set(alone)) > 2      # some rows beat, some do not
 
 
+@pytest.mark.newest_python
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 257, 512, 4097])
 def test_median_is_numpys_median_bit_for_bit(n):
     rng = np.random.default_rng(n)

@@ -15,6 +15,7 @@ import pytest
 import yaml
 
 import wptsim
+from oracles import document_text
 from test_golden import SCENARIOS
 from wptsim import cli
 from wptsim.chirp import ChirpParams
@@ -226,17 +227,17 @@ def _csv_writer_trace(metrics, path):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_run_one_writes_the_round_tripped_document(tmp_path, name):
-    # The run document and trace as the json and csv modules wrote them.
+    # The run document as oracles.document_text lays it out, and the trace
+    # as the csv module wrote it.
     scn_cfg, seed, _ = SCENARIOS[name]
     cfg = parse_config({"scenario": scn_cfg})
     point = {"speed_m_per_s": 1.0}
     run_one(cfg, cfg["scenario"], seed, str(tmp_path), "t_", point)
     metrics = run_scenario(build_scenario(cfg["scenario"], seed))
-    with open(tmp_path / "want.json", "w") as fh:
-        json.dump({"point": point, "seed": seed,
-                   "metrics": json.loads(metrics.to_json())}, fh, sort_keys=True, indent=1)
+    want = document_text({"point": point, "seed": seed,
+                          "metrics": json.loads(metrics.to_json())})
     stem = tmp_path / f"run_t_seed{seed}"
-    assert stem.with_suffix(".json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert stem.with_suffix(".json").read_bytes() == want.encode()
     _csv_writer_trace(metrics, tmp_path / "want.csv")
     trace = tmp_path / f"run_t_seed{seed}_trace.csv"
     assert trace.read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -530,6 +531,16 @@ def test_bad_seeds_exit_2_before_anything_is_written(tmp_path, capsys, seeds, op
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), *extra]) == 2
     assert ("seeds must" if option is None else "--seeds must") in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# Each used to run on one worker, without a word.
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_1_exits_2_before_anything_is_written(tmp_path, capsys, jobs):
+    cfg_path = write_cfg(tmp_path, dict(MINIMAL, sweep={"speed_m_per_s": [0.0]}))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out), "--jobs", jobs]) == 2
+    assert f"--jobs must be a whole number >= 1, not {jobs}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_seeds_option_exits_2_naming_it(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import ive
 from scipy.stats import ks_2samp
 
-from oracles import aligned_phases, propose, region_axis_ratio
+from oracles import aligned_phases, document_text, propose, region_axis_ratio
 from test_golden import SCENARIOS, mismatches
 from wptsim import coldstart as cs, engine
 from wptsim.backscatter import SHIFT_FREQ_HZ, BackscatterNode, amplitude_ratio
@@ -128,6 +128,16 @@ def test_scenario_rejects_bad_numbers(kw, field_name):
                                 {"freq_hz": 3e3}, {"freq_hz": 3e12}])
 def test_scenario_accepts_valid_numbers(kw):
     bench_scenario(**kw)
+
+
+# bound=True, tx_power_dbm=True and feedback_latency_s=True used to run a
+# 1 degree bound at 1 dBm with a 1.004 s round.
+@pytest.mark.parametrize("field_name", [
+    "bound", "tx_power_dbm", "tx_gain_dbi", "freq_hz", "noise_floor_dbm", "speed_m_per_s",
+    "feedback_latency_s", "sigma_deg", "wake_threshold_dbm"])
+def test_scenario_refuses_a_bool_in_a_number_field(field_name):
+    with pytest.raises(EngineError, match=field_name):
+        bench_scenario(**{field_name: True})
 
 
 @pytest.mark.parametrize("kw, field_name", [
@@ -442,6 +452,7 @@ def _block_case(name):
     return build_scenario(parse_config({"scenario": cfg})["scenario"], seed)
 
 
+@pytest.mark.newest_python
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
 def test_block_loop_writes_the_per_round_documents(name, monkeypatch):
     scn = _block_case(name)
@@ -503,6 +514,7 @@ def test_alignment_keeps_a_proposal_iff_its_incident_field_rises(name, seed):
     assert np.allclose(m.power_trace, achieved, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.newest_python
 def test_bulk_normals_equal_per_round_pairs():
     rounds = 257
     bulk = np.random.default_rng(11).standard_normal((rounds, 2))
@@ -680,6 +692,7 @@ JSON_CASES.update({
 })
 
 
+@pytest.mark.newest_python
 @pytest.mark.parametrize("name", sorted(JSON_CASES))
 def test_metrics_json_matches_asdict(name, tmp_path):
     scn_cfg, seed, point = JSON_CASES[name]
@@ -688,12 +701,11 @@ def test_metrics_json_matches_asdict(name, tmp_path):
         cfg["scenario"] = apply_axis(cfg["scenario"], axis, value)
     m = run_scenario(build_scenario(cfg["scenario"], seed))
     if point is None:
-        assert m.to_json() == json.dumps(dataclasses.asdict(m), sort_keys=True, indent=1)
+        assert m.to_json() == document_text(dataclasses.asdict(m))
         return
     run_one(cfg, cfg["scenario"], seed, str(tmp_path), "", point)
     want = {"point": point, "seed": seed, "metrics": dataclasses.asdict(m)}
-    assert ((tmp_path / f"run_seed{seed}.json").read_text()
-            == json.dumps(want, sort_keys=True, indent=1))
+    assert (tmp_path / f"run_seed{seed}.json").read_text() == document_text(want)
 
 
 def test_optimal_amplitude_is_sum_of_path_amplitudes():

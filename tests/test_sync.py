@@ -348,6 +348,7 @@ class _RowCountingGenerator:
         return self._rng.integers(*args, **kwargs)
 
 
+@pytest.mark.newest_python
 @pytest.mark.parametrize("jitter", [0, 20, 60])
 @pytest.mark.parametrize("noise_power, noisy_coarse", [
     (0.0, True), (_noise_power_at(-70.0, README_FAST_CHIRP), True), (4.0, True),

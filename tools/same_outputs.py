@@ -10,7 +10,10 @@ from one tree's ``src/``: first the base, then the working tree.  The corpus:
 - ``golden/``: the four golden documents of ``tests/test_golden.py``;
 - ``sync/``: README-pipeline runs on the 512 kHz readme_fast chirp with sync
   on, over seeds 0-9, residual jitter 0, 20 and 60, with the receiver noise
-  floor at -70 dBm and off, and at +30 dBm, where sync fails;
+  floor at -70 dBm and off, and at +30 dBm, where sync fails; and the
+  README default scenario, on its 40 kHz, 4 ms chirp at 2.048 MHz, over
+  seeds 0-1 with jitter 60, the noise floor at -70 dBm and off, and 20
+  alignment rounds;
 - ``bench/``: bench-mode runs (sync and cold start off, the criterion-4
   geometry) over seeds 0-19 x N in {1, 2, 3, 24}, with the noise floor at
   -70 dBm and off; at N in {3, 24} over seeds 0-4, fixed bounds of 1 and
@@ -65,6 +68,10 @@ README_FAST = {
 # Receiver noise floors of the sync runs: the default, none (fine sync's
 # noise-free envelope) and one at which the preamble is lost in the noise.
 SYNC_FLOORS = {"floor-70": -70.0, "nofloor": None, "floor+30": 30.0}
+# The README default scenario, whose chirp gives fine sync 8,192 blocks per
+# window, a table row built in steps and 8192-point batched FFTs.
+README_SYNC = {"sync_residual_jitter": 60, "rounds": 20}
+README_SYNC_FLOORS = {"floor-70": -70.0, "nofloor": None}
 # Bench mode, as criterion 4 runs it: a 1 m ring around a node 10 cm down in
 # muscle, which starts awake, with sync off.
 BENCH = {"ring_radius_m": 1.0, "ring_height_m": 0.0, "node_position_m": [0.0, 0.0, -0.1],
@@ -81,14 +88,15 @@ README_LEADERS = {"onaxis": [0.0, 0.0, 0.0], "offaxis": [0.3, 0.2, 0.0]}
 
 CORPORA = {
     "full": {"goldens": None, "sync_seeds": range(10), "jitters": (0, 20, 60),
-             "rounds": 100, "bench_seeds": range(20), "bench_sizes": (1, 2, 3, 24),
-             "variant_seeds": range(5), "variant_sizes": (3, 24),
-             "readme_seeds": range(20), "run_seeds": [1, 2, 3],
+             "readme_sync_seeds": range(2), "rounds": 100, "bench_seeds": range(20),
+             "bench_sizes": (1, 2, 3, 24), "variant_seeds": range(5),
+             "variant_sizes": (3, 24), "readme_seeds": range(20), "run_seeds": [1, 2, 3],
              "sweep_seeds": [1, 2], "sweep_slaves": 8, "jobs": 2},
     "tiny": {"goldens": ["bench_3"], "sync_seeds": range(2), "jitters": (20,),
-             "rounds": 10, "bench_seeds": range(1), "bench_sizes": (3,),
-             "variant_seeds": range(0), "variant_sizes": (), "readme_seeds": range(0),
-             "run_seeds": [1], "sweep_seeds": [1], "sweep_slaves": 3, "jobs": 1},
+             "readme_sync_seeds": range(0), "rounds": 10, "bench_seeds": range(1),
+             "bench_sizes": (3,), "variant_seeds": range(0), "variant_sizes": (),
+             "readme_seeds": range(0), "run_seeds": [1], "sweep_seeds": [1],
+             "sweep_slaves": 3, "jobs": 1},
 }
 
 
@@ -122,6 +130,9 @@ def write_corpus(out: Path, corpus: dict) -> None:
             documents(f"sync/jitter{jitter}_{label}", corpus["sync_seeds"],
                       dict(README_FAST, rounds=rounds, sync_residual_jitter=jitter,
                            noise_floor_dbm=floor))
+    for label, floor in README_SYNC_FLOORS.items():
+        documents(f"sync/readme_jitter60_{label}", corpus["readme_sync_seeds"],
+                  dict(README_SYNC, noise_floor_dbm=floor))
     for n in corpus["bench_sizes"]:
         for label, floor in BENCH_FLOORS.items():
             documents(f"bench/n{n}_{label}", corpus["bench_seeds"],
