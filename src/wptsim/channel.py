@@ -46,9 +46,10 @@ class Position:
     z: float
 
     def __post_init__(self):
-        for v in (self.x, self.y, self.z):
-            if not math.isfinite(v):
-                raise ChannelError("position coordinates must be finite")
+        for name in ("x", "y", "z"):
+            v = getattr(self, name)
+            if isinstance(v, (bool, np.bool_)) or not math.isfinite(v):
+                raise ChannelError(f"position {name} must be a finite number, not {v!r}")
 
     def __array__(self, dtype=None, copy=None):
         """Coordinates as a (3,) array, so lists of positions stack to (N, 3)."""
@@ -154,9 +155,9 @@ class MediumMap:
     muscle_depth_m: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.muscle_depth_m) and self.muscle_depth_m >= 0):
-            raise ChannelError(
-                f"muscle_depth_m must be finite and >= 0, not {self.muscle_depth_m!r}")
+        depth = self.muscle_depth_m
+        if isinstance(depth, (bool, np.bool_)) or not (math.isfinite(depth) and depth >= 0):
+            raise ChannelError(f"muscle_depth_m must be finite and >= 0, not {depth!r}")
 
 
 def one_way_segments(distance_m, medium: MediumMap, inbound: bool):

@@ -10,9 +10,10 @@ Coarse sync builds its noisy captures sample by sample.  Fine sync never
 does: the leader reads the envelope averaged over blocks of
 ``ENVELOPE_DECIMATE`` samples, so :class:`FineSyncEnvelope` draws each
 block from the exact mean and variance of the noisy sample magnitudes.
-The walk speculates along its own path in blocks of rounds: one envelope
-draw and one :func:`fluctuation_rate` call give a block's rates, and the
-rounds then take them one by one, equal bit for bit to one round at a time.
+The walk speculates: one envelope draw and one :func:`fluctuation_rate`
+call give the rates along the whole path it takes when noise does not
+mislead it, and its rounds take them one by one while it stays on that
+path, equal bit for bit to one round at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .chirp import (
     generate_sweep,
     lag_magnitudes,
     median,
+    reference_spectrum,
 )
 
 
@@ -50,11 +52,11 @@ COARSE_CAPTURE_SYMBOLS = 3
 ENVELOPE_DECIMATE = 64
 # Symbols of the continuous sweep each fine round captures.
 FINE_WINDOW_SYMBOLS = 64
-# Most rounds of one speculative block of the fine walk (see _fine_walk).
-# The block length moves no output.  On the readme_fast chirp at -70 dBm
-# with 24 slaves and a warm table, run_sync took 42.1, 23.0, 15.1 and
-# 14.0 ms per run with blocks of 1, 3, 8 and 16 rounds (2-vCPU Xeon VM).
-FINE_BLOCK_ROUNDS = 8
+# Most envelope points of one speculative block of the fine walk (see
+# _fine_walk and run_sync), which bounds a block's (rounds, blocks) arrays
+# at 0.5 MB each: 8 rounds of the README chirp's 8,192 blocks, 128 of the
+# readme_fast chirp's 512.  The block length moves no output.
+FINE_BLOCK_POINTS = 65_536
 
 
 def fine_sync_pad(residual_jitter: int) -> int:
@@ -64,13 +66,14 @@ def fine_sync_pad(residual_jitter: int) -> int:
     return 2 * residual_jitter + 16
 
 
-def coarse_sync(slave_rx: np.ndarray, ref: np.ndarray) -> int:
-    """Sample offset of the preamble inside the received capture.
+def coarse_sync(slave_rx: np.ndarray, ref: np.ndarray, ref_spectrum=None) -> int:
+    """Sample offset of the preamble inside the received capture;
+    ``ref_spectrum`` as in :func:`wptsim.chirp.ccs_correlate`.
 
     Raises :class:`SyncError` when no correlation peak stands out of the lag
     profile, i.e. the preamble was not detected.
     """
-    mags = lag_magnitudes(slave_rx, ref)
+    mags = lag_magnitudes(slave_rx, ref, ref_spectrum)
     lag = int(np.argmax(mags))
     floor = float(median(mags))
     if floor > 0 and mags[lag] < COARSE_PEAK_RATIO * floor:
@@ -79,18 +82,18 @@ def coarse_sync(slave_rx: np.ndarray, ref: np.ndarray) -> int:
 
 
 def _block_path(offset: int, step: int, n: int, pad: int) -> list:
-    """The offsets that the next ``n`` or fewer rounds of the walk visit
-    from ``offset`` if it keeps stepping by ``step``, cut where it most
-    likely stops or turns: up to 0 when it heads for 0, and one step on
-    when it heads away from 0, where its rate grows and it turns, unless
-    that step leaves [-pad, pad]."""
-    if offset == 0:
-        k = 1
-    elif (offset > 0) != (step > 0):
-        k = abs(offset) + 1
+    """The first ``n`` or fewer offsets of the walk from ``offset``, which
+    next steps by ``step``, if noise does not mislead it.  Heading for 0,
+    it goes straight to 0 and stops.  Heading away from 0, its rate grows
+    after one step, so it turns back to ``offset`` and then goes on to 0;
+    when that step would leave [-pad, pad], the path is ``offset`` alone."""
+    if offset == 0 or (offset > 0) != (step > 0):
+        path = range(offset, step, step)
+    elif abs(offset) < pad:
+        path = [offset, offset + step, *range(offset, -step, -step)]
     else:
-        k = 2 if abs(offset) < pad else 1
-    return [offset + j * step for j in range(min(k, n))]
+        path = [offset]
+    return list(path[:n])
 
 
 def _fine_walk(period: int, offset: int, rates_at, stop_hz: float, pad: int,
@@ -105,13 +108,14 @@ def _fine_walk(period: int, offset: int, rates_at, stop_hz: float, pad: int,
     leaves [-pad, pad], and appends (period, round, offset, rate_hz,
     command) to ``transcript`` each round.
 
-    The walk runs in speculative blocks along its own path.  It asks
-    ``rates_at`` for the rates at the offsets of :func:`_block_path`, at
-    most ``FINE_BLOCK_ROUNDS`` of them, and ``rates_at`` returns the rates
-    of a non-empty prefix of them, in order.  The rounds then read those
-    rates one by one, and the rates after a stop or a turn are dropped.  So
-    as long as a round's rate does not depend on which block asked for it,
-    the rounds are the same for every block length.
+    The walk runs in speculative blocks.  It asks ``rates_at`` for the
+    rates at the offsets of :func:`_block_path`, the rest of its path if
+    noise does not mislead it, cut at its remaining rounds; ``rates_at``
+    returns the rates of a non-empty prefix of them, in order.  The rounds
+    read those rates one by one as long as the walk's offset is the path's,
+    and a new block starts where it leaves the path or the rates run out.
+    So as long as a round's rate does not depend on which block asked for
+    it, the rounds are the same for every block length.
     """
     step, last_hz = -1, None
     budget = abs(offset) + 8
@@ -119,20 +123,19 @@ def _fine_walk(period: int, offset: int, rates_at, stop_hz: float, pad: int,
     while rounds < budget:
         if abs(offset) > pad:
             raise SyncError("fine sync walked outside the modeled window")
-        path = _block_path(offset, step, min(FINE_BLOCK_ROUNDS, budget - rounds), pad)
-        for rate_hz in rates_at(path):
+        path = _block_path(offset, step, budget - rounds, pad)
+        for planned, rate_hz in zip(path, rates_at(path)):
+            if planned != offset:
+                break
             rounds += 1
             if rate_hz < stop_hz:
                 transcript.append((period, rounds, offset, rate_hz, "stop"))
                 return offset, rounds
-            turned = last_hz is not None and rate_hz > last_hz
-            if turned:
+            if last_hz is not None and rate_hz > last_hz:
                 step = -step
             last_hz = rate_hz
             transcript.append((period, rounds, offset, rate_hz, "add" if step > 0 else "sub"))
             offset += step
-            if turned:
-                break
     return offset, rounds
 
 
@@ -377,10 +380,10 @@ def fine_sync_envelope(params: ChirpParams, pad: int, noise_power: float) -> Fin
 class _NormalRows:
     """Fine sync's noise stream as rows of one normal per envelope block.
 
-    A block asks for the rows of its rounds; rows that a stop or a turn left
-    unread stay for the rounds after it, so round r reads the stream's r-th
-    row whatever the block length.  A run draws at most
-    ``FINE_BLOCK_ROUNDS`` - 1 rows that no round reads.
+    A block asks for the rows of its rounds; rows that a walk left unread,
+    where it stopped or left the block's path, stay for the rounds after
+    it, so round r reads the stream's r-th row whatever the block length.
+    A run draws fewer rows that no round reads than its longest block has.
     """
 
     def __init__(self, rng: np.random.Generator, n_blocks: int):
@@ -406,6 +409,18 @@ class SyncResult:
     transcript: list                # (period, round, offset, rate_hz, command)
 
 
+@lru_cache(maxsize=4)
+def _coarse_reference(params: ChirpParams) -> tuple:
+    """(preamble, its :func:`reference_spectrum` for a coarse capture), both
+    read-only.  Like the engine's correlator, they depend on the chirp
+    alone, so a run transforms its preamble once, not once per slave."""
+    ref = generate_sweep(params, 1)
+    spectrum = reference_spectrum(ref, COARSE_CAPTURE_SYMBOLS * params.n_samples)
+    ref.setflags(write=False)
+    spectrum.setflags(write=False)
+    return ref, spectrum
+
+
 def _coarse_residuals(true_offsets, params: ChirpParams, rng: np.random.Generator,
                      noise_power: float, residual_jitter: int) -> list:
     """Step one: each slave's offset left after preamble correlation.
@@ -415,7 +430,7 @@ def _coarse_residuals(true_offsets, params: ChirpParams, rng: np.random.Generato
     the coarse step: after compensation each slave keeps a uniform random
     residual in [-jitter, +jitter] samples.
     """
-    ref = generate_sweep(params, 1)
+    ref, spectrum = _coarse_reference(params)
     n = params.n_samples
     residuals = []
     for off in true_offsets:
@@ -425,7 +440,7 @@ def _coarse_residuals(true_offsets, params: ChirpParams, rng: np.random.Generato
         capture[off : off + n] = ref
         if noise_power > 0:
             capture = capture + awgn_power(capture.size, noise_power, rng)
-        est = coarse_sync(capture, ref)
+        est = coarse_sync(capture, ref, spectrum)
         resid = off - est + int(rng.integers(-residual_jitter, residual_jitter + 1))
         residuals.append(resid)
     return residuals
@@ -467,8 +482,10 @@ def run_sync(
     # reads row r of the noise stream, whichever block asked for it.
     rel = [r - residuals[0] for r in residuals]
     normals = _NormalRows(rng, rx.n_blocks) if rx.noisy else None
+    block_rounds = max(1, FINE_BLOCK_POINTS // rx.n_blocks)
 
     def rates_at(offsets):
+        offsets = offsets[:block_rounds]
         # Each round so far read one row of normals and wrote one line of
         # the transcript.
         rows = None if normals is None else normals.take(len(transcript), len(offsets))

@@ -208,6 +208,18 @@ def test_channel_rejects_non_finite_coordinates(bad):
             channel(rx, tx, MediumMap(muscle_depth_m=0.05))
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_medium_and_position_refuse_a_bool(flag):
+    # Each used to build: a bool read as 1 or 0 m.
+    with pytest.raises(ChannelError, match="muscle_depth_m"):
+        MediumMap(muscle_depth_m=flag)
+    for k, name in enumerate("xyz"):
+        coords = [0.5, -0.5, 1.0]
+        coords[k] = flag
+        with pytest.raises(ChannelError, match=f"position {name} "):
+            Position(*coords)
+
+
 def test_position_rejects_non_finite():
     with pytest.raises(ChannelError):
         Position(math.nan, 0, 0)

@@ -16,6 +16,7 @@ from wptsim.chirp import (
     lag_magnitudes,
     median,
     p_ccs0,
+    reference_spectrum,
 )
 from oracles import energy
 
@@ -43,6 +44,15 @@ def test_params_validation():
         for value in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DspError, match=field):
                 ChirpParams(**{field: value})
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+@pytest.mark.parametrize("field", ["bandwidth_hz", "symbol_time_s", "sample_rate_hz"])
+def test_params_refuse_a_bool(field, flag):
+    # True used to pass as 1: a 1 Hz band, a 1 s symbol or a 1 Hz rate.
+    values = {"bandwidth_hz": 1.0, "symbol_time_s": 1.0, "sample_rate_hz": 512.0}
+    with pytest.raises(DspError, match=field):
+        ChirpParams(**dict(values, **{field: flag}))
 
 
 def test_chirp_is_unit_modulus():
@@ -192,6 +202,19 @@ def test_correlation_peak_recovers_lag():
 def test_ccs_correlate_zero_lag_field():
     sig = generate_sweep(ChirpParams(), 1)
     assert abs(ccs_correlate(sig, sig)[0]) == pytest.approx(p_ccs0(sig, sig))
+
+
+def test_a_reference_spectrum_taken_once_gives_the_same_correlation():
+    p = ChirpParams(bandwidth_hz=10e3, symbol_time_s=1e-3, sample_rate_hz=512e3)
+    ref = generate_sweep(p, 1)
+    rng = np.random.default_rng(3)
+    rx = rng.standard_normal(3 * p.n_samples) + 1j * rng.standard_normal(3 * p.n_samples)
+    spectrum = reference_spectrum(ref, rx.size)
+    np.testing.assert_array_equal(ccs_correlate(rx, ref, spectrum), ccs_correlate(rx, ref))
+    np.testing.assert_array_equal(lag_magnitudes(rx, ref, spectrum), lag_magnitudes(rx, ref))
+    # A spectrum taken for a capture of another length is refused.
+    with pytest.raises(DspError, match="capture length"):
+        ccs_correlate(rx, ref, reference_spectrum(ref, 2 * rx.size))
 
 
 def test_awgn_total_power_scales_with_oversampling():

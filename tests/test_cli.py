@@ -72,6 +72,34 @@ def test_config_round_trip():
         cfg["scenario"], 1)
 
 
+def _readme_config() -> dict:
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return yaml.safe_load(re.search(r"```yaml\n(.*?)```", text, flags=re.S).group(1))
+
+
+# Full-precision coordinates, 3.67e-16 among them.
+_RING_24 = [[6.0 * math.cos(k * math.pi / 12), 6.0 * math.sin(k * math.pi / 12), 3.0]
+            for k in range(24)]
+
+
+@pytest.mark.newest_python
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("doc", [
+    _readme_config(),
+    dict(MINIMAL, sweep={"slave_count": [2, 3.0], "speed_m_per_s": [0, 0.05, 1],
+                         "sigma_deg": [10.0, 55.0], "chirp_bandwidth_hz": [10e3, 40e3]}),
+    dict(MINIMAL, scenario=dict(MINIMAL["scenario"], slave_layout="explicit", slave_count=24,
+                                slave_positions_m=_RING_24)),
+    dict(MINIMAL, sweep={"leader_node_distance_m": [0.25, 0.5, 1.0, 2.5]}),
+], ids=["readme", "list_axes", "explicit_24", "leader_node_distance"])
+def test_libyaml_and_pyyaml_write_a_config_s_same_bytes(doc):
+    cfg = parse_config(doc)
+    text = serialize_config(cfg)
+    for dumper in (yaml.SafeDumper, yaml.CSafeDumper):
+        assert yaml.dump(cfg, Dumper=dumper, sort_keys=True, default_flow_style=None) == text
+    assert parse_config(yaml.safe_load(text)) == cfg
+
+
 def test_config_defaults_match_dataclass_defaults():
     # The config takes its defaults from the dataclasses, and a scenario
     # built from an empty config must carry each of them through

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import i0e, i1e
 
-from wptsim import sync
+import oracles
+from wptsim import engine, sync
 from wptsim.channel import dbm_to_watt
 from wptsim.chirp import (
     ChirpParams,
@@ -126,6 +127,44 @@ def test_walk_that_never_stops_uses_its_round_budget():
 def test_walk_outside_the_pad_raises():
     with pytest.raises(SyncError, match="fine sync walked outside the modeled window"):
         _scripted_walk([10.0] * 20, offset=3, pad=4)
+
+
+def _misleading_walk(seed: int, offset: int, cap: int):
+    """(result or error, transcript, blocks) of a walk whose rate at round r
+    and offset o is 20 |o| Hz plus noise of 25 Hz std, a function of (seed,
+    r, o) alone, so that it turns, stops and steps off its path by chance;
+    each block reads at most ``cap`` rates."""
+    transcript, blocks = [], [0]
+
+    def rate(r, o):
+        noise = np.random.default_rng([seed, r, o + 1000]).normal(0.0, 25.0)
+        return max(0.0, 20.0 * abs(o) + noise)
+
+    def rates_at(offsets):
+        blocks[0] += 1
+        first = len(transcript)
+        return [rate(first + j, o) for j, o in enumerate(offsets[:cap])]
+
+    try:
+        out = _fine_walk(1, offset, rates_at, 15.0, 12, transcript)
+    except SyncError as exc:
+        out = str(exc)
+    return out, transcript, blocks[0]
+
+
+def test_block_walk_equals_one_round_at_a_time_when_rates_mislead_it():
+    blocks, walks = {}, 0
+    for seed in range(60):
+        for offset in (-9, -3, 0, 4, 12):
+            walks += 1
+            ref = _misleading_walk(seed, offset, 1)
+            for cap in (2, 3, 8, 1000):
+                out, transcript, n = _misleading_walk(seed, offset, cap)
+                assert (out, transcript) == ref[:2], (seed, offset, cap)
+                blocks[cap] = blocks.get(cap, 0) + n
+    # Uncapped, a walk that stays on its path takes one block; these walks
+    # took more, as noise led them off their paths.
+    assert walks < blocks[1000] < blocks[8] <= blocks[3] <= blocks[2], (walks, blocks)
 
 
 def test_run_sync_zeroes_residuals():
@@ -355,20 +394,24 @@ class _RowCountingGenerator:
     (16.0, False)], ids=["noise_off", "minus_70_dbm", "power_4", "fine_only_power_16"])
 def test_block_walk_writes_the_per_round_sync_result(noise_power, noisy_coarse, jitter,
                                                      monkeypatch):
-    """Every block length gives the per-round walk's residuals, rounds and
-    transcript bit for bit, and leaves at most FINE_BLOCK_ROUNDS - 1 rows of
-    normals unread per run (none without noise).
+    """Blocks capped at 1, 3, 8 and 16 rounds, and the whole path uncapped,
+    give the per-round walk's residuals, rounds and transcript bit for bit,
+    and leave fewer rows of normals unread per run than a block has (none
+    without noise).
 
     At power 4.0 coarse sync fails seeds 8 and 10.  At power 16 it would
     fail them all, so there coarse sync runs noise-free; the fine walk's
-    noise then decides stops short of 0 and turns, and a block drops the
-    rates after them."""
+    noise then decides stops short of 0 and steps off the path, and a block
+    drops the rates after them."""
     if not noisy_coarse:
         coarse = sync._coarse_residuals
         monkeypatch.setattr(sync, "_coarse_residuals",
                             lambda offsets, params, rng, noise_power, jitter:
                             coarse(offsets, params, rng, 0.0, jitter))
     fine_sync_envelope.cache_clear()
+    n_blocks = README_FAST_CHIRP.n_samples * FINE_WINDOW_SYMBOLS // ENVELOPE_DECIMATE
+    # No path is longer than a walk's budget, at most pad + 8 rounds.
+    whole_path = fine_sync_pad(jitter) + 8
     rates = [0]                     # beat rates computed, read or dropped
     real_rate = sync.fluctuation_rate
 
@@ -386,8 +429,8 @@ def test_block_walk_writes_the_per_round_sync_result(noise_power, noisy_coarse, 
                                   noise_power, jitter)
         except SyncError as exc:
             ref = str(exc)
-        for cap in (1, 3, 8, 16):
-            monkeypatch.setattr(sync, "FINE_BLOCK_ROUNDS", cap)
+        for cap in (1, 3, 8, 16, whole_path):
+            monkeypatch.setattr(sync, "FINE_BLOCK_POINTS", cap * n_blocks)
             rng = _RowCountingGenerator(np.random.default_rng(seed))
             rates[0] = 0
             try:
@@ -401,11 +444,77 @@ def test_block_walk_writes_the_per_round_sync_result(noise_power, noisy_coarse, 
             unread = rng.rows - (rounds if noise_power else 0)
             assert 0 <= unread <= cap - 1, (seed, cap, unread)
             dropped[cap] = dropped.get(cap, 0) + rates[0] - rounds
-    # Blocks of more than one round drop the rates after a turn or a stop;
-    # the next rounds read those rates' normals.
+    # Blocks of more than one round drop the rates after a stop or where the
+    # walk left the path; the next rounds read those rates' normals.
     assert dropped[1] == 0, dropped
     if not noisy_coarse and jitter:
-        assert dropped[3] > 0 and dropped[8] > 0 and dropped[16] > 0, dropped
+        assert all(dropped[cap] > 0 for cap in (3, 8, 16, whole_path)), dropped
+
+
+def test_fine_sync_makes_one_rate_call_per_walk_at_minus_70_dbm(monkeypatch):
+    """On the readme_fast chirp at -70 dBm, with 24 slaves and the engine's
+    offsets, noise never leads a walk off its path: each of the 23 walks
+    reads all its rates from one block, one fluctuation_rate call."""
+    calls = [0]
+    real_rate = sync.fluctuation_rate
+
+    def counting_rate(env, sample_rate_hz):
+        calls[0] += 1
+        return real_rate(env, sample_rate_hz)
+
+    monkeypatch.setattr(sync, "fluctuation_rate", counting_rate)
+    noise = _noise_power_at(-70.0, README_FAST_CHIRP)
+    for seed in range(10):
+        rng = engine._stream(seed, "sync")
+        offsets = rng.integers(0, 501, 24)
+        calls[0] = 0
+        res = run_sync(offsets, README_FAST_CHIRP, rng, noise_power=noise, residual_jitter=20)
+        assert calls[0] == len(res.rounds_per_period) == 23, seed
+        assert sum(res.rounds_per_period) > 23, seed
+
+
+@pytest.mark.parametrize("noise_power, misses", [
+    (0.0, "none"), (_noise_power_at(-70.0, README_FAST_CHIRP), "none"), (4.0, "some"),
+    (_noise_power_at(30.0, README_FAST_CHIRP), "all")],
+    ids=["noise_off", "minus_70_dbm", "power_4", "plus_30_dbm"])
+def test_coarse_sync_with_the_cached_spectrum_is_the_per_slave_oracle(noise_power, misses,
+                                                                      monkeypatch):
+    """Residuals, the slave whose preamble is missed and its message, and the
+    generator's state afterwards all equal those of the oracle, which
+    transforms the preamble once per slave.  On the readme_fast chirp, at
+    power 4.0 some runs miss a preamble part way through the slaves, and at
+    +30 dBm every run misses; the README chirp's longer preamble still
+    stands out at +30 dBm."""
+    tried = [0]
+    real_coarse = sync.coarse_sync
+
+    def counting_coarse(*args):
+        tried[0] += 1
+        return real_coarse(*args)
+
+    monkeypatch.setattr(sync, "coarse_sync", counting_coarse)
+    missed_at = []
+    for params, seeds in ((README_FAST_CHIRP, range(12)), (README_CHIRP, range(2))):
+        for seed in seeds:
+            offsets = np.random.default_rng(seed).integers(0, params.n_samples, 24).tolist()
+            results = []
+            for coarse in (oracles.coarse_residuals, sync._coarse_residuals):
+                rng = np.random.default_rng(seed)
+                tried[0] = 0
+                try:
+                    out = coarse(offsets, params, rng, noise_power, 20)
+                except SyncError as exc:
+                    out = (tried[0], str(exc))
+                results.append((out, rng.bit_generator.state))
+            assert results[0] == results[1], (params, seed)
+            if params is README_FAST_CHIRP and isinstance(results[0][0], tuple):
+                missed_at.append(results[0][0][0])
+    if misses == "none":
+        assert missed_at == []
+    elif misses == "some":
+        assert 0 < len(missed_at) < 12 and max(missed_at) > 1, missed_at
+    else:
+        assert len(missed_at) == 12, missed_at
 
 
 def test_run_sync_leaves_numpy_ma_unimported():
