@@ -34,6 +34,10 @@ SKIN_LOSS_OUT_DB = 5.0
 INSERTION_LOSS_DB = 30.0
 MUSCLE_SLOPE_DB_PER_M = 460.0  # 9.2 dB @ 2 cm, 27.6 dB @ 6 cm
 
+# Neither type has subclasses, and both pass math.isfinite as 0 or 1.  A
+# type lookup keeps the check cheap where every scenario builds positions.
+_BOOLS = frozenset((bool, np.bool_))
+
 
 class ChannelError(ValueError):
     """Invalid geometry or medium description."""
@@ -46,9 +50,9 @@ class Position:
     z: float
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
-            v = getattr(self, name)
-            if isinstance(v, (bool, np.bool_)) or not math.isfinite(v):
+        for v in (self.x, self.y, self.z):
+            if type(v) in _BOOLS or not math.isfinite(v):
+                name = next(n for n in "xyz" if getattr(self, n) is v)
                 raise ChannelError(f"position {name} must be a finite number, not {v!r}")
 
     def __array__(self, dtype=None, copy=None):
@@ -156,7 +160,7 @@ class MediumMap:
 
     def __post_init__(self):
         depth = self.muscle_depth_m
-        if isinstance(depth, (bool, np.bool_)) or not (math.isfinite(depth) and depth >= 0):
+        if type(depth) in _BOOLS or not (math.isfinite(depth) and depth >= 0):
             raise ChannelError(f"muscle_depth_m must be finite and >= 0, not {depth!r}")
 
 

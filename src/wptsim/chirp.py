@@ -78,28 +78,17 @@ def _fft_len(n: int) -> int:
     return 1 << (int(n - 1).bit_length())
 
 
-def reference_spectrum(ref: np.ndarray, rx_size: int) -> np.ndarray:
-    """The conjugate spectrum of ``ref`` by which :func:`ccs_correlate`
-    multiplies the spectrum of an ``rx_size``-sample capture."""
-    return np.conj(np.fft.fft(ref, _fft_len(rx_size + ref.size - 1)))
-
-
-def ccs_correlate(rx: np.ndarray, ref: np.ndarray, ref_spectrum=None) -> np.ndarray:
+def ccs_correlate(rx: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Frequency-domain cross-correlation of rx against the reference chirp.
 
     Returns the complex correlation indexed by lag: lag k holds
     sum_m rx[m + k] * conj(ref[m]).  The zero-lag magnitude is the power
-    metric that tracks the embedded backscatter component.  A caller that
-    correlates many captures of one length against one reference passes
-    its :func:`reference_spectrum` as ``ref_spectrum``, taken once.
+    metric that tracks the embedded backscatter component.
     """
     if rx.size < ref.size:
         raise DspError("rx must be at least as long as the reference")
-    if ref_spectrum is None:
-        ref_spectrum = reference_spectrum(ref, rx.size)
-    elif ref_spectrum.size != _fft_len(rx.size + ref.size - 1):
-        raise DspError("reference spectrum does not fit the capture length")
-    return np.fft.ifft(np.fft.fft(rx, ref_spectrum.size) * ref_spectrum)
+    n = _fft_len(rx.size + ref.size - 1)
+    return np.fft.ifft(np.fft.fft(rx, n) * np.conj(np.fft.fft(ref, n)))
 
 
 def p_ccs0(rx: np.ndarray, ref: np.ndarray) -> float:
@@ -109,10 +98,9 @@ def p_ccs0(rx: np.ndarray, ref: np.ndarray) -> float:
     return float(np.abs(np.vdot(ref, rx[: ref.size])))
 
 
-def lag_magnitudes(rx: np.ndarray, ref: np.ndarray, ref_spectrum=None) -> np.ndarray:
-    """Correlation magnitude at every lag where ``ref`` lies inside ``rx``;
-    ``ref_spectrum`` as in :func:`ccs_correlate`."""
-    return np.abs(ccs_correlate(rx, ref, ref_spectrum)[: rx.size - ref.size + 1])
+def lag_magnitudes(rx: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Correlation magnitude at every lag where ``ref`` lies inside ``rx``."""
+    return np.abs(ccs_correlate(rx, ref)[: rx.size - ref.size + 1])
 
 
 def block_mean(x: np.ndarray, n: int) -> np.ndarray:

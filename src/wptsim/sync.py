@@ -33,7 +33,6 @@ from .chirp import (
     generate_sweep,
     lag_magnitudes,
     median,
-    reference_spectrum,
 )
 
 
@@ -55,7 +54,13 @@ FINE_WINDOW_SYMBOLS = 64
 # Most envelope points of one speculative block of the fine walk (see
 # _fine_walk and run_sync), which bounds a block's (rounds, blocks) arrays
 # at 0.5 MB each: 8 rounds of the README chirp's 8,192 blocks, 128 of the
-# readme_fast chirp's 512.  The block length moves no output.
+# readme_fast chirp's 512.  The block length moves no output.  Rows past
+# where noise stops a walk are drawn for nothing.  With coarse sync
+# noise-free and a fine walk so noisy that every walk stops in its first
+# round, run_sync took 5.6 ms per run against 4.0 ms with blocks cut at a
+# turn or at 8 rounds (readme_fast chirp, noise power 32), and 61 against
+# 51 ms (README chirp, power 256).  run_sync's one noise power does not
+# reach that case: coarse sync misses a preamble first.
 FINE_BLOCK_POINTS = 65_536
 
 
@@ -66,14 +71,13 @@ def fine_sync_pad(residual_jitter: int) -> int:
     return 2 * residual_jitter + 16
 
 
-def coarse_sync(slave_rx: np.ndarray, ref: np.ndarray, ref_spectrum=None) -> int:
-    """Sample offset of the preamble inside the received capture;
-    ``ref_spectrum`` as in :func:`wptsim.chirp.ccs_correlate`.
+def coarse_sync(slave_rx: np.ndarray, ref: np.ndarray) -> int:
+    """Sample offset of the preamble inside the received capture.
 
     Raises :class:`SyncError` when no correlation peak stands out of the lag
     profile, i.e. the preamble was not detected.
     """
-    mags = lag_magnitudes(slave_rx, ref, ref_spectrum)
+    mags = lag_magnitudes(slave_rx, ref)
     lag = int(np.argmax(mags))
     floor = float(median(mags))
     if floor > 0 and mags[lag] < COARSE_PEAK_RATIO * floor:
@@ -409,18 +413,6 @@ class SyncResult:
     transcript: list                # (period, round, offset, rate_hz, command)
 
 
-@lru_cache(maxsize=4)
-def _coarse_reference(params: ChirpParams) -> tuple:
-    """(preamble, its :func:`reference_spectrum` for a coarse capture), both
-    read-only.  Like the engine's correlator, they depend on the chirp
-    alone, so a run transforms its preamble once, not once per slave."""
-    ref = generate_sweep(params, 1)
-    spectrum = reference_spectrum(ref, COARSE_CAPTURE_SYMBOLS * params.n_samples)
-    ref.setflags(write=False)
-    spectrum.setflags(write=False)
-    return ref, spectrum
-
-
 def _coarse_residuals(true_offsets, params: ChirpParams, rng: np.random.Generator,
                      noise_power: float, residual_jitter: int) -> list:
     """Step one: each slave's offset left after preamble correlation.
@@ -430,7 +422,7 @@ def _coarse_residuals(true_offsets, params: ChirpParams, rng: np.random.Generato
     the coarse step: after compensation each slave keeps a uniform random
     residual in [-jitter, +jitter] samples.
     """
-    ref, spectrum = _coarse_reference(params)
+    ref = generate_sweep(params, 1)
     n = params.n_samples
     residuals = []
     for off in true_offsets:
@@ -440,7 +432,7 @@ def _coarse_residuals(true_offsets, params: ChirpParams, rng: np.random.Generato
         capture[off : off + n] = ref
         if noise_power > 0:
             capture = capture + awgn_power(capture.size, noise_power, rng)
-        est = coarse_sync(capture, ref, spectrum)
+        est = coarse_sync(capture, ref)
         resid = off - est + int(rng.integers(-residual_jitter, residual_jitter + 1))
         residuals.append(resid)
     return residuals

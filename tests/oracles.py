@@ -17,10 +17,9 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import betainc, erf
 
-from wptsim import coldstart as cs, engine, sync
+from wptsim import coldstart as cs, engine
 from wptsim.beamform import BeamformError, _step_over_grid, bessel_ratio, solve_concentration
 from wptsim.channel import channel
-from wptsim.chirp import awgn_power, generate_sweep
 
 
 def document_text(obj) -> str:
@@ -43,26 +42,6 @@ def document_text(obj) -> str:
         return out + [" " * depth + "}"]
 
     return "\n".join(lines(obj, 0))
-
-
-def coarse_residuals(true_offsets, params, rng, noise_power: float,
-                     residual_jitter: int) -> list:
-    """``sync._coarse_residuals`` with no cached spectrum: each slave's
-    capture goes through ``coarse_sync`` and ``lag_magnitudes`` alone, which
-    transform the preamble again for every slave."""
-    ref = generate_sweep(params, 1)
-    n = params.n_samples
-    residuals = []
-    for off in true_offsets:
-        if off >= (sync.COARSE_CAPTURE_SYMBOLS - 1) * n:
-            raise sync.SyncError("offset exceeds the coarse capture window")
-        capture = np.zeros(sync.COARSE_CAPTURE_SYMBOLS * n, dtype=np.complex128)
-        capture[off : off + n] = ref
-        if noise_power > 0:
-            capture = capture + awgn_power(capture.size, noise_power, rng)
-        est = sync.coarse_sync(capture, ref)
-        residuals.append(off - est + int(rng.integers(-residual_jitter, residual_jitter + 1)))
-    return residuals
 
 
 def propose(rng, ref, phi: float) -> np.ndarray:

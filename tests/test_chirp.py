@@ -16,7 +16,6 @@ from wptsim.chirp import (
     lag_magnitudes,
     median,
     p_ccs0,
-    reference_spectrum,
 )
 from oracles import energy
 
@@ -202,19 +201,6 @@ def test_correlation_peak_recovers_lag():
 def test_ccs_correlate_zero_lag_field():
     sig = generate_sweep(ChirpParams(), 1)
     assert abs(ccs_correlate(sig, sig)[0]) == pytest.approx(p_ccs0(sig, sig))
-
-
-def test_a_reference_spectrum_taken_once_gives_the_same_correlation():
-    p = ChirpParams(bandwidth_hz=10e3, symbol_time_s=1e-3, sample_rate_hz=512e3)
-    ref = generate_sweep(p, 1)
-    rng = np.random.default_rng(3)
-    rx = rng.standard_normal(3 * p.n_samples) + 1j * rng.standard_normal(3 * p.n_samples)
-    spectrum = reference_spectrum(ref, rx.size)
-    np.testing.assert_array_equal(ccs_correlate(rx, ref, spectrum), ccs_correlate(rx, ref))
-    np.testing.assert_array_equal(lag_magnitudes(rx, ref, spectrum), lag_magnitudes(rx, ref))
-    # A spectrum taken for a capture of another length is refused.
-    with pytest.raises(DspError, match="capture length"):
-        ccs_correlate(rx, ref, reference_spectrum(ref, 2 * rx.size))
 
 
 def test_awgn_total_power_scales_with_oversampling():

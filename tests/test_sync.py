@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.special import i0e, i1e
 
-import oracles
 from wptsim import engine, sync
 from wptsim.channel import dbm_to_watt
 from wptsim.chirp import (
@@ -471,50 +470,6 @@ def test_fine_sync_makes_one_rate_call_per_walk_at_minus_70_dbm(monkeypatch):
         res = run_sync(offsets, README_FAST_CHIRP, rng, noise_power=noise, residual_jitter=20)
         assert calls[0] == len(res.rounds_per_period) == 23, seed
         assert sum(res.rounds_per_period) > 23, seed
-
-
-@pytest.mark.parametrize("noise_power, misses", [
-    (0.0, "none"), (_noise_power_at(-70.0, README_FAST_CHIRP), "none"), (4.0, "some"),
-    (_noise_power_at(30.0, README_FAST_CHIRP), "all")],
-    ids=["noise_off", "minus_70_dbm", "power_4", "plus_30_dbm"])
-def test_coarse_sync_with_the_cached_spectrum_is_the_per_slave_oracle(noise_power, misses,
-                                                                      monkeypatch):
-    """Residuals, the slave whose preamble is missed and its message, and the
-    generator's state afterwards all equal those of the oracle, which
-    transforms the preamble once per slave.  On the readme_fast chirp, at
-    power 4.0 some runs miss a preamble part way through the slaves, and at
-    +30 dBm every run misses; the README chirp's longer preamble still
-    stands out at +30 dBm."""
-    tried = [0]
-    real_coarse = sync.coarse_sync
-
-    def counting_coarse(*args):
-        tried[0] += 1
-        return real_coarse(*args)
-
-    monkeypatch.setattr(sync, "coarse_sync", counting_coarse)
-    missed_at = []
-    for params, seeds in ((README_FAST_CHIRP, range(12)), (README_CHIRP, range(2))):
-        for seed in seeds:
-            offsets = np.random.default_rng(seed).integers(0, params.n_samples, 24).tolist()
-            results = []
-            for coarse in (oracles.coarse_residuals, sync._coarse_residuals):
-                rng = np.random.default_rng(seed)
-                tried[0] = 0
-                try:
-                    out = coarse(offsets, params, rng, noise_power, 20)
-                except SyncError as exc:
-                    out = (tried[0], str(exc))
-                results.append((out, rng.bit_generator.state))
-            assert results[0] == results[1], (params, seed)
-            if params is README_FAST_CHIRP and isinstance(results[0][0], tuple):
-                missed_at.append(results[0][0][0])
-    if misses == "none":
-        assert missed_at == []
-    elif misses == "some":
-        assert 0 < len(missed_at) < 12 and max(missed_at) > 1, missed_at
-    else:
-        assert len(missed_at) == 12, missed_at
 
 
 def test_run_sync_leaves_numpy_ma_unimported():
