@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import dbm_to_watt, watt_to_dbm
+from .channel import dbm_to_watt
 
 
 class BackscatterError(ValueError):
@@ -32,23 +32,16 @@ RATIO_LO = 0.02
 RATIO_HI = 0.5
 
 
-def power_ratio(p_in_dbm: float) -> float:
-    z = (p_in_dbm - CURVE_CENTER_DBM) / CURVE_WIDTH_DB
-    return RATIO_LO + (RATIO_HI - RATIO_LO) / (1.0 + math.exp(-z))
-
-
-def reflected_power_w(p_in_w: float) -> float:
-    if p_in_w < 0:
-        raise BackscatterError("incident power must be >= 0")
-    if p_in_w == 0.0:
-        return 0.0
-    return power_ratio(watt_to_dbm(p_in_w)) * p_in_w
-
-
 def amplitude_ratio(p_in_w: float) -> float:
+    """Reflected over incident amplitude at incident power ``p_in_w`` (W):
+    the square root of the curve's power ratio at ``p_in_w`` in dBm, 0 at no
+    power."""
     if p_in_w <= 0:
         return 0.0
-    return math.sqrt(reflected_power_w(p_in_w) / p_in_w)
+    z = (10.0 * math.log10(p_in_w / 1e-3) - CURVE_CENTER_DBM) / CURVE_WIDTH_DB
+    ratio = RATIO_LO + (RATIO_HI - RATIO_LO) / (1.0 + math.exp(-z))
+    # Reflected over incident power, rounded as each is, not ratio itself.
+    return math.sqrt(ratio * p_in_w / p_in_w)
 
 
 def mixer(n: int, sample_rate_hz: float) -> np.ndarray:

@@ -1,9 +1,9 @@
-"""RF channel model: geometry, segment-wise path loss and complex coefficients.
+"""RF channel model: geometry, path loss and complex coefficients.
 
-The propagation path between a transmitter outside the body and a node
-embedded in tissue is described as an ordered list of medium segments
-(air, skin boundary, muscle, insertion point).  Losses are composed in dB;
-a link is one complex number, gain times e^{j phase}.  :func:`channel` is
+A link between a transmitter outside the body and a node embedded in
+tissue crosses air, the skin boundary and muscle, in that order going in
+and in the reverse order coming out; its loss is the dB sum of the three.
+A link is one complex number, gain times e^{j phase}.  :func:`channel` is
 the one model every stage uses; it broadcasts over arrays of positions, so
 a whole table of links (rounds x slaves, or grid points x slaves) is one
 complex array.  It is two halves: :func:`link_geometry`, the gains and
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -31,7 +30,6 @@ DEFAULT_TX_POWER_DBM = 30.0
 
 SKIN_LOSS_IN_DB = 3.0
 SKIN_LOSS_OUT_DB = 5.0
-INSERTION_LOSS_DB = 30.0
 MUSCLE_SLOPE_DB_PER_M = 460.0  # 9.2 dB @ 2 cm, 27.6 dB @ 6 cm
 
 # Neither type has subclasses, and both pass math.isfinite as 0 or 1.  A
@@ -60,47 +58,6 @@ class Position:
         return np.array([self.x, self.y, self.z], dtype=dtype)
 
 
-class SegmentKind(Enum):
-    AIR = "air"
-    SKIN_IN = "skin_in"
-    SKIN_OUT = "skin_out"
-    MUSCLE = "muscle"
-    INSERTION = "insertion"
-
-
-# Boundary-style segments whose loss does not depend on length.
-_FIXED_LOSS = {
-    SegmentKind.SKIN_IN: SKIN_LOSS_IN_DB,
-    SegmentKind.SKIN_OUT: SKIN_LOSS_OUT_DB,
-    SegmentKind.INSERTION: INSERTION_LOSS_DB,
-}
-
-
-@dataclass(frozen=True)
-class MediumSegment:
-    """One traversed medium.  ``length_m`` is a length in m, or an array of
-    lengths, one per link, that every computation carries elementwise."""
-
-    kind: SegmentKind
-    length_m: float | np.ndarray = 0.0
-
-    def __post_init__(self):
-        # ndarray.any: np.any's dispatch costs more than the test itself.
-        length = np.asarray(self.length_m)
-        if self.kind in _FIXED_LOSS:
-            if (length != 0.0).any():
-                raise ChannelError(f"{self.kind.value} segments carry no length")
-        elif (length < 0).any():
-            raise ChannelError("segment length must be >= 0")
-
-    def loss_db(self, freq_hz: float = DEFAULT_FREQ_HZ):
-        if self.kind is SegmentKind.AIR:
-            return air_loss(self.length_m, freq_hz)
-        if self.kind is SegmentKind.MUSCLE:
-            return muscle_loss(self.length_m)
-        return _FIXED_LOSS[self.kind]
-
-
 def air_loss(d_m, freq_hz: float = DEFAULT_FREQ_HZ):
     """Free-space path loss in dB, elementwise over ``d_m``.
 
@@ -116,35 +73,6 @@ def muscle_loss(d_m):
     if (np.asarray(d_m) < 0).any():
         raise ChannelError("muscle depth must be >= 0")
     return MUSCLE_SLOPE_DB_PER_M * d_m
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """A link's budget; array segment lengths give arrays of all three."""
-
-    total_loss_db: float
-    phase_rad: float  # geometric phase, in [0, 2*pi)
-    path_length_m: float
-
-
-def compose_budget(segments, freq_hz: float = DEFAULT_FREQ_HZ) -> LinkBudget:
-    """Compose a link budget from an ordered segment list.
-
-    Total loss is the dB sum of per-segment losses; the geometric phase is
-    2*pi * path_length / lambda modulo 2*pi.
-    """
-    segments = tuple(segments)
-    if not segments:
-        raise ChannelError("segment list must be non-empty")
-    total = sum(s.loss_db(freq_hz) for s in segments)
-    wavelength = SPEED_OF_LIGHT / freq_hz
-    path_len = sum(s.length_m for s in segments)
-    phase = (2.0 * math.pi * path_len / wavelength) % (2.0 * math.pi)
-    return LinkBudget(total_loss_db=total, phase_rad=phase, path_length_m=path_len)
-
-
-def received_power_dbm(tx_power_dbm: float, budget: LinkBudget) -> float:
-    return tx_power_dbm - budget.total_loss_db
 
 
 @dataclass(frozen=True)
@@ -164,21 +92,6 @@ class MediumMap:
             raise ChannelError(f"muscle_depth_m must be finite and >= 0, not {depth!r}")
 
 
-def one_way_segments(distance_m, medium: MediumMap, inbound: bool):
-    """Segments for one traversal of ``distance_m``, a link length or an
-    array of them; ``inbound`` means air -> tissue."""
-    depth = medium.muscle_depth_m
-    if (depth >= np.asarray(distance_m)).any():
-        raise ChannelError("muscle depth must be smaller than link distance")
-    if depth == 0.0:
-        return [MediumSegment(SegmentKind.AIR, distance_m)]
-    air = MediumSegment(SegmentKind.AIR, distance_m - depth)
-    muscle = MediumSegment(SegmentKind.MUSCLE, depth)
-    if inbound:
-        return [air, MediumSegment(SegmentKind.SKIN_IN), muscle]
-    return [muscle, MediumSegment(SegmentKind.SKIN_OUT), air]
-
-
 def link_geometry(
     tx,
     rx,
@@ -191,10 +104,16 @@ def link_geometry(
     the half of :func:`channel` that no seed enters, as read-only arrays.
 
     ``tx`` and ``rx`` are positions, lists of them or (..., 3) coordinate
-    arrays; they broadcast against each other.  The loss and the geometric
-    phase are the :func:`compose_budget` of :func:`one_way_segments` over the
-    array of link distances; one pair of positions gives 0-d arrays.
+    arrays; they broadcast against each other, and one pair of positions
+    gives 0-d arrays.  A link of length d crosses d - depth of air, the skin
+    and the medium's muscle depth, in that order inbound and in reverse
+    outbound; its loss is those losses in dB, and its path length those
+    lengths, each summed in crossing order.  The geometric phase is 2 pi
+    times the path length over the wavelength, modulo 2 pi.
     """
+    for name, v in (("freq_hz", freq_hz), ("tx_gain_dbi", tx_gain_dbi)):
+        if not math.isfinite(v):
+            raise ChannelError(f"{name} must be finite, not {v!r}")
     tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
     # Raw coordinate arrays skip Position's check; NaN would pass every
     # range test below and come out as a NaN gain and phase.
@@ -204,9 +123,20 @@ def link_geometry(
     d = np.sqrt(sum((tx[..., k] - rx[..., k]) ** 2 for k in range(3)))
     if (d == 0.0).any():
         raise ChannelError("tx and rx positions must be distinct")
-    budget = compose_budget(one_way_segments(d, medium, inbound), freq_hz)
-    gain = np.asarray(10.0 ** (-budget.total_loss_db / 20.0) * 10.0 ** (tx_gain_dbi / 20.0))
-    phase = np.asarray(budget.phase_rad)
+    depth = medium.muscle_depth_m
+    if (depth >= d).any():
+        raise ChannelError("muscle depth must be smaller than link distance")
+    if depth == 0.0:
+        loss, path = air_loss(d, freq_hz), d
+    elif inbound:
+        loss = air_loss(d - depth, freq_hz) + SKIN_LOSS_IN_DB + muscle_loss(depth)
+        path = (d - depth) + depth
+    else:
+        loss = muscle_loss(depth) + SKIN_LOSS_OUT_DB + air_loss(d - depth, freq_hz)
+        path = depth + (d - depth)
+    wavelength = SPEED_OF_LIGHT / freq_hz
+    gain = np.asarray(10.0 ** (-loss / 20.0) * 10.0 ** (tx_gain_dbi / 20.0))
+    phase = np.asarray((2.0 * math.pi * path / wavelength) % (2.0 * math.pi))
     gain.flags.writeable = phase.flags.writeable = False
     return gain, phase
 
@@ -249,9 +179,3 @@ def incident_field(coeffs, phases, amplitude: float):
 
 def dbm_to_watt(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0) * 1e-3
-
-
-def watt_to_dbm(p_w: float) -> float:
-    if p_w <= 0:
-        return -math.inf
-    return 10.0 * math.log10(p_w / 1e-3)

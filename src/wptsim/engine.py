@@ -35,7 +35,7 @@ from .chirp import ChirpParams, generate_sweep, sample_noise_power
 # patches these names in this namespace, so they stay importable from here.
 from .channel import channel  # noqa: F401
 from .chirp import awgn, p_ccs0  # noqa: F401
-from .sync import COARSE_CAPTURE_SYMBOLS, SyncError, run_sync
+from .sync import COARSE_CAPTURE_SYMBOLS, SyncError, fine_sync_table_bytes, run_sync
 
 
 class EngineError(ValueError):
@@ -75,6 +75,10 @@ FREQ_RANGE_HZ = (3e3, 3e12)             # the ITU's radio spectrum, 3 kHz to 3 T
 _RANGES = {"tx_power_dbm": POWER_RANGE_DBM, "noise_floor_dbm": POWER_RANGE_DBM,
            "wake_threshold_dbm": POWER_RANGE_DBM, "tx_gain_dbi": TX_GAIN_RANGE_DBI,
            "freq_hz": FREQ_RANGE_HZ}
+# Fine sync's envelope table, which a process keeps for the next run of the
+# same chirp: 256 MiB allows residual jitter up to 503 samples on the README
+# chirp with noise, 8x the README's 60 (36 MB).
+MAX_FINE_SYNC_TABLE_BYTES = 256 << 20
 
 
 def _check_range(name: str, v, low: float, high: float) -> None:
@@ -129,12 +133,21 @@ class Scenario:
         if not (_is_finite(self.sigma_deg) and 0.0 <= self.sigma_deg < 180.0):
             raise EngineError(
                 f"sigma_deg must lie in [0, 180) degrees, not {self.sigma_deg!r}")
-        # Coarse sync needs each drawn offset to leave the whole preamble
-        # inside its capture.
-        limit = (COARSE_CAPTURE_SYMBOLS - 1) * self.chirp.n_samples
-        if self.sync.enabled and self.n_slaves >= 2 and self.sync.offset_range >= limit:
-            raise EngineError(f"offset_range must be below {limit} samples, two "
-                              f"symbols of the chirp, not {self.sync.offset_range!r}")
+        if self.sync.enabled and self.n_slaves >= 2:
+            # Coarse sync needs each drawn offset to leave the whole preamble
+            # inside its capture.
+            limit = (COARSE_CAPTURE_SYMBOLS - 1) * self.chirp.n_samples
+            if self.sync.offset_range >= limit:
+                raise EngineError(f"offset_range must be below {limit} samples, two "
+                                  f"symbols of the chirp, not {self.sync.offset_range!r}")
+            # Fine sync allocates its whole envelope table before its walk.
+            table = fine_sync_table_bytes(self.chirp, self.sync.residual_jitter,
+                                          self.noise_floor_dbm is not None)
+            if table > MAX_FINE_SYNC_TABLE_BYTES:
+                raise EngineError(
+                    f"residual_jitter must keep fine sync's table within "
+                    f"{MAX_FINE_SYNC_TABLE_BYTES >> 20} MiB; {self.sync.residual_jitter!r} "
+                    f"samples on this chirp need {table / 2**20:,.0f} MiB")
 
     @property
     def n_slaves(self) -> int:

@@ -71,6 +71,14 @@ def fine_sync_pad(residual_jitter: int) -> int:
     return 2 * residual_jitter + 16
 
 
+def fine_sync_table_bytes(params: ChirpParams, residual_jitter: int, noisy: bool) -> int:
+    """Bytes that :class:`FineSyncEnvelope` allocates up front at this jitter:
+    2 * pad + 1 rows of one float64 block mean per block, and as many stds
+    when ``noisy``."""
+    blocks = params.n_samples * FINE_WINDOW_SYMBOLS // ENVELOPE_DECIMATE
+    return (2 * fine_sync_pad(residual_jitter) + 1) * blocks * 8 * (1 + noisy)
+
+
 def coarse_sync(slave_rx: np.ndarray, ref: np.ndarray) -> int:
     """Sample offset of the preamble inside the received capture.
 

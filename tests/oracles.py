@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import betainc, erf
 
-from wptsim import coldstart as cs, engine
+from wptsim import backscatter as bs, coldstart as cs, engine
 from wptsim.beamform import BeamformError, _step_over_grid, bessel_ratio, solve_concentration
 from wptsim.channel import channel
 
@@ -42,6 +42,19 @@ def document_text(obj) -> str:
         return out + [" " * depth + "}"]
 
     return "\n".join(lines(obj, 0))
+
+
+def amplitude_ratio_chain(p_in_w: float) -> float:
+    """The transfer curve's amplitude ratio in steps: the incident power in
+    dBm, the logistic's power ratio there, the reflected power, and the root
+    of reflected over incident power (0 at no power)."""
+    if p_in_w <= 0:
+        return 0.0
+    p_in_dbm = 10.0 * math.log10(p_in_w / 1e-3)
+    z = (p_in_dbm - bs.CURVE_CENTER_DBM) / bs.CURVE_WIDTH_DB
+    ratio = bs.RATIO_LO + (bs.RATIO_HI - bs.RATIO_LO) / (1.0 + math.exp(-z))
+    reflected_w = ratio * p_in_w
+    return math.sqrt(reflected_w / p_in_w)
 
 
 def propose(rng, ref, phi: float) -> np.ndarray:

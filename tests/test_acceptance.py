@@ -22,16 +22,7 @@ from oracles import (
     simulate_update_rule,
 )
 from wptsim.beamform import compute_bound_schedule
-from wptsim.channel import (
-    MediumMap,
-    MediumSegment,
-    Position,
-    SegmentKind,
-    channel,
-    compose_budget,
-    dbm_to_watt,
-    received_power_dbm,
-)
+from wptsim.channel import MediumMap, Position, channel, dbm_to_watt, link_geometry
 from wptsim.chirp import ChirpParams, awgn_power, generate_sweep, p_ccs0
 from wptsim.engine import (
     Scenario,
@@ -44,18 +35,17 @@ from wptsim.sync import run_sync
 
 
 def test_criterion_01_link_budget_round_trip_extremes():
-    """Best/worst round-trip received power at 30 dBm transmit."""
+    """Best/worst round-trip received power at 30 dBm transmit: air, skin
+    and muscle in to a node, the paper's 30 dB insertion loss, and muscle,
+    skin and air back out, all at 0 dBi."""
+    insertion_loss_db = 30.0
+
     def round_trip(air_m, depth_m):
-        segs = [
-            MediumSegment(SegmentKind.AIR, air_m),
-            MediumSegment(SegmentKind.SKIN_IN),
-            MediumSegment(SegmentKind.MUSCLE, depth_m),
-            MediumSegment(SegmentKind.INSERTION),
-            MediumSegment(SegmentKind.MUSCLE, depth_m),
-            MediumSegment(SegmentKind.SKIN_OUT),
-            MediumSegment(SegmentKind.AIR, air_m),
-        ]
-        return received_power_dbm(30.0, compose_budget(segs))
+        leader, node = Position(0.0, 0.0, 0.0), Position(0.0, 0.0, -(air_m + depth_m))
+        medium = MediumMap(muscle_depth_m=depth_m)
+        g_in, _ = link_geometry(leader, node, medium, tx_gain_dbi=0.0, inbound=True)
+        g_out, _ = link_geometry(node, leader, medium, tx_gain_dbi=0.0, inbound=False)
+        return 30.0 + 20.0 * math.log10(g_in) - insertion_loss_db + 20.0 * math.log10(g_out)
 
     best = round_trip(1.0, 0.02)
     worst = round_trip(10.0, 0.06)

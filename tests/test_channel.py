@@ -5,20 +5,38 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wptsim.channel import (
+    SKIN_LOSS_IN_DB,
+    SKIN_LOSS_OUT_DB,
+    SPEED_OF_LIGHT,
     ChannelError,
     MediumMap,
-    MediumSegment,
     Position,
-    SegmentKind,
     air_loss,
     channel,
-    compose_budget,
     dbm_to_watt,
+    link_geometry,
     muscle_loss,
-    one_way_segments,
-    received_power_dbm,
-    watt_to_dbm,
 )
+
+
+def per_term(d, depth, inbound, freq_hz=915e6):
+    """(loss_db, path_m) of links of length ``d``, summed term by term in
+    crossing order: air, skin, muscle inbound and the reverse outbound."""
+    if depth == 0.0:
+        return air_loss(d, freq_hz), d
+    if inbound:
+        return (air_loss(d - depth, freq_hz) + SKIN_LOSS_IN_DB + muscle_loss(depth),
+                (d - depth) + depth)
+    return (muscle_loss(depth) + SKIN_LOSS_OUT_DB + air_loss(d - depth, freq_hz),
+            depth + (d - depth))
+
+
+def want_geometry(d, depth, inbound, tx_gain_dbi=4.0, freq_hz=915e6):
+    """(gain, phase) that :func:`link_geometry` must return, bit for bit."""
+    loss, path = per_term(d, depth, inbound, freq_hz)
+    gain = 10.0 ** (-loss / 20.0) * 10.0 ** (tx_gain_dbi / 20.0)
+    wavelength = SPEED_OF_LIGHT / freq_hz
+    return gain, (2.0 * math.pi * path / wavelength) % (2.0 * math.pi)
 
 
 def test_air_loss_reference_points():
@@ -41,89 +59,89 @@ def test_muscle_loss_slope():
 
 
 def test_boundary_losses_are_asymmetric():
-    assert MediumSegment(SegmentKind.SKIN_IN).loss_db() == 3.0
-    assert MediumSegment(SegmentKind.SKIN_OUT).loss_db() == 5.0
-    assert MediumSegment(SegmentKind.INSERTION).loss_db() == 30.0
-
-
-def test_boundary_segments_reject_length():
-    with pytest.raises(ChannelError):
-        MediumSegment(SegmentKind.SKIN_IN, 0.1)
-
-
-def test_compose_budget_is_additive():
-    segs = [
-        MediumSegment(SegmentKind.AIR, 1.0),
-        MediumSegment(SegmentKind.SKIN_IN),
-        MediumSegment(SegmentKind.MUSCLE, 0.02),
-    ]
-    b = compose_budget(segs)
-    assert b.total_loss_db == pytest.approx(air_loss(1.0) + 3.0 + 9.2)
-    assert b.path_length_m == pytest.approx(1.02)
-    with pytest.raises(ChannelError, match="non-empty"):
-        compose_budget([])
+    # Entering the body costs 3 dB at the skin, leaving it 5 dB: over the
+    # same geometry the outbound gain is 2 dB below the inbound one.
+    assert (SKIN_LOSS_IN_DB, SKIN_LOSS_OUT_DB) == (3.0, 5.0)
+    leader, node = Position(0, 0, 0.5), Position(0, 0, -0.1)
+    m = MediumMap(muscle_depth_m=0.02)
+    g_in, _ = link_geometry(leader, node, m, tx_gain_dbi=0.0, inbound=True)
+    g_out, _ = link_geometry(node, leader, m, tx_gain_dbi=0.0, inbound=False)
+    assert 20 * math.log10(g_in / g_out) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_budget_phase_matches_path_length():
-    segs = [MediumSegment(SegmentKind.AIR, 1.25)]
-    b = compose_budget(segs, freq_hz=915e6)
+    _, phase = link_geometry(Position(0, 0, 0), Position(1.25, 0, 0), freq_hz=915e6)
     lam = 3.0e8 / 915e6
-    assert b.phase_rad == pytest.approx((2 * math.pi * 1.25 / lam) % (2 * math.pi))
+    assert phase == pytest.approx((2 * math.pi * 1.25 / lam) % (2 * math.pi))
+    # In tissue the path is the air and the muscle: the same straight line.
+    _, inside = link_geometry(Position(0, 0, 0), Position(1.25, 0, 0),
+                              MediumMap(muscle_depth_m=0.05), freq_hz=915e6)
+    assert inside == pytest.approx(phase, rel=1e-12)
 
 
 def test_received_power_subtracts_loss():
-    b = compose_budget([MediumSegment(SegmentKind.AIR, 1.0)])
-    assert received_power_dbm(30.0, b) == pytest.approx(30.0 - air_loss(1.0))
-
-
-def test_one_way_segment_order_depends_on_direction():
-    m = MediumMap(muscle_depth_m=0.02)
-    inn = one_way_segments(1.0, m, inbound=True)
-    out = one_way_segments(1.0, m, inbound=False)
-    assert [s.kind for s in inn] == [
-        SegmentKind.AIR, SegmentKind.SKIN_IN, SegmentKind.MUSCLE]
-    assert [s.kind for s in out] == [
-        SegmentKind.MUSCLE, SegmentKind.SKIN_OUT, SegmentKind.AIR]
-
-
-def test_one_way_segments_air_only():
-    segs = one_way_segments(2.0, MediumMap(), inbound=True)
-    assert len(segs) == 1 and segs[0].kind is SegmentKind.AIR
+    # At a 0 dBi antenna the gain is the loss alone, so 30 dBm sent arrives
+    # as 30 dBm less the loss.
+    gain, _ = link_geometry(Position(0, 0, 0), Position(0, 1.0, 0), tx_gain_dbi=0.0)
+    assert 30.0 + 20 * math.log10(gain) == pytest.approx(30.0 - air_loss(1.0), abs=1e-9)
 
 
 def test_depth_must_not_exceed_distance():
-    with pytest.raises(ChannelError):
-        one_way_segments(0.04, MediumMap(muscle_depth_m=0.05), inbound=True)
+    for inbound in (True, False):
+        for depth in (0.05, 0.04):
+            with pytest.raises(ChannelError, match="smaller than link distance"):
+                link_geometry(Position(0, 0, 0), Position(0, 0.04, 0),
+                              MediumMap(muscle_depth_m=depth), inbound=inbound)
 
 
-@pytest.mark.parametrize("depth", [0.0, 0.05])
+@pytest.mark.parametrize("depth", [0.0, 0.013, 0.05])
 @pytest.mark.parametrize("inbound", [True, False])
 def test_array_segments_equal_per_link_budgets(depth, inbound):
-    # One budget over an array of link lengths is the per-link budgets,
-    # bit for bit, in loss, phase and path length.
-    d = np.random.default_rng(3).uniform(0.06, 12.0, 50)
+    # The gain and phase of a table of links, and of each link as a 0-d
+    # pair, are the per-term sums in crossing order, bit for bit.  The links
+    # run from 6 cm to 12 m, so their air losses span several binades, and
+    # at 13 mm the muscle loss, 460 * 0.013 dB, is inexact: a sum in another
+    # order rounds differently for some links.
+    rng = np.random.default_rng(3)
+    rx = rng.uniform(-0.1, 0.1, 3)
+    ray = rng.normal(size=(200, 3))
+    tx = rx + rng.uniform(0.06, 12.0, (200, 1)) * ray / np.linalg.norm(ray, axis=1, keepdims=True)
+    d = np.sqrt(sum((tx[:, k] - rx[k]) ** 2 for k in range(3)))
     medium = MediumMap(muscle_depth_m=depth)
-    table = compose_budget(one_way_segments(d, medium, inbound))
-    for k, dk in enumerate(d):
-        one = compose_budget(one_way_segments(float(dk), medium, inbound))
-        assert table.total_loss_db[k] == one.total_loss_db
-        assert table.phase_rad[k] == one.phase_rad
-        assert table.path_length_m[k] == one.path_length_m
+    gain, phase = link_geometry(tx, rx, medium, tx_gain_dbi=4.0, inbound=inbound)
+    want_gain, want_phase = want_geometry(d, depth, inbound)
+    assert np.array_equal(gain, want_gain) and np.array_equal(phase, want_phase)
+    assert not (gain.flags.writeable or phase.flags.writeable)
+    for k in range(d.size):
+        one = link_geometry(tx[k], rx, medium, tx_gain_dbi=4.0, inbound=inbound)
+        assert [np.ndim(v) for v in one] == [0, 0]
+        # A scalar's ** 2 is libm's pow, which can round the distance 1 ulp
+        # away from the table's.
+        dk = np.sqrt(sum((tx[k, j] - rx[j]) ** 2 for j in range(3)))
+        assert one == want_geometry(dk, depth, inbound)
 
 
 def test_array_segments_reject_any_bad_entry():
-    with pytest.raises(ChannelError):
-        MediumSegment(SegmentKind.AIR, np.array([1.0, -0.1, 2.0]))
-    with pytest.raises(ChannelError):
-        MediumSegment(SegmentKind.MUSCLE, np.array([0.01, -1e-9]))
-    with pytest.raises(ChannelError):
-        MediumSegment(SegmentKind.SKIN_IN, np.array([0.0, 0.1]))
-    with pytest.raises(ChannelError):
-        one_way_segments(np.array([1.0, 0.05, 2.0]), MediumMap(muscle_depth_m=0.05), True)
-    with pytest.raises(ChannelError):
-        compose_budget([MediumSegment(SegmentKind.AIR, np.array([1.0, 0.0]))])
-    seg = MediumSegment(SegmentKind.MUSCLE, np.array([0.0, 0.02]))
-    assert np.array_equal(seg.loss_db(), [0.0, muscle_loss(0.02)])
+    # One link of a table that the muscle layer reaches past refuses the
+    # whole table, in either direction.
+    tx = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.05], [2.0, 0.0, 0.0]])
+    for inbound in (True, False):
+        with pytest.raises(ChannelError, match="smaller than link distance"):
+            link_geometry(tx, np.zeros(3), MediumMap(muscle_depth_m=0.05), inbound=inbound)
+    gain, _ = link_geometry(tx, np.zeros(3), MediumMap(muscle_depth_m=0.049))
+    assert gain.shape == (3,)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["freq_hz", "tx_gain_dbi"])
+def test_link_geometry_refuses_a_non_finite_frequency_or_gain(name, value):
+    # A NaN frequency used to give a NaN link, an infinite one gain 0 with a
+    # NaN phase, and a NaN gain a NaN link.
+    for medium in (MediumMap(), MediumMap(muscle_depth_m=0.05)):
+        with pytest.raises(ChannelError, match=f"^{name} must be finite"):
+            link_geometry(Position(0, 0, 0), Position(1, 0, 0), medium, **{name: value})
+        with pytest.raises(ChannelError, match=f"^{name} must be finite"):
+            channel(Position(0, 0, 0), Position(1, 0, 0), medium, **{name: value})
 
 
 @pytest.mark.parametrize("depth", [math.nan, -0.01, math.inf])
@@ -166,11 +184,10 @@ def test_broadcast_channel_matches_per_link_calls_and_budget(depth, inbound):
             assert np.ndim(one) == 0
             assert table[r, i] == one
             d = math.dist(np.array(sp), np.array(node))
-            budget = compose_budget(one_way_segments(d, medium, inbound))
-            want = 10 ** (-budget.total_loss_db / 20) * 10 ** (4.0 / 20)
+            want, phase = want_geometry(d, depth, inbound)
             assert abs(table[r, i]) == pytest.approx(want, rel=1e-12)
             assert np.angle(table[r, i]) % (2 * math.pi) == pytest.approx(
-                (budget.phase_rad + static[i]) % (2 * math.pi), rel=1e-12)
+                (phase + static[i]) % (2 * math.pi), rel=1e-12)
 
 
 def test_outbound_channel_pays_the_skin_exit():
@@ -227,11 +244,7 @@ def test_position_rejects_non_finite():
 
 @given(st.floats(min_value=-120, max_value=40))
 def test_dbm_watt_round_trip(p_dbm):
-    assert watt_to_dbm(dbm_to_watt(p_dbm)) == pytest.approx(p_dbm, abs=1e-9)
-
-
-def test_watt_to_dbm_of_zero():
-    assert watt_to_dbm(0.0) == -math.inf
+    assert 10.0 * math.log10(dbm_to_watt(p_dbm) / 1e-3) == pytest.approx(p_dbm, abs=1e-9)
 
 
 @given(st.floats(min_value=0.01, max_value=50), st.floats(min_value=1.01, max_value=4))

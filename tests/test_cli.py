@@ -425,6 +425,18 @@ def test_bad_number_exits_2_naming_the_field(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
+def test_oversized_fine_sync_table_exits_2_before_anything_is_written(tmp_path, capsys):
+    # On the README chirp, jitter 10,000 would need two 2.6 GB tables.
+    doc = dict(MINIMAL, scenario=dict(MINIMAL["scenario"], sync_enabled=True,
+                                      sync_residual_jitter=10_000))
+    cfg_path = write_cfg(tmp_path, doc)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.sync_residual_jitter must keep fine sync's table within 256 MiB" in err
+    assert "5,004 MiB" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     # Whole-number fields used to be truncated: 2.7 slaves ran 2, 20.5
     # rounds ran 20, an offset range of 10.5 drew offsets up to 10.

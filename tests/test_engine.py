@@ -130,6 +130,30 @@ def test_scenario_accepts_valid_numbers(kw):
     bench_scenario(**kw)
 
 
+@pytest.mark.parametrize("jitter, floor, refused", [
+    # FAST_CHIRP's table is (4 * jitter + 33) rows of 512 blocks, 8 bytes
+    # each, twice with a noise floor: 256 MiB is 32,768 rows with noise and
+    # 65,536 without.
+    (8183, -70.0, False), (8184, -70.0, True),
+    (16375, None, False), (16376, None, True),
+    (10**9, -70.0, True),
+])
+def test_scenario_caps_the_fine_sync_table(jitter, floor, refused):
+    # A jitter of 10,000 on the README chirp used to allocate two 2.6 GB
+    # tables before fine sync's walk; the refusal allocates nothing.
+    kw = {"sync": SyncSettings(offset_range=300, residual_jitter=jitter),
+          "noise_floor_dbm": floor}
+    if refused:
+        with pytest.raises(EngineError, match=r"^residual_jitter must keep fine sync's "
+                                              r"table within 256 MiB"):
+            bench_scenario(**kw)
+    else:
+        bench_scenario(**kw)
+    # Without fine sync, no table is built and any jitter is accepted.
+    bench_scenario(n=1, **kw)
+    bench_scenario(sync=SyncSettings(enabled=False, residual_jitter=jitter))
+
+
 # bound=True, tx_power_dbm=True and feedback_latency_s=True used to run a
 # 1 degree bound at 1 dBm with a 1.004 s round.
 @pytest.mark.parametrize("field_name", [

@@ -29,6 +29,7 @@ from wptsim.sync import (
     coarse_sync,
     fine_sync_envelope,
     fine_sync_pad,
+    fine_sync_table_bytes,
     rician_moments,
     run_sync,
 )
@@ -538,6 +539,17 @@ def test_table_rows_built_in_steps_are_the_whole_windows_rows(floor_dbm):
             whole = [block_mean(nu, ENVELOPE_DECIMATE), None]
         for got, expect in zip(rx.blocks(offset), whole):
             assert (got is None and expect is None) or got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("params", [FAST, README_FAST_CHIRP, README_CHIRP])
+@pytest.mark.parametrize("jitter", [0, 20, 60])
+def test_table_bytes_are_the_envelopes_allocation(params, jitter):
+    # The size that Scenario caps is what the envelope allocates, unfilled.
+    for noise, arrays in ((0.0, 1), (1e-3, 2)):
+        rx = FineSyncEnvelope(params, fine_sync_pad(jitter), noise)
+        held = rx._mean.nbytes + (0 if rx._std is None else rx._std.nbytes)
+        assert fine_sync_table_bytes(params, jitter, noise > 0.0) == held
+        assert held == arrays * rx._mean.nbytes
 
 
 def _sync_runs(seeds, noise_power, jitter=20) -> dict:

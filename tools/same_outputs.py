@@ -17,8 +17,8 @@ from one tree's ``src/``: first the base, then the working tree.  The corpus:
 - ``bench/``: bench-mode runs (sync and cold start off, the criterion-4
   geometry) over seeds 0-19 x N in {1, 2, 3, 24}, with the noise floor at
   -70 dBm and off; at N in {3, 24} over seeds 0-4, fixed bounds of 1 and
-  180 degrees, one round, a -50 dBm noise floor, and nodes moving at 0.05
-  and 1 m/s;
+  180 degrees, one round, a -50 dBm noise floor, nodes moving at 0.05 and
+  1 m/s, and a node in air (muscle depth 0);
 - ``readme/``: the README scenario on the readme_fast chirp with cold start
   on and sync off, over seeds 0-19, with the leader on the ring's axis and
   off it at (0.3, 0.2, 0) m, where cold start walks or fails;
@@ -78,10 +78,12 @@ BENCH = {"ring_radius_m": 1.0, "ring_height_m": 0.0, "node_position_m": [0.0, 0.
          "muscle_depth_m": 0.05, "sync_enabled": False, "cold_start_enabled": False}
 BENCH_FLOORS = {"floor-70": -70.0, "nofloor": None}
 # One change each to a bench run: the extreme fixed bounds, a single round,
-# a noise floor at which noise decides many accepts, and a moving node.
+# a noise floor at which noise decides many accepts, a moving node, and a
+# node in air, whose outbound link to the leader is air alone.
 BENCH_VARIANTS = {"bound1": {"bound_deg": 1.0}, "bound180": {"bound_deg": 180.0},
                   "rounds1": {"rounds": 1}, "floor-50": {"noise_floor_dbm": -50.0},
-                  "speed0.05": {"speed_m_per_s": 0.05}, "speed1": {"speed_m_per_s": 1.0}}
+                  "speed0.05": {"speed_m_per_s": 0.05}, "speed1": {"speed_m_per_s": 1.0},
+                  "air": {"muscle_depth_m": 0.0}}
 # The README scenario with cold start on and sync off, its leader on the
 # ring's axis and off it.
 README_LEADERS = {"onaxis": [0.0, 0.0, 0.0], "offaxis": [0.3, 0.2, 0.0]}
